@@ -9,10 +9,15 @@
 #                                     litmus sweep (memory errors in
 #                                     the protocol/tracer paths)
 #   scripts/ci.sh perf [build-dir]    Release+LTO build and tests
-#                                     (gating), then the event-kernel
-#                                     and datapath throughput
-#                                     benchmarks (non-gating; write
-#                                     BENCH_kernel.json and
+#                                     (gating), the benchmark's
+#                                     correctness gate (perfbench/run.py
+#                                     at seed 1 on every workload: each
+#                                     stat-tree digest must equal the one
+#                                     pinned in perfbench/ledger.json;
+#                                     timings are not gated), then the
+#                                     event-kernel and datapath
+#                                     throughput benchmarks (non-gating;
+#                                     write BENCH_kernel.json and
 #                                     BENCH_datapath.ci.json, warn on
 #                                     >15% regression vs the committed
 #                                     BENCH_datapath.json) and a
@@ -292,6 +297,15 @@ PYEOF
 fi
 
 if [[ "$MODE" == "perf" ]]; then
+    # Gating: the benchmark's correctness checks. Every workload runs
+    # once at the pinned seed, and perfbench exits non-zero when a stat
+    # tree's digest differs from perfbench/ledger.json, so a change that
+    # moves any simulated statistic fails here. Only correctness is
+    # gated, never the timings it prints.
+    CARGO_TARGET_DIR="$BUILD_DIR-bench" python3 \
+        "$(dirname "$0")/../perfbench/run.py" \
+        --workload all --seed 1 --seconds 1 --trace 0
+
     # Throughput numbers are advisory: hosts vary, so a slow run must
     # not fail the pipeline. The build and tests above still gate.
     "$BUILD_DIR"/bench/kernel_bench --json BENCH_kernel.json ||

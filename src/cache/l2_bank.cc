@@ -58,14 +58,15 @@ void
 L2Bank::debugDump(std::ostream &os) const
 {
     _info.forEach([&](Addr line, const Info &info) {
-        if (!info.busy && !info.peActive && info.blocked.empty())
+        if (info.pending == noPending)
             return;
+        const Pending &p = pendingOf(info);
         os << "  " << name() << " line=" << std::hex << (line << 6)
-           << std::dec << " busy=" << info.busy
-           << " txn=" << static_cast<int>(info.txn.kind)
-           << " peActive=" << info.peActive
-           << " peTxn=" << static_cast<int>(info.peTxn.kind)
-           << " blocked=" << info.blocked.size()
+           << std::dec << " busy=" << info.busy << " txn="
+           << static_cast<int>(info.busy ? p.txn.kind : Txn::None)
+           << " peActive=" << info.peActive << " peTxn="
+           << static_cast<int>(info.peActive ? p.peTxn.kind : Txn::None)
+           << " blocked=" << p.blocked.size()
            << " sharers=" << std::hex << info.sharers << std::dec
            << " owner=" << info.ownerL1 << " l1Excl=" << info.l1Excl
            << " nodeExcl=" << info.nodeExcl << "\n";
@@ -73,25 +74,107 @@ L2Bank::debugDump(std::ostream &os) const
 }
 
 bool
-L2Bank::lineBusy(Addr addr) const
+L2Bank::lineBusy(Addr addr)
 {
-    const Info *i = _info.find(lineNum(addr));
+    const Info *i = findInfo(addr);
     return i && (i->busy || i->peActive);
 }
 
-void
-L2Bank::maybeErase(Addr addr)
+std::string
+L2Bank::checkInvariants(bool drained) const
 {
-    const Info *i = _info.find(lineNum(addr));
-    if (!i)
-        return;
-    if (!i->busy && !i->peActive && i->blocked.empty() &&
-        i->sharers == 0 && !i->nodeExcl && !i->nodeDirty &&
-        !_tags.find(addr)) {
-        if (_lastInfo == i)
-            _lastInfo = nullptr;
-        _info.erase(lineNum(addr));
+    std::string err;
+    auto fail = [&](Addr line, const char *what) {
+        if (err.empty())
+            err = strFormat("%s: line %#llx: %s", name().c_str(),
+                            static_cast<unsigned long long>(line << 6),
+                            what);
+    };
+    std::size_t holders = 0;
+    _info.forEach([&](Addr line, const Info &info) {
+        if (info.inL2 != (_tags.find(line << 6) != nullptr))
+            fail(line, "in-L2 bit disagrees with the tag array");
+        bool active = info.busy || info.peActive;
+        if (info.pending == noPending) {
+            if (active)
+                fail(line, "busy or peActive without a pending entry");
+            else if (drained && info.sharers == 0 && !info.nodeExcl &&
+                     !info.nodeDirty && !info.inL2)
+                fail(line, "idle record left behind");
+            return;
+        }
+        ++holders;
+        if (info.pending >= _pending.capacity())
+            fail(line, "pending index out of range");
+        else if (!active && pendingOf(info).blocked.empty())
+            fail(line, "pending entry held by an idle line");
+    });
+    for (const L2Line &l : _tags.raw()) {
+        const Info *i = l.valid ? _info.find(lineNum(l.addr)) : nullptr;
+        if (l.valid && (!i || !i->inL2))
+            fail(lineNum(l.addr), "L2 line without an in-L2 record");
     }
+    if (err.empty() && holders != _pending.inUse())
+        err = strFormat("%s: %zu lines hold pending entries but %zu "
+                        "are in use", name().c_str(), holders,
+                        _pending.inUse());
+    return err;
+}
+
+bool
+L2Bank::maybeErase(Info &info, Addr addr)
+{
+    // No pending entry means not busy, not peActive, nothing blocked.
+    if (info.pending != noPending || info.sharers != 0 ||
+        info.nodeExcl || info.nodeDirty || info.inL2)
+        return false;
+    if (_lastInfo == &info)
+        _lastInfo = nullptr;
+    _info.erase(lineNum(addr));
+    return true;
+}
+
+L2Bank::Pending &
+L2Bank::holdPending(Info &info)
+{
+    if (info.pending == noPending)
+        info.pending = _pending.acquire();
+    return _pending[info.pending];
+}
+
+void
+L2Bank::releasePending(Info &info)
+{
+    if (info.pending == noPending || info.busy || info.peActive ||
+        hasBlocked(info))
+        return;
+    _pending.release(info.pending);
+    info.pending = noPending;
+}
+
+L2Bank::Txn &
+L2Bank::beginTxn(Info &info)
+{
+    Txn &txn = holdPending(info).txn;
+    info.busy = true;
+    txn = Txn{};
+    return txn;
+}
+
+L2Bank::Txn &
+L2Bank::beginPeTxn(Info &info)
+{
+    Txn &txn = holdPending(info).peTxn;
+    info.peActive = true;
+    txn = Txn{};
+    return txn;
+}
+
+void
+L2Bank::block(Info &info, IcsMsg msg)
+{
+    ++statBlockedReqs;
+    holdPending(info).blocked.push_back(std::move(msg));
 }
 
 #if PIRANHA_FAULT_INJECT
@@ -119,7 +202,7 @@ L2Bank::findChecked(Addr addr)
     // partial-dir knowledge cleared; a re-created one starts at
     // PD_Unknown anyway.
     evictL2Line(*l);
-    if (Info *i = _info.find(lineNum(addr)))
+    if (Info *i = findInfo(addr))
         i->pdir = Info::PD_Unknown;
     return nullptr;
 }
@@ -141,7 +224,7 @@ L2Bank::canProcess(const Info &info, const IcsMsg &msg) const
         // line inter-node, so this is race-free) but not with any
         // other transaction kind.
         return !info.peActive &&
-               (!info.busy || info.txn.kind == Info::Txn::L1Engine);
+               (!info.busy || pendingOf(info).txn.kind == Txn::L1Engine);
       default:
         return true;
     }
@@ -204,9 +287,9 @@ L2Bank::lookupDispatch(IcsMsg m)
         break;
       case IcsMsgType::PeComplete: {
         Info &info = infoFor(m.addr);
-        if (!info.peActive || info.peTxn.kind != Info::Txn::PeHeld)
+        if (!info.peActive || pendingOf(info).peTxn.kind != Txn::PeHeld)
             panic("%s: PeComplete without held line", name().c_str());
-        finishPeTxn(m.addr);
+        finishPeTxn(info, m.addr);
         break;
       }
       default:
@@ -219,9 +302,8 @@ void
 L2Bank::onL1Request(IcsMsg msg)
 {
     Info &info = infoFor(msg.addr);
-    if (!canProcess(info, msg) || !info.blocked.empty()) {
-        ++statBlockedReqs;
-        info.blocked.push_back(std::move(msg));
+    if (!canProcess(info, msg) || hasBlocked(info)) {
+        block(info, std::move(msg));
         return;
     }
     // The victim piggyback is resolved first, at this serialization
@@ -235,13 +317,13 @@ L2Bank::onL1Request(IcsMsg msg)
 bool
 L2Bank::handleVictim(const IcsMsg &msg)
 {
-    Info &v = infoFor(msg.victimAddr);
+    Info *vi = findInfo(msg.victimAddr);
     std::uint32_t bit = 1u << msg.l1Id;
-    if (!(v.sharers & bit))
+    if (!vi || !(vi->sharers & bit))
         return false; // already invalidated under us
+    Info &v = *vi;
 
-    bool l2_has = _tags.find(msg.victimAddr) != nullptr;
-    bool is_owner = v.ownerL1 == msg.l1Id && !l2_has;
+    bool is_owner = v.ownerL1 == msg.l1Id && !v.inL2;
 
     v.sharers &= ~bit;
     if (v.ownerL1 == msg.l1Id) {
@@ -277,7 +359,7 @@ L2Bank::handleVictim(const IcsMsg &msg)
                     "%s: parity loss of node-dirty line %#llx",
                     name().c_str(),
                     static_cast<unsigned long long>(msg.victimAddr)));
-            maybeErase(msg.victimAddr);
+            maybeErase(v, msg.victimAddr);
             return false;
         }
 #endif
@@ -289,10 +371,10 @@ L2Bank::handleVictim(const IcsMsg &msg)
         // (possibly dirty) line is lost.
         if (!(_p.faults &&
               _p.faults->fire(ProtocolFault::DropVictimWriteback)))
-            installL2(msg.victimAddr, msg.data, dirty);
+            installL2(v, msg.victimAddr, msg.data, dirty);
         return false;
     }
-    maybeErase(msg.victimAddr);
+    maybeErase(v, msg.victimAddr);
     return false;
 }
 
@@ -362,27 +444,25 @@ L2Bank::dispatchL1Request(IcsMsg msg, bool wb_decision)
                                  .aux = msg.l1Id,
                                  .addr = a,
                                  .mask = info.sharers});
-            info.busy = true;
-            info.txn = Info::Txn{};
-            info.txn.kind = Info::Txn::L1Fwd;
-            info.txn.req = std::move(msg);
+            Txn &txn = beginTxn(info);
+            txn.kind = Txn::L1Fwd;
+            txn.req = std::move(msg);
             return;
         }
         // No on-chip copy: fill the L1 directly from memory without
         // allocating in the L2 (non-inclusive hierarchy).
-        info.busy = true;
-        info.txn = Info::Txn{};
-        info.txn.req = std::move(msg);
-        info.txn.wbDecision = wb_decision;
+        Txn &txn = beginTxn(info);
+        txn.req = std::move(msg);
+        txn.wbDecision = wb_decision;
         if (isLocal(a)) {
-            info.txn.kind = Info::Txn::L1Mem;
+            txn.kind = Txn::L1Mem;
             _mc.readLine(a, [this, a](const LineData &d, std::uint64_t dir) {
                 onMemData(a, d, dir);
             });
         } else {
-            info.txn.kind = Info::Txn::L1Engine;
+            txn.kind = Txn::L1Engine;
             ++statEngineTrips;
-            sendEngine(info.txn.req, PeOp::ReqS, false, 0, false);
+            sendEngine(txn.req, PeOp::ReqS, false, 0, false);
         }
         return;
     }
@@ -416,10 +496,9 @@ L2Bank::dispatchL1Request(IcsMsg msg, bool wb_decision)
                              .aux = msg.l1Id,
                              .addr = a,
                              .mask = info.sharers});
-        info.busy = true;
-        info.txn = Info::Txn{};
-        info.txn.kind = Info::Txn::L1Fwd;
-        info.txn.req = std::move(msg);
+        Txn &txn = beginTxn(info);
+        txn.kind = Txn::L1Fwd;
+        txn.req = std::move(msg);
         return;
     }
 
@@ -434,24 +513,23 @@ L2Bank::dispatchL1Request(IcsMsg msg, bool wb_decision)
         return;
     }
 
-    info.busy = true;
-    info.txn = Info::Txn{};
-    info.txn.wbDecision = wb_decision;
+    Txn &txn = beginTxn(info);
+    txn.wbDecision = wb_decision;
     if (isLocal(a)) {
         // Read the directory (free with the line's ECC bits) and
         // decide whether remote action is needed.
-        info.txn.kind = Info::Txn::L1Mem;
-        info.txn.req = std::move(msg);
+        txn.kind = Txn::L1Mem;
+        txn.req = std::move(msg);
         _mc.readLine(a, [this, a](const LineData &d, std::uint64_t dir) {
             onMemData(a, d, dir);
         });
     } else {
-        info.txn.kind = Info::Txn::L1Engine;
+        txn.kind = Txn::L1Engine;
         ++statEngineTrips;
         bool have_local_data = l2l != nullptr || info.sharers != 0;
         PeOp op = have_local_data ? PeOp::ReqUpgrade : PeOp::ReqX;
-        info.txn.req = std::move(msg);
-        sendEngine(info.txn.req, op, false, 0, false);
+        txn.req = std::move(msg);
+        sendEngine(txn.req, op, false, 0, false);
     }
 }
 
@@ -510,12 +588,10 @@ L2Bank::grantLocalExclusive(IcsMsg req, bool wb_decision,
         info.sharers = bit;
         info.ownerL1 = req.l1Id;
         info.l1Excl = true;
-        info.busy = true;
-        Info::Txn txn;
-        txn.kind = Info::Txn::L1Fwd;
+        Txn &txn = beginTxn(info);
+        txn.kind = Txn::L1Fwd;
         txn.req = std::move(req);
         txn.wbDecision = wb_decision;
-        info.txn = std::move(txn);
         if (isLocal(a))
             info.pdir = Info::PD_None;
         else
@@ -550,56 +626,57 @@ L2Bank::grantLocalExclusive(IcsMsg req, bool wb_decision,
     else
         info.nodeExcl = true;
 
-    if (info.busy && info.txn.kind != Info::Txn::L1Fwd)
-        finishTxn(a);
+    if (info.busy && pendingOf(info).txn.kind != Txn::L1Fwd)
+        finishTxn(info, a);
 }
 
 void
 L2Bank::onMemData(Addr addr, const LineData &data, std::uint64_t dir_bits)
 {
     Info &info = infoFor(addr);
-    if (!info.busy || info.txn.kind != Info::Txn::L1Mem)
+    if (!info.busy || pendingOf(info).txn.kind != Txn::L1Mem)
         panic("%s: stray memory data for %#llx", name().c_str(),
               static_cast<unsigned long long>(addr));
+    Txn &txn = pendingOf(info).txn;
     DirEntry dir = DirEntry::unpack(dir_bits, _amap.numNodes);
-    IcsMsg req = info.txn.req;
+    IcsMsg req = txn.req;
     std::uint32_t bit = 1u << req.l1Id;
     bool ifetch = isInstrL1(req.l1Id);
 
     if (req.type == IcsMsgType::GetS) {
         if (dir.state() == DirState::Exclusive) {
             ++statEngineTrips;
-            info.txn.kind = Info::Txn::L1Engine;
+            txn.kind = Txn::L1Engine;
             sendEngine(req, PeOp::ReqS, true, dir_bits, true);
             // Engine ops blocked during the memory read may now
             // interleave with the parked transaction.
-            drainBlocked(addr);
+            drainBlocked(info);
             return;
         }
         ++statMemLocal;
         bool excl = dir.empty() && !ifetch;
         replyFill(req, data, true, excl, FillSource::MemLocal,
-                  info.txn.wbDecision);
+                  txn.wbDecision);
         info.sharers |= bit;
         info.ownerL1 = req.l1Id;
         info.l1Excl = excl;
         info.pdir = dir.empty() ? Info::PD_None : Info::PD_Shared;
-        finishTxn(addr);
+        finishTxn(info, addr);
         return;
     }
 
     // Exclusive-class request.
     if (dir.empty()) {
         info.pdir = Info::PD_None;
-        grantLocalExclusive(req, info.txn.wbDecision, &data);
+        grantLocalExclusive(req, txn.wbDecision, &data);
         return;
     }
     // Remote copies exist: the home engine re-reads the directory at
     // its own serialization point and completes the remote side.
     ++statEngineTrips;
-    info.txn.kind = Info::Txn::L1Engine;
+    txn.kind = Txn::L1Engine;
     sendEngine(req, PeOp::ReqX, true, dir_bits, true);
-    drainBlocked(addr);
+    drainBlocked(info);
 }
 
 void
@@ -607,10 +684,11 @@ L2Bank::onPeData(const IcsMsg &msg)
 {
     Addr a = msg.addr;
     Info &info = infoFor(a);
-    if (!info.busy || info.txn.kind != Info::Txn::L1Engine)
+    if (!info.busy || pendingOf(info).txn.kind != Txn::L1Engine)
         panic("%s: stray PeData for %#llx", name().c_str(),
               static_cast<unsigned long long>(a));
-    IcsMsg req = info.txn.req;
+    const Txn &txn = pendingOf(info).txn;
+    IcsMsg req = txn.req;
     std::uint32_t bit = 1u << req.l1Id;
 
     // Count the remote service for the miss breakdown.
@@ -623,7 +701,7 @@ L2Bank::onPeData(const IcsMsg &msg)
 
     if (req.type == IcsMsgType::GetS) {
         replyFill(req, msg.data, true, msg.exclusive, msg.source,
-                  info.txn.wbDecision);
+                  txn.wbDecision);
         info.sharers |= bit;
         info.ownerL1 = req.l1Id;
         info.l1Excl = msg.exclusive;
@@ -631,7 +709,7 @@ L2Bank::onPeData(const IcsMsg &msg)
             info.pdir = msg.exclusive ? Info::PD_None : Info::PD_Shared;
         else
             info.nodeExcl = msg.exclusive;
-        finishTxn(a);
+        finishTxn(info, a);
         return;
     }
 
@@ -643,7 +721,7 @@ L2Bank::onPeData(const IcsMsg &msg)
         invalL2Copy(info, a);
         info.nodeDirty = false;
         replyFill(req, msg.data, true, true, msg.source,
-                  info.txn.wbDecision);
+                  txn.wbDecision);
         info.sharers = bit;
         info.ownerL1 = req.l1Id;
         info.l1Excl = true;
@@ -651,7 +729,7 @@ L2Bank::onPeData(const IcsMsg &msg)
             info.pdir = Info::PD_None;
         else
             info.nodeExcl = true;
-        finishTxn(a);
+        finishTxn(info, a);
     } else {
         // Permission-only grant: data is already on chip (or comes
         // with the mem data the PeReadLocal path returned earlier).
@@ -660,7 +738,7 @@ L2Bank::onPeData(const IcsMsg &msg)
         else
             info.nodeExcl = true;
         LineData mem = msg.data;
-        grantLocalExclusive(req, info.txn.wbDecision,
+        grantLocalExclusive(req, txn.wbDecision,
                             msg.hasData ? &mem : nullptr);
     }
 }
@@ -670,11 +748,12 @@ L2Bank::onFwdDone(const IcsMsg &msg)
 {
     Addr a = msg.addr;
     Info &info = infoFor(a);
-    if (info.peActive && info.peTxn.kind == Info::Txn::PeReadFwd) {
-        info.peTxn.gatherDirty = msg.victimDirty || info.nodeDirty ||
-                                 info.peTxn.gatherDirty;
+    if (info.peActive && pendingOf(info).peTxn.kind == Txn::PeReadFwd) {
+        Txn &pe = pendingOf(info).peTxn;
+        pe.gatherDirty = msg.victimDirty || info.nodeDirty ||
+                         pe.gatherDirty;
         // Apply the requested mode now that data is captured.
-        if (info.peTxn.req.mode == PeLocalMode::Excl) {
+        if (pe.req.mode == PeLocalMode::Excl) {
             invalL1Sharers(info, a, -1);
             invalL2Copy(info, a);
             info.nodeExcl = false;
@@ -686,30 +765,31 @@ L2Bank::onFwdDone(const IcsMsg &msg)
             info.nodeDirty = false; // home writes memory current
         }
         info.pdir = Info::PD_Unknown;
-        info.peTxn.kind = Info::Txn::PeRead;
-        completePeRead(a);
+        pe.kind = Txn::PeRead;
+        completePeRead(info, a);
         return;
     }
-    if (!info.busy || info.txn.kind != Info::Txn::L1Fwd)
+    if (!info.busy || pendingOf(info).txn.kind != Txn::L1Fwd)
         panic("%s: FwdDone without forward txn", name().c_str());
-    if (info.txn.req.type == IcsMsgType::GetS) {
+    if (pendingOf(info).txn.req.type == IcsMsgType::GetS) {
         // Dirty data may now live in shared L1 copies.
         info.nodeDirty = info.nodeDirty || msg.victimDirty;
     } else {
         // Exclusive transfer: the new M holder carries dirtiness.
         info.nodeDirty = false;
     }
-    finishTxn(a);
+    finishTxn(info, a);
 }
 
 void
 L2Bank::onGatherData(const IcsMsg &msg)
 {
     Info &info = infoFor(msg.addr);
-    if (!info.peActive || info.peTxn.kind != Info::Txn::PeReadFwd)
+    if (!info.peActive || pendingOf(info).peTxn.kind != Txn::PeReadFwd)
         panic("%s: stray gather data", name().c_str());
-    info.peTxn.data = msg.data;
-    info.peTxn.haveData = true;
+    Txn &pe = pendingOf(info).peTxn;
+    pe.data = msg.data;
+    pe.haveData = true;
 }
 
 void
@@ -717,18 +797,18 @@ L2Bank::onWbData(const IcsMsg &msg)
 {
     Addr a = msg.addr;
     Info &info = infoFor(a);
-    if (!info.busy || info.txn.kind != Info::Txn::WbWait)
+    if (!info.busy || pendingOf(info).txn.kind != Txn::WbWait)
         panic("%s: unexpected WbData for %#llx", name().c_str(),
               static_cast<unsigned long long>(a));
     ++statWbInstalls;
     bool dirty = msg.victimDirty || info.nodeDirty;
     info.nodeDirty = false;
-    installL2(a, msg.data, dirty);
-    finishTxn(a);
+    installL2(info, a, msg.data, dirty);
+    finishTxn(info, a);
 }
 
 void
-L2Bank::installL2(Addr addr, const LineData &data, bool dirty)
+L2Bank::installL2(Info &info, Addr addr, const LineData &data, bool dirty)
 {
     if (_tags.find(addr))
         panic("%s: double L2 install", name().c_str());
@@ -752,6 +832,7 @@ L2Bank::installL2(Addr addr, const LineData &data, bool dirty)
     if (slot->valid)
         evictL2Line(*slot);
     _tags.install(*slot, addr);
+    info.inL2 = true;
     slot->data = data;
     slot->dirty = dirty;
 #if PIRANHA_FAULT_INJECT
@@ -776,7 +857,7 @@ L2Bank::evictL2Line(L2Line &line)
         // L1; remember dirtiness so its eventual write-back installs
         // dirty.
         info.nodeDirty = info.nodeDirty || line.dirty;
-        _tags.invalidate(line);
+        dropL2Copy(info, line);
         return;
     }
     // Node-level eviction.
@@ -808,8 +889,15 @@ L2Bank::evictL2Line(L2Line &line)
         info.nodeDirty = false;
     }
     info.nodeDirty = false;
+    dropL2Copy(info, line);
+    maybeErase(info, a);
+}
+
+void
+L2Bank::dropL2Copy(Info &info, L2Line &line)
+{
     _tags.invalidate(line);
-    maybeErase(a);
+    info.inL2 = false;
 }
 
 void
@@ -818,16 +906,14 @@ L2Bank::onPeReadLocal(IcsMsg msg)
     Addr a = msg.addr;
     Info &info = infoFor(a);
     if (!canProcess(info, msg)) {
-        ++statBlockedReqs;
-        info.blocked.push_back(std::move(msg));
+        block(info, std::move(msg));
         return;
     }
-    info.peActive = true;
-    info.peTxn = Info::Txn{};
-    info.peTxn.kind = Info::Txn::PeRead;
-    info.peTxn.req = msg;
+    Txn &pe = beginPeTxn(info);
+    pe.kind = Txn::PeRead;
+    pe.req = msg;
     L2Line *l2l = findChecked(a);
-    info.peTxn.localPresent = l2l || info.sharers != 0;
+    pe.localPresent = l2l || info.sharers != 0;
 
     bool need_data = msg.mode != PeLocalMode::DirOnly;
 
@@ -845,13 +931,13 @@ L2Bank::onPeReadLocal(IcsMsg msg)
         _ics.send(std::move(fwd));
         if (msg.mode == PeLocalMode::Excl)
             invalL1Sharers(info, a, owner);
-        info.peTxn.kind = Info::Txn::PeReadFwd;
+        pe.kind = Txn::PeReadFwd;
         // Remaining mode effects are applied at FwdDone.
     } else {
         if (need_data && l2l) {
-            info.peTxn.haveData = true;
-            info.peTxn.data = l2l->data;
-            info.peTxn.gatherDirty = l2l->dirty || info.nodeDirty;
+            pe.haveData = true;
+            pe.data = l2l->data;
+            pe.gatherDirty = l2l->dirty || info.nodeDirty;
         }
         if (msg.mode == PeLocalMode::Excl) {
             invalL1Sharers(info, a, -1);
@@ -876,28 +962,28 @@ L2Bank::onPeReadLocal(IcsMsg msg)
             Info &i = infoFor(a);
             if (!i.peActive)
                 panic("%s: stray dir read", name().c_str());
-            i.peTxn.dirBits = dir;
-            i.peTxn.haveDir = true;
-            if (!i.peTxn.haveData && !i.peTxn.localPresent &&
-                i.peTxn.req.mode != PeLocalMode::DirOnly) {
-                i.peTxn.data = d;
-                i.peTxn.haveData = true;
+            Txn &t = pendingOf(i).peTxn;
+            t.dirBits = dir;
+            t.haveDir = true;
+            if (!t.haveData && !t.localPresent &&
+                t.req.mode != PeLocalMode::DirOnly) {
+                t.data = d;
+                t.haveData = true;
             }
-            if (i.peTxn.kind == Info::Txn::PeRead)
-                completePeRead(a);
+            if (t.kind == Txn::PeRead)
+                completePeRead(i, a);
         });
     } else {
-        info.peTxn.haveDir = true; // not applicable off-home
-        if (info.peTxn.kind == Info::Txn::PeRead)
-            completePeRead(a);
+        pe.haveDir = true; // not applicable off-home
+        if (pe.kind == Txn::PeRead)
+            completePeRead(info, a);
     }
 }
 
 void
-L2Bank::completePeRead(Addr addr)
+L2Bank::completePeRead(Info &info, Addr addr)
 {
-    Info &info = infoFor(addr);
-    Info::Txn &t = info.peTxn;
+    Txn &t = pendingOf(info).peTxn;
     bool need_data = t.req.mode != PeLocalMode::DirOnly;
     bool dir_needed = isLocal(addr);
     if ((need_data && !t.haveData && t.localPresent) ||
@@ -927,10 +1013,10 @@ L2Bank::completePeRead(Addr addr)
         // Keep the pending entry blocked; the engine releases it with
         // PeComplete when its transaction (directory update, memory
         // write, forwarded data) is complete.
-        info.peTxn.kind = Info::Txn::PeHeld;
+        t.kind = Txn::PeHeld;
         return;
     }
-    finishPeTxn(addr);
+    finishPeTxn(info, addr);
 }
 
 void
@@ -939,13 +1025,12 @@ L2Bank::onPeInvalLocal(IcsMsg msg)
     Addr a = msg.addr;
     Info &info = infoFor(a);
     if (!canProcess(info, msg)) {
-        ++statBlockedReqs;
-        info.blocked.push_back(std::move(msg));
+        block(info, std::move(msg));
         return;
     }
     bool acquiring_excl =
-        info.busy && info.txn.kind == Info::Txn::L1Engine &&
-        info.txn.req.type != IcsMsgType::GetS;
+        info.busy && pendingOf(info).txn.kind == Txn::L1Engine &&
+        pendingOf(info).txn.req.type != IcsMsgType::GetS;
     bool apply = !info.l1Excl && !info.nodeExcl && !acquiring_excl;
     PIR_TRACE(_p.tracer, TraceEvent{.tick = curTick(),
                                     .kind = TraceKind::CmiInval,
@@ -979,7 +1064,7 @@ L2Bank::onPeInvalLocal(IcsMsg msg)
     done.dstPort = msg.srcPort;
     done.reqId = msg.reqId;
     _ics.send(std::move(done));
-    maybeErase(a);
+    maybeErase(info, a);
 }
 
 void
@@ -1050,11 +1135,11 @@ L2Bank::invalL1Sharers(Info &info, Addr addr, int except_l1)
 void
 L2Bank::invalL2Copy(Info &info, Addr addr)
 {
+    if (!info.inL2)
+        return;
     L2Line *l2l = _tags.find(addr);
-    if (l2l) {
-        info.nodeDirty = info.nodeDirty || l2l->dirty;
-        _tags.invalidate(*l2l);
-    }
+    info.nodeDirty = info.nodeDirty || l2l->dirty;
+    dropL2Copy(info, *l2l);
 }
 
 void
@@ -1076,38 +1161,35 @@ L2Bank::sendEngine(const IcsMsg &req, PeOp op, bool to_home,
 }
 
 void
-L2Bank::finishTxn(Addr addr)
+L2Bank::finishTxn(Info &info, Addr addr)
 {
-    Info &info = infoFor(addr);
     info.busy = false;
-    info.txn = Info::Txn{};
-    maybeErase(addr);
-    drainBlocked(addr);
+    releasePending(info);
+    if (!maybeErase(info, addr))
+        drainBlocked(info);
 }
 
 void
-L2Bank::finishPeTxn(Addr addr)
+L2Bank::finishPeTxn(Info &info, Addr addr)
 {
-    Info &info = infoFor(addr);
     info.peActive = false;
-    info.peTxn = Info::Txn{};
-    maybeErase(addr);
-    drainBlocked(addr);
+    releasePending(info);
+    if (!maybeErase(info, addr))
+        drainBlocked(info);
 }
 
 void
-L2Bank::drainBlocked(Addr addr)
+L2Bank::drainBlocked(Info &info)
 {
-    Info *info = _info.find(lineNum(addr));
-    if (!info || info->blocked.empty())
+    if (!hasBlocked(info))
         return;
     // Oldest-first, but engine-initiated ops may overtake blocked L1
     // requests (they interleave with a parked L1Engine transaction;
     // holding them back would deadlock the engines).
-    auto &q = info->blocked;
+    auto &q = pendingOf(info).blocked;
     std::size_t pick = q.size();
     for (std::size_t qi = 0; qi < q.size(); ++qi) {
-        if (canProcess(*info, q[qi])) {
+        if (canProcess(info, q[qi])) {
             pick = qi;
             break;
         }
@@ -1116,6 +1198,7 @@ L2Bank::drainBlocked(Addr addr)
         return;
     IcsMsg next = std::move(q[pick]);
     q.erase(pick);
+    releasePending(info);
     MsgEvent *ev = _msgEvents.acquire(this);
     ev->msg = std::move(next);
     ev->drainRetry = true;
@@ -1136,7 +1219,7 @@ L2Bank::drainRetryDispatch(IcsMsg next)
       default: {
         Info &info = infoFor(a);
         if (!canProcess(info, next)) {
-            info.blocked.push_front(std::move(next));
+            holdPending(info).blocked.push_front(std::move(next));
             return;
         }
         bool wb_decision = false;
@@ -1146,17 +1229,17 @@ L2Bank::drainRetryDispatch(IcsMsg next)
         break;
       }
     }
-    drainBlocked(a);
+    if (Info *info = findInfo(a))
+        drainBlocked(*info);
 }
 
 #if PIRANHA_FAULT_INJECT
 
 unsigned
-L2Bank::faultEligibleLines() const
+L2Bank::faultEligibleLines()
 {
     unsigned n = 0;
-    for (const L2Line &l :
-         const_cast<TagArray<L2Line> &>(_tags).raw())
+    for (const L2Line &l : _tags.raw())
         if (l.valid && !l.dirty && !l.parityBad && isLocal(l.addr) &&
             !lineBusy(l.addr))
             ++n;

@@ -20,10 +20,12 @@
  * invalidation acknowledgements.
  *
  * The bank is the intra-chip coherence serialization point: each line
- * has at most one active transaction; conflicting requests queue in a
- * per-line pending list (paper: "request pending entries"). Requests
- * that need inter-node action are handed to the home or remote
- * protocol engine; the bank also services engine-initiated local
+ * has at most one active transaction; conflicting requests queue in
+ * the line's pending entry (paper: "request pending entries"), which
+ * comes from a small per-bank pool and is held only while the line
+ * has a transaction in flight or requests blocked. Requests that
+ * need inter-node action are handed to the home or remote protocol
+ * engine; the bank also services engine-initiated local
  * reads/invalidations on behalf of remote nodes.
  */
 
@@ -105,7 +107,24 @@ class L2Bank : public SimObject, public IcsClient
 
     /** Test support: current duplicate-tag view of a line. */
     std::uint32_t dupSharers(Addr addr) const;
-    bool lineBusy(Addr addr) const;
+    bool lineBusy(Addr addr);
+
+    /**
+     * Test support: check the bank's bookkeeping and return a
+     * description of the first violation, or an empty string:
+     *  - a record's in-L2 bit is set exactly when the tag array holds
+     *    the line;
+     *  - a line holds a pending entry exactly when it is busy,
+     *    peActive or has blocked requests;
+     *  - with @p drained, no idle record is left that maybeErase would
+     *    have removed. Mid-run one may sit idle between a blocked
+     *    request's drain and its retry a cycle later.
+     */
+    std::string checkInvariants(bool drained = true) const;
+
+    /** Test support: pending entries held now / ever held at once. */
+    std::size_t pendingInUse() const { return _pending.inUse(); }
+    std::size_t pendingPoolSize() const { return _pending.capacity(); }
 
     /** Diagnostic dump of busy lines. */
     void debugDump(std::ostream &os) const;
@@ -119,7 +138,7 @@ class L2Bank : public SimObject, public IcsClient
      * paper does not describe; the injector models those through the
      * L1 dirty-parity machine check instead).
      */
-    unsigned faultEligibleLines() const;
+    unsigned faultEligibleLines();
 
     /** Mark the @p nth eligible line parity-bad; when @p corrupt_data
      *  also flip data bit @p bit. Returns false if out of range. */
@@ -142,16 +161,70 @@ class L2Bank : public SimObject, public IcsClient
     }
 
   private:
-    /** Per-line on-chip bookkeeping (duplicate tags + ownership). */
+    /** State of one active transaction on a line. */
+    struct Txn
+    {
+        enum Kind : std::uint8_t
+        {
+            None,
+            L1Fwd,    //!< forwarded to owner L1, awaiting FwdDone
+            L1Mem,    //!< local memory read in flight
+            L1Engine, //!< protocol engine action in flight
+            WbWait,   //!< authorized L1 write-back inbound
+            PeRead,   //!< engine-initiated local gather
+            PeReadFwd, //!< gather forwarded to owner L1
+            PeHeld    //!< replied, held until PeComplete
+        } kind = None;
+
+        IcsMsg req;             //!< original request
+        bool wbDecision = false;
+        bool upgradeTurnedFill = false;
+        // PeRead gather state.
+        LineData data;
+        bool haveData = false;
+        bool gatherDirty = false;
+        std::uint64_t dirBits = 0;
+        bool haveDir = false;
+        bool localPresent = false;
+    };
+
+    /**
+     * Request pending entry (paper §2.3): the transient state of a
+     * line with a transaction in flight or requests blocked behind
+     * one. Entries come from a per-bank pool; a line holds one exactly
+     * while busy, peActive or blocked is non-empty.
+     */
+    struct Pending
+    {
+        Txn txn; //!< L1-request transaction (valid while busy)
+
+        /**
+         * Engine-initiated transaction slot (valid while peActive).
+         * Kept separate from txn so a protocol engine can
+         * read/invalidate local state while an L1 request on the same
+         * line is parked waiting for that same engine (avoids
+         * L2/engine deadlock; the engine is the inter-node
+         * serialization point, so the results it returns reflect the
+         * remote op's outcome).
+         */
+        Txn peTxn;
+        RingBuffer<IcsMsg> blocked;
+    };
+
+    static constexpr std::uint32_t noPending = ~std::uint32_t{0};
+
+    /**
+     * Per-line duplicate-tag record: duplicate L1 tags, ownership and
+     * node-level state. One exists for every line with an on-chip copy
+     * (L1 or L2), node-level state or a transaction in flight, so it
+     * is kept small; the transaction state lives in the line's
+     * Pending entry.
+     */
     struct Info
     {
         std::uint32_t sharers = 0; //!< bitmask over 16 L1 ids
         int ownerL1 = -1;          //!< owning/last-requester L1
-        bool l1Excl = false;       //!< owner holds E/M
-
-        bool nodeExcl = false;  //!< chip may write (remote-homed)
-        bool nodeDirty = false; //!< chip data newer than home memory,
-                                //!< but no single M copy holds it
+        std::uint32_t pending = noPending; //!< index into _pending
 
         /** Cached partial directory info for home-local lines. */
         enum PDir : std::uint8_t
@@ -162,47 +235,18 @@ class L2Bank : public SimObject, public IcsClient
             PD_Excl
         } pdir = PD_Unknown;
 
+        bool l1Excl = false;    //!< owner holds E/M
+        bool nodeExcl = false;  //!< chip may write (remote-homed)
+        bool nodeDirty = false; //!< chip data newer than home memory,
+                                //!< but no single M copy holds it
         bool busy = false;     //!< an L1-request transaction is active
         bool peActive = false; //!< an engine-initiated op is active
-        RingBuffer<IcsMsg> blocked;
-
-        /** Active transaction state. */
-        struct Txn
-        {
-            enum Kind : std::uint8_t
-            {
-                None,
-                L1Fwd,    //!< forwarded to owner L1, awaiting FwdDone
-                L1Mem,    //!< local memory read in flight
-                L1Engine, //!< protocol engine action in flight
-                WbWait,   //!< authorized L1 write-back inbound
-                PeRead,   //!< engine-initiated local gather
-                PeReadFwd, //!< gather forwarded to owner L1
-                PeHeld    //!< replied, held until PeComplete
-            } kind = None;
-
-            IcsMsg req;             //!< original request
-            bool wbDecision = false;
-            bool upgradeTurnedFill = false;
-            // PeRead gather state.
-            LineData data;
-            bool haveData = false;
-            bool gatherDirty = false;
-            std::uint64_t dirBits = 0;
-            bool haveDir = false;
-            bool localPresent = false;
-        } txn;
-
-        /**
-         * Engine-initiated transaction slot. Kept separate from txn
-         * so a protocol engine can read/invalidate local state while
-         * an L1 request on the same line is parked waiting for that
-         * same engine (avoids L2/engine deadlock; the engine is the
-         * inter-node serialization point, so the results it returns
-         * reflect the remote op's outcome).
-         */
-        Txn peTxn;
+        /** The tag array holds the line. Set and cleared only where
+         *  L2 tags are installed or invalidated, so ownership checks
+         *  and maybeErase need no way scan. */
+        bool inL2 = false;
     };
+    static_assert(sizeof(Info) <= 24, "duplicate-tag record grew");
 
     /**
      * One in-flight bank-pipeline occurrence: a delivered message
@@ -222,11 +266,10 @@ class L2Bank : public SimObject, public IcsClient
 
     bool isLocal(Addr addr) const { return _amap.home(addr) == _node; }
 
-    /** Per-line state lookup with a one-entry cache: handler chains
-     *  touch the same line several times per message, and the repeat
-     *  hash probes were measurable under OLTP. Safe because
-     *  StableLineTable values are pointer-stable; maybeErase drops the
-     *  cached entry. */
+    /** Per-line record lookup (find or create) with a one-entry
+     *  cache: handler chains touch the same line several times per
+     *  message. Safe because StableLineTable values are
+     *  pointer-stable; maybeErase drops the cached entry. */
     Info &
     infoFor(Addr addr)
     {
@@ -239,7 +282,49 @@ class L2Bank : public SimObject, public IcsClient
         return i;
     }
 
-    void maybeErase(Addr addr);
+    /** Like infoFor, but never creates a record. */
+    Info *
+    findInfo(Addr addr)
+    {
+        Addr line = lineNum(addr);
+        if (_lastInfo && _lastInfoLine == line)
+            return _lastInfo;
+        Info *i = _info.find(line);
+        if (i) {
+            _lastInfoLine = line;
+            _lastInfo = i;
+        }
+        return i;
+    }
+
+    /** Erase @p info (the record of @p addr) if nothing needs it;
+     *  returns true when it was erased. */
+    bool maybeErase(Info &info, Addr addr);
+
+    Pending &pendingOf(const Info &info) { return _pending[info.pending]; }
+    const Pending &
+    pendingOf(const Info &info) const
+    {
+        return _pending[info.pending];
+    }
+    bool
+    hasBlocked(const Info &info) const
+    {
+        return info.pending != noPending &&
+               !pendingOf(info).blocked.empty();
+    }
+
+    /** @p info's pending entry, taken from the pool if it has none. */
+    Pending &holdPending(Info &info);
+    /** Return @p info's pending entry to the pool once it is not busy,
+     *  not peActive and has nothing blocked. */
+    void releasePending(Info &info);
+    /** Start an L1-request / engine-initiated transaction on @p info's
+     *  line; returns its freshly reset state. */
+    Txn &beginTxn(Info &info);
+    Txn &beginPeTxn(Info &info);
+    /** Park @p msg behind the line's active transaction. */
+    void block(Info &info, IcsMsg msg);
 
 #if PIRANHA_FAULT_INJECT
     /**
@@ -273,15 +358,17 @@ class L2Bank : public SimObject, public IcsClient
     void replyUpgradeAck(const IcsMsg &req);
     void invalL1Sharers(Info &info, Addr addr, int except_l1);
     void invalL2Copy(Info &info, Addr addr);
-    void installL2(Addr addr, const LineData &data, bool dirty);
+    void installL2(Info &info, Addr addr, const LineData &data,
+                   bool dirty);
     void evictL2Line(L2Line &line);
+    void dropL2Copy(Info &info, L2Line &line);
     void sendEngine(const IcsMsg &req, PeOp op, bool to_home,
                     std::uint64_t dir_bits, bool has_dir);
-    void finishTxn(Addr addr);
-    void finishPeTxn(Addr addr);
-    void drainBlocked(Addr addr);
+    void finishTxn(Info &info, Addr addr);
+    void finishPeTxn(Info &info, Addr addr);
+    void drainBlocked(Info &info);
     bool canProcess(const Info &info, const IcsMsg &msg) const;
-    void completePeRead(Addr addr);
+    void completePeRead(Info &info, Addr addr);
     void grantLocalExclusive(IcsMsg req, bool wb_decision,
                              const LineData *mem_data);
 
@@ -300,6 +387,10 @@ class L2Bank : public SimObject, public IcsClient
     StableLineTable<Info> _info;
     Addr _lastInfoLine = 0;
     Info *_lastInfo = nullptr;
+    /** Pending entries, pointer-stable like the records: Txn&
+     *  references are held across calls that may take entries for
+     *  other lines. */
+    SlabPool<Pending> _pending;
     std::function<void(Addr, const LineData &, bool)> _wbBufferHook;
     EventPool<MsgEvent> _msgEvents;
     StatGroup _stats;

@@ -162,6 +162,7 @@ class TagArray
 
     /** Iterate over all slots (for invalidation sweeps in tests). */
     std::vector<LineT> &raw() { return _lines; }
+    const std::vector<LineT> &raw() const { return _lines; }
 
   private:
     unsigned _assoc;

@@ -1,6 +1,7 @@
 #include "proto/protocol_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <ostream>
 
 #include "check/trace.h"
@@ -15,6 +16,9 @@ ProtocolEngine::ProtocolEngine(EventQueue &eq, std::string name,
     : SimObject(eq, std::move(name)), _cfg(cfg), _clk(clk), _ics(ics),
       _myPort(my_port), _tsrf(cfg.tsrfEntries), _stats(this->name())
 {
+    if (cfg.tsrfEntries > 64)
+        fatal("%s: %u TSRF entries; at most 64 supported",
+              this->name().c_str(), cfg.tsrfEntries);
 }
 
 void
@@ -186,6 +190,7 @@ ProtocolEngine::resumeWith(TsrfEntry &t, unsigned cc)
 {
     const MicroInstr &instr = _prog.mem[t.pc];
     t.wait = TsrfEntry::Wait::None;
+    _readyMask |= readyBit(t);
     t.pc = static_cast<std::uint16_t>(instr.next + cc);
     wake();
 }
@@ -209,6 +214,7 @@ ProtocolEngine::spawn(const QMsg &m)
         panic("%s: spawn without free TSRF", name().c_str());
     *t = TsrfEntry{};
     t->valid = true;
+    _readyMask |= readyBit(*t);
     t->started = curTick();
     ++statThreads;
     if (m.isNet) {
@@ -253,6 +259,7 @@ ProtocolEngine::retire(TsrfEntry &t)
     std::size_t idx = static_cast<std::size_t>(&t - _tsrf.data());
     t.valid = false;
     t.wait = TsrfEntry::Wait::None;
+    _readyMask &= ~readyBit(t);
     const std::size_t *aidx = _active.find(line);
     bool was_primary = aidx && *aidx == idx;
     if (was_primary)
@@ -346,22 +353,16 @@ ProtocolEngine::step()
 {
     PIR_PROF(Engine);
     _stepScheduled = false;
-    // Pick the next ready thread, round-robin (the hardware's
-    // even/odd interleaved fetch achieves the same one-instruction-
-    // per-cycle throughput across threads).
-    TsrfEntry *ready = nullptr;
-    for (std::size_t i = 0; i < _tsrf.size(); ++i) {
-        std::size_t idx = (_rrNext + i) % _tsrf.size();
-        if (_tsrf[idx].valid &&
-            _tsrf[idx].wait == TsrfEntry::Wait::None) {
-            ready = &_tsrf[idx];
-            _rrNext = (idx + 1) % _tsrf.size();
-            break;
-        }
-    }
-    if (!ready)
+    // Pick the next ready thread, round-robin from _rrNext (the
+    // hardware's even/odd interleaved fetch achieves the same
+    // one-instruction-per-cycle throughput across threads).
+    if (!_readyMask)
         return;
-    executeOne(*ready);
+    std::uint64_t from_rr = _readyMask & (~std::uint64_t{0} << _rrNext);
+    std::size_t idx = static_cast<std::size_t>(
+        std::countr_zero(from_rr ? from_rr : _readyMask));
+    _rrNext = (idx + 1) % _tsrf.size();
+    executeOne(_tsrf[idx]);
     _stepScheduled = true;
     scheduleStep(_clk.cycles(1));
 }
@@ -408,13 +409,17 @@ ProtocolEngine::executeOne(TsrfEntry &t)
       }
       case MicroOp::RECEIVE:
         t.waitMask = instr->waitMask;
-        if (!tryConsumeQueued(t, true))
+        if (!tryConsumeQueued(t, true)) {
             t.wait = TsrfEntry::Wait::Net;
+            _readyMask &= ~readyBit(t);
+        }
         break;
       case MicroOp::LRECEIVE:
         t.waitMask = instr->waitMask;
-        if (!tryConsumeQueued(t, false))
+        if (!tryConsumeQueued(t, false)) {
             t.wait = TsrfEntry::Wait::Local;
+            _readyMask &= ~readyBit(t);
+        }
         break;
     }
 }

@@ -42,7 +42,7 @@ namespace piranha {
 struct EngineConfig
 {
     NodeId node = 0;
-    unsigned tsrfEntries = 16;
+    unsigned tsrfEntries = 16; //!< at most 64
     AddressMap amap;
     unsigned cmiFanout = 4; //!< max CMI messages per invalidation set
 
@@ -175,6 +175,13 @@ class ProtocolEngine : public SimObject, public IcsClient
     bool tryConsumeQueued(TsrfEntry &t, bool net_side);
     void resumeWith(TsrfEntry &t, unsigned cc);
 
+    /** @p t's bit in _readyMask. */
+    std::uint64_t
+    readyBit(const TsrfEntry &t) const
+    {
+        return std::uint64_t{1} << (&t - _tsrf.data());
+    }
+
     EngineConfig _cfg;
     const Clock &_clk;
     IntraChipSwitch &_ics;
@@ -189,6 +196,9 @@ class ProtocolEngine : public SimObject, public IcsClient
     LineTable<RingBuffer<QMsg>> _lineQueue;
     RingBuffer<QMsg> _globalQueue;
     bool _stepScheduled = false;
+    /** Bit i set when _tsrf[i] is valid and not waiting, i.e. ready
+     *  to run (hence the 64-entry TSRF limit). */
+    std::uint64_t _readyMask = 0;
     std::size_t _rrNext = 0;
     EventPool<StepEvent> _stepEvents;
     StatGroup _stats;

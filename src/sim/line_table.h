@@ -18,7 +18,7 @@
  *    value reference across an insert, same discipline unordered_map
  *    required across erase.
  *  - StableLineTable<V>: the slot array holds indices into a
- *    chunked slab (std::deque), so value pointers are stable across
+ *    chunked SlabPool, so value pointers are stable across
  *    insert/erase for the value's whole lifetime. Used where the
  *    protocol code naturally holds an Info& across calls that may
  *    create state for other lines.
@@ -224,7 +224,61 @@ class LineTable
 };
 
 /**
- * Open-addressed index over a pointer-stable slab (see file comment).
+ * Pool of pointer-stable values addressed by 32-bit index, with a
+ * free list. Values live in fixed-size chunks, so a reference stays
+ * valid while other slots are acquired or released, and values
+ * allocated close in time share chunks. A released slot keeps its
+ * value (and any capacity the value owns) until it is handed out
+ * again; callers reset what they need.
+ */
+template <typename V>
+class SlabPool
+{
+  public:
+    /** Index of a free slot: the most recently released one, else a
+     *  new default-constructed value. */
+    std::uint32_t
+    acquire()
+    {
+        if (!_free.empty()) {
+            std::uint32_t slot = _free.back();
+            _free.pop_back();
+            return slot;
+        }
+        if (_size == _chunks.size() * kChunkSize)
+            _chunks.push_back(std::make_unique<V[]>(kChunkSize));
+        return static_cast<std::uint32_t>(_size++);
+    }
+
+    void release(std::uint32_t slot) { _free.push_back(slot); }
+
+    V &
+    operator[](std::uint32_t i)
+    {
+        return _chunks[i >> kChunkShift][i & (kChunkSize - 1)];
+    }
+
+    const V &
+    operator[](std::uint32_t i) const
+    {
+        return _chunks[i >> kChunkShift][i & (kChunkSize - 1)];
+    }
+
+    /** Slots ever handed out, i.e. the peak number held at once. */
+    std::size_t capacity() const { return _size; }
+    std::size_t inUse() const { return _size - _free.size(); }
+
+  private:
+    static constexpr std::size_t kChunkShift = 4;
+    static constexpr std::size_t kChunkSize = 1u << kChunkShift;
+
+    std::vector<std::unique_ptr<V[]>> _chunks;
+    std::size_t _size = 0;
+    std::vector<std::uint32_t> _free;
+};
+
+/**
+ * Open-addressed index over a SlabPool (see file comment).
  * find/operator[] return pointers/references that stay valid until
  * that key is erased, regardless of other inserts.
  */
@@ -255,15 +309,8 @@ class StableLineTable
     {
         if (std::uint32_t *idx = _index.find(key))
             return _slab[*idx];
-        std::uint32_t slot;
-        if (!_free.empty()) {
-            slot = _free.back();
-            _free.pop_back();
-            _slab[slot] = V{};
-        } else {
-            slot = static_cast<std::uint32_t>(_slab.size());
-            _slab.grow();
-        }
+        // Slots are reset on erase, so a reused one is already V{}.
+        std::uint32_t slot = _slab.acquire();
         _index[key] = slot;
         return _slab[slot];
     }
@@ -277,7 +324,7 @@ class StableLineTable
         std::uint32_t slot = *idx;
         _index.erase(key);
         _slab[slot] = V{};
-        _free.push_back(slot);
+        _slab.release(slot);
         return true;
     }
 
@@ -299,45 +346,8 @@ class StableLineTable
     }
 
   private:
-    /** Fixed-chunk arena: element addresses are stable, and values
-     *  allocated close in time share chunks (std::deque degenerates to
-     *  one element per chunk once V outgrows its 512-byte blocks). */
-    class Slab
-    {
-      public:
-        V &
-        operator[](std::size_t i)
-        {
-            return _chunks[i >> kChunkShift][i & (kChunkSize - 1)];
-        }
-
-        const V &
-        operator[](std::size_t i) const
-        {
-            return _chunks[i >> kChunkShift][i & (kChunkSize - 1)];
-        }
-
-        std::size_t size() const { return _size; }
-
-        void
-        grow()
-        {
-            if (_size == _chunks.size() * kChunkSize)
-                _chunks.push_back(std::make_unique<V[]>(kChunkSize));
-            ++_size;
-        }
-
-      private:
-        static constexpr std::size_t kChunkShift = 4;
-        static constexpr std::size_t kChunkSize = 1u << kChunkShift;
-
-        std::vector<std::unique_ptr<V[]>> _chunks;
-        std::size_t _size = 0;
-    };
-
     LineTable<std::uint32_t> _index;
-    Slab _slab;
-    std::vector<std::uint32_t> _free;
+    SlabPool<V> _slab;
 };
 
 } // namespace piranha

@@ -10,6 +10,7 @@
 #ifndef PIRANHA_SIM_RNG_H
 #define PIRANHA_SIM_RNG_H
 
+#include <cmath>
 #include <cstdint>
 
 namespace piranha {
@@ -74,7 +75,15 @@ class Pcg32
 
     /**
      * Geometric-ish positive integer with mean approximately @p mean,
-     * used for think times and burst lengths.
+     * used for think times and burst lengths: the number of
+     * chance(1 / mean) trials up to and including the first success,
+     * capped at 64 * mean trials.
+     *
+     * uniform() < p is decided on the raw draw: r * 2^-32 < p holds
+     * exactly when r < ceil(p * 2^32) (both products are exact), and
+     * an integer n is below 64 * mean exactly when it is below
+     * ceil(64 * mean). So the outputs and the generator state match
+     * the plain chance() loop.
      */
     std::uint32_t
     geometric(double mean)
@@ -82,8 +91,11 @@ class Pcg32
         if (mean <= 1.0)
             return 1;
         double p = 1.0 / mean;
+        auto hit_below = static_cast<std::uint64_t>(
+            std::ceil(p * 4294967296.0));
+        auto cap = static_cast<std::uint64_t>(std::ceil(64 * mean));
         std::uint32_t n = 1;
-        while (!chance(p) && n < 64 * mean)
+        while (next() >= hit_below && n < cap)
             ++n;
         return n;
     }

@@ -93,6 +93,14 @@ TEST(Microcode, UndefinedLabelDies)
     EXPECT_DEATH((void)a.finalize(), "undefined");
 }
 
+TEST(Microcode, MoreThan64TsrfEntriesIsFatal)
+{
+    // The engine's ready-thread bitmask has one bit per TSRF entry.
+    ChipParams p;
+    p.tsrfEntries = 65;
+    EXPECT_DEATH(TestSystem(1, 1, p), "at most 64");
+}
+
 TEST(Microcode, InstalledProgramsFitAndAreSubstantial)
 {
     TestSystem sys(2, 1);

@@ -158,6 +158,58 @@ TEST(Pcg32, UniformCoversRange)
     EXPECT_NEAR(sum / n, 0.5, 0.01);
 }
 
+/** Pcg32::geometric as a chance() per trial: the oracle for the
+ *  raw-draw loop that replaced it. */
+std::uint32_t
+geometricByChance(Pcg32 &r, double mean)
+{
+    if (mean <= 1.0)
+        return 1;
+    double p = 1.0 / mean;
+    std::uint32_t n = 1;
+    while (!r.chance(p) && n < 64 * mean)
+        ++n;
+    return n;
+}
+
+TEST(Pcg32, GeometricMatchesChanceLoop)
+{
+    struct Pin
+    {
+        double mean;
+        std::uint64_t sum;   //!< of 20000 draws from Pcg32(77, 3)
+        std::uint32_t after; //!< next() once they are drawn
+    };
+    const Pin pins[] = {
+        {1.2, 24002, 750461385u},
+        {3.5, 69731, 2793504055u},
+        {40.0, 798770, 1961493770u},
+        {300.0, 5895443, 4152266496u},
+    };
+    for (const Pin &pin : pins) {
+        Pcg32 r(77, 3), oracle(77, 3);
+        std::uint64_t sum = 0;
+        for (int i = 0; i < 20000; ++i) {
+            std::uint32_t n = r.geometric(pin.mean);
+            ASSERT_EQ(n, geometricByChance(oracle, pin.mean))
+                << "mean " << pin.mean << " draw " << i;
+            sum += n;
+        }
+        std::uint32_t after = r.next();
+        EXPECT_EQ(after, oracle.next()) << "mean " << pin.mean;
+        EXPECT_EQ(sum, pin.sum) << "mean " << pin.mean;
+        EXPECT_EQ(after, pin.after) << "mean " << pin.mean;
+    }
+}
+
+TEST(Pcg32, GeometricAtMostOneDrawsNothing)
+{
+    Pcg32 r(5), ref(5);
+    EXPECT_EQ(r.geometric(1.0), 1u);
+    EXPECT_EQ(r.geometric(0.25), 1u);
+    EXPECT_EQ(r.next(), ref.next());
+}
+
 TEST(SimObject, NameAndQueueAccess)
 {
     EventQueue eq;

@@ -20,6 +20,13 @@ struct SmokeCase
     SystemConfig (*make)();
 };
 
+// Print a case as its configuration name. gtest's default printer
+// dumps the struct's raw bytes, i.e. two addresses, and those bytes
+// end up in the ctest case names that gtest_discover_tests builds,
+// so the names changed with every build and every address-space
+// layout.
+void PrintTo(const SmokeCase &c, std::ostream *os) { *os << c.config; }
+
 SystemConfig makeP1() { return configP1(); }
 SystemConfig makeP8() { return configP8(); }
 SystemConfig makeOOO() { return configOOO(1); }
