@@ -1,8 +1,7 @@
 /**
  * @file
- * Shared helpers for the paper-figure reproduction benches: run a
- * configuration under a workload and print paper-style rows next to
- * the published values.
+ * Shared helpers for the bench drivers: the paper-figure work sizes
+ * and a fixed-work run of one configuration.
  */
 
 #ifndef PIRANHA_BENCH_BENCH_UTIL_H
@@ -39,85 +38,6 @@ inline double
 ms(Tick t)
 {
     return static_cast<double>(t) * 1e-9;
-}
-
-/** Print a normalized-execution-time breakdown table (Fig. 5 style). */
-inline void
-printBreakdownTable(const std::vector<RunResult> &rows,
-                    const RunResult &baseline)
-{
-    TextTable t({"Config", "NormTime", "CPU busy", "L2 hit stall",
-                 "L2 miss stall", "Other/idle"});
-    for (const RunResult &r : rows) {
-        double norm = static_cast<double>(r.execTime) /
-                      static_cast<double>(baseline.execTime);
-        t.addRow({r.config, TextTable::fmt(norm, 2),
-                  TextTable::fmt(100 * r.busyFrac, 1) + "%",
-                  TextTable::fmt(100 * r.l2HitStallFrac, 1) + "%",
-                  TextTable::fmt(100 * r.l2MissStallFrac, 1) + "%",
-                  TextTable::fmt(100 * r.idleFrac, 1) + "%"});
-    }
-    t.print(std::cout);
-}
-
-/**
- * Common CLI of the harness-based benches: `--threads N`, `--serial`,
- * `--json FILE` (sweep report output). Unknown arguments are ignored
- * so figure benches stay runnable as plain `build/bench/<name>`.
- */
-struct SweepCli
-{
-    SweepOptions opts;
-    std::string jsonPath;
-
-    static SweepCli
-    parse(int argc, char **argv)
-    {
-        SweepCli cli;
-        cli.opts.progress = &std::cerr;
-        for (int i = 1; i < argc; ++i) {
-            std::string arg = argv[i];
-            if (arg == "--threads" && i + 1 < argc)
-                cli.opts.threads =
-                    static_cast<unsigned>(std::atoi(argv[++i]));
-            else if (arg == "--serial")
-                cli.opts.threads = 1;
-            else if (arg == "--json" && i + 1 < argc)
-                cli.jsonPath = argv[++i];
-        }
-        return cli;
-    }
-
-    /** Write the report when --json was given; true on success. */
-    bool
-    maybeWriteJson(const SweepReport &report) const
-    {
-        if (jsonPath.empty())
-            return true;
-        if (!report.writeJsonFile(jsonPath))
-            return false;
-        std::cout << "\nreport written to " << jsonPath << "\n";
-        return true;
-    }
-};
-
-/** Print the L1-miss service breakdown (Fig. 6b categories). */
-inline void
-printMissBreakdown(const RunResult &r)
-{
-    double tot = r.misses.total();
-    if (tot <= 0)
-        return;
-    std::printf("  %-4s L1-miss service: L2 %.0f%%  fwd %.0f%%  "
-                "mem %.0f%% (remote %.0f%%)\n",
-                r.config.c_str(), 100 * r.misses.l2Hit / tot,
-                100 * r.misses.l2Fwd / tot,
-                100 *
-                    (r.misses.memLocal + r.misses.memRemote +
-                     r.misses.remoteDirty) /
-                    tot,
-                100 * (r.misses.memRemote + r.misses.remoteDirty) /
-                    tot);
 }
 
 } // namespace piranha

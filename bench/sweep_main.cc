@@ -1,8 +1,11 @@
 /**
  * @file
- * Generic sweep driver: runs a named experiment sweep from the
- * registry below on a host-thread pool and writes a machine-readable
- * JSON report next to the live progress lines.
+ * Generic sweep driver and the figure registry: runs a named
+ * experiment sweep from the registry below on a host-thread pool and
+ * writes a machine-readable JSON report next to the live progress
+ * lines. After the job table, a sweep that reproduces a paper figure
+ * (fig5, fig6a, fig6b, fig7, fig8, sens) prints that figure's
+ * measured values beside the paper's.
  *
  * Usage:
  *   sweep_main --list
@@ -33,6 +36,7 @@
 #include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "bench_util.h"
@@ -67,16 +71,56 @@ sweepFig5()
     return s;
 }
 
+/** P1, P2, P4 and P8 under OLTP: all of Fig. 6(b), most of 6(a). */
 SweepSpec
-sweepFig6a()
+sweepOnChipCpus(const char *name)
 {
-    SweepSpec s("fig6a");
+    SweepSpec s(name);
     for (unsigned n : {1u, 2u, 4u, 8u})
         s.addConfig(configPn(n));
-    s.addConfig(configOOO());
     s.addWorkload(
         "OLTP", [] { return std::make_unique<OltpWorkload>(); },
         kOltpTotalTxns);
+    return s;
+}
+
+SweepSpec
+sweepFig6a()
+{
+    SweepSpec s = sweepOnChipCpus("fig6a");
+    s.addConfig(configOOO());
+    return s;
+}
+
+SweepSpec
+sweepFig6b()
+{
+    return sweepOnChipCpus("fig6b");
+}
+
+/** Transactions per Fig. 7 point, whatever the system size. */
+constexpr std::uint64_t kFig7TotalTxns = 1920;
+
+/**
+ * Fig. 7: OLTP on one to four chips of P4 and of OOO. Largest systems
+ * first, so the long jobs start together and the short ones fill in
+ * behind them.
+ */
+SweepSpec
+sweepFig7()
+{
+    SweepSpec s("fig7");
+    for (unsigned chips = 4; chips >= 1; --chips) {
+        for (SystemConfig cfg : {configPn(4, chips), configOOO(chips)}) {
+            SweepPoint pt;
+            pt.label = strFormat("%s/%uchip", cfg.name.c_str(), chips);
+            pt.config = std::move(cfg);
+            pt.workload = WorkloadDecl{
+                "OLTP", [] { return std::make_unique<OltpWorkload>(); },
+                kFig7TotalTxns};
+            s.addPoint(std::move(pt));
+        }
+    }
     return s;
 }
 
@@ -255,21 +299,221 @@ replaySpec(const std::string &path)
     return spec;
 }
 
+/**
+ * Stat @p key of job @p label. Throws unless that job completed, so a
+ * figure is never rendered from a failed or missing run.
+ */
+double
+jobStat(const SweepReport &r, const std::string &label, const char *key)
+{
+    const JobResult *j = r.job(label);
+    if (!j || j->status != JobStatus::Ok || !j->stats.count(key))
+        throw std::runtime_error("no completed job \"" + label + "\"");
+    return j->stats.at(key);
+}
+
+double
+execTime(const SweepReport &r, const std::string &label)
+{
+    return jobStat(r, label, "exec_time_ps");
+}
+
+std::string
+pct(double frac)
+{
+    return TextTable::fmt(100 * frac, 1) + "%";
+}
+
+/** Where a job's L1 misses were served, as shares (Fig. 6b). */
+struct MissShares
+{
+    double l2 = 0, fwd = 0, mem = 0, remote = 0;
+};
+
+MissShares
+missShares(const SweepReport &r, const std::string &label)
+{
+    double l2 = jobStat(r, label, "miss_l2_hit");
+    double fwd = jobStat(r, label, "miss_l2_fwd");
+    double remote = jobStat(r, label, "miss_mem_remote") +
+                    jobStat(r, label, "miss_remote_dirty");
+    double mem = jobStat(r, label, "miss_mem_local") + remote;
+    double tot = l2 + fwd + mem;
+    return {l2 / tot, fwd / tot, mem / tot, remote / tot};
+}
+
+/** Execution time of @p cfgs under @p wl normalized to OOO's, split
+ *  into CPU busy and stall time (Figs. 5 and 8). */
+void
+printBreakdown(const SweepReport &r, const std::string &wl,
+               std::initializer_list<const char *> cfgs)
+{
+    double ooo = execTime(r, "OOO/" + wl);
+    TextTable t({"Config", "NormTime", "CPU busy", "L2 hit stall",
+                 "L2 miss stall", "Other/idle"});
+    for (const char *cfg : cfgs) {
+        std::string label = cfg + ("/" + wl);
+        t.addRow({cfg, TextTable::fmt(execTime(r, label) / ooo, 2),
+                  pct(jobStat(r, label, "busy_frac")),
+                  pct(jobStat(r, label, "l2_hit_stall_frac")),
+                  pct(jobStat(r, label, "l2_miss_stall_frac")),
+                  pct(jobStat(r, label, "idle_frac"))});
+    }
+    t.print(std::cout);
+}
+
+void
+renderFig5(const SweepReport &r)
+{
+    struct Panel
+    {
+        const char *wl;
+        double paper[4]; //!< P1, INO, OOO, P8 normalized to OOO
+        double paperP8Speedup;
+    };
+    const Panel panels[] = {{"OLTP", {2.33, 1.45, 1.00, 0.35}, 2.9},
+                            {"DSS", {4.55, 2.33, 1.00, 0.44}, 2.3}};
+    const auto cfgs = {"P1", "INO", "OOO", "P8"};
+    std::cout << "\n=== Figure 5: single-chip Piranha vs 1GHz OOO ===\n";
+    for (const Panel &p : panels) {
+        std::string wl = p.wl;
+        std::cout << "\n-- " << wl << " --\n";
+        printBreakdown(r, wl, cfgs);
+        for (const char *cfg : cfgs) {
+            MissShares m = missShares(r, cfg + ("/" + wl));
+            std::printf("  %-4s L1-miss service: L2 %.0f%%  fwd %.0f%%  "
+                        "mem %.0f%% (remote %.0f%%)\n",
+                        cfg, 100 * m.l2, 100 * m.fwd, 100 * m.mem,
+                        100 * m.remote);
+        }
+        std::printf("paper NormTime: P1=%.2f  INO=%.2f  OOO=%.2f  "
+                    "P8=%.2f\n",
+                    p.paper[0], p.paper[1], p.paper[2], p.paper[3]);
+        std::printf("P8 vs OOO speedup: %.2fx (paper: %.1fx)\n",
+                    execTime(r, "OOO/" + wl) / execTime(r, "P8/" + wl),
+                    p.paperP8Speedup);
+    }
+}
+
+void
+renderFig6a(const SweepReport &r)
+{
+    std::cout << "\n=== Figure 6(a): OLTP speedup vs on-chip CPUs ===\n\n";
+    double p1 = execTime(r, "P1/OLTP");
+    TextTable t({"CPUs", "Speedup vs P1", "OOO reference"});
+    for (unsigned n : {1u, 2u, 4u, 8u})
+        t.addRow({strFormat("%u", n),
+                  TextTable::fmt(
+                      p1 / execTime(r, strFormat("P%u/OLTP", n)), 2),
+                  n == 1 ? TextTable::fmt(p1 / execTime(r, "OOO/OLTP"), 2)
+                         : ""});
+    t.print(std::cout);
+    std::printf("P8 speedup over P1: %.2fx (paper: ~7x)\n",
+                p1 / execTime(r, "P8/OLTP"));
+}
+
+void
+renderFig6b(const SweepReport &r)
+{
+    std::cout << "\n=== Figure 6(b): L1-miss service breakdown (OLTP) "
+                 "===\n\n";
+    TextTable t({"Config", "L2 Hit", "L2 Fwd", "L2 Miss (mem)"});
+    for (unsigned n : {1u, 2u, 4u, 8u}) {
+        MissShares m = missShares(r, strFormat("P%u/OLTP", n));
+        t.addRow({strFormat("P%u", n), pct(m.l2), pct(m.fwd),
+                  pct(m.mem)});
+    }
+    t.print(std::cout);
+    std::cout << "paper: P1 ~90% L2 hit; P8 <40% L2 hit with the L2-fwd "
+                 "share growing;\nmemory share under 20% past one CPU "
+                 "(non-inclusive victim hierarchy).\n";
+}
+
+void
+renderFig7(const SweepReport &r)
+{
+    auto thr = [&r](const char *cfg, unsigned chips) {
+        return jobStat(r, strFormat("%s/%uchip", cfg, chips),
+                       "throughput");
+    };
+    std::cout << "\n=== Figure 7: multi-chip OLTP scaling ===\n\n";
+    TextTable t({"Chips", "Piranha(P4) speedup", "OOO speedup",
+                 "P4/OOO perf"});
+    for (unsigned chips = 1; chips <= 4; ++chips)
+        t.addRow({strFormat("%u", chips),
+                  TextTable::fmt(thr("P4", chips) / thr("P4", 1), 2),
+                  TextTable::fmt(thr("OOO", chips) / thr("OOO", 1), 2),
+                  TextTable::fmt(thr("P4", chips) / thr("OOO", chips),
+                                 2)});
+    t.print(std::cout);
+    std::printf("at 4 chips: Piranha %.2fx vs OOO %.2fx (paper: 3.0 vs "
+                "2.6)\nsingle-chip P4 vs OOO: %.2fx (paper: ~1.5x)\n",
+                thr("P4", 4) / thr("P4", 1),
+                thr("OOO", 4) / thr("OOO", 1),
+                thr("P4", 1) / thr("OOO", 1));
+}
+
+void
+renderFig8(const SweepReport &r)
+{
+    struct Panel
+    {
+        const char *wl;
+        double paperP8, paperP8F; //!< speedups over OOO
+    };
+    const Panel panels[] = {{"OLTP", 2.9, 5.0}, {"DSS", 2.3, 5.3}};
+    std::cout << "\n=== Figure 8: full-custom Piranha (P8F) ===\n";
+    for (const Panel &p : panels) {
+        std::string wl = p.wl;
+        std::cout << "\n-- " << wl << " --\n";
+        printBreakdown(r, wl, {"OOO", "P8", "P8F"});
+        double ooo = execTime(r, "OOO/" + wl);
+        std::printf("speedup vs OOO: P8 %.2fx, P8F %.2fx (paper: P8 "
+                    "~%.1fx, P8F ~%.1fx)\n",
+                    ooo / execTime(r, "P8/" + wl),
+                    ooo / execTime(r, "P8F/" + wl), p.paperP8,
+                    p.paperP8F);
+    }
+}
+
+void
+renderSens(const SweepReport &r)
+{
+    std::cout << "\n=== Sensitivity study (paper §4 text) ===\n\n";
+    std::printf("TPC-C-like: P8 vs OOO %.2fx (paper: >3x)\n",
+                execTime(r, "OOO/OLTP-C") / execTime(r, "P8/OLTP-C"));
+    double pess = execTime(r, "P8-pess/OLTP");
+    std::printf("pessimistic P8 (400MHz, 32KB 1-way L1): +%.0f%% time "
+                "(paper: +29%%), still %.2fx over OOO (paper: 2.25x)\n",
+                100 * (pess / execTime(r, "P8/OLTP") - 1),
+                execTime(r, "OOO/OLTP") / pess);
+}
+
 struct SweepEntry
 {
     const char *name;
     const char *desc;
     SweepSpec (*make)();
+    /** Prints the paper-vs-measured rows from a report whose jobs all
+     *  completed; null for sweeps without a paper counterpart. */
+    void (*render)(const SweepReport &);
 };
 
 const SweepEntry kSweeps[] = {
-    {"fig5", "single-chip configs x {OLTP, DSS} (8 points)", sweepFig5},
-    {"fig6a", "P1..P8 + OOO under OLTP (5 points)", sweepFig6a},
+    {"fig5", "single-chip configs x {OLTP, DSS} (8 points)", sweepFig5,
+     renderFig5},
+    {"fig6a", "P1..P8 + OOO under OLTP (5 points)", sweepFig6a,
+     renderFig6a},
+    {"fig6b", "L1-miss service of P1..P8 under OLTP (4 points)",
+     sweepFig6b, renderFig6b},
+    {"fig7", "P4 and OOO at 1-4 chips under OLTP (8 points)", sweepFig7,
+     renderFig7},
     {"fig8", "full-custom potential x {OLTP, DSS} (6 points)",
-     sweepFig8},
+     sweepFig8, renderFig8},
     {"sens", "sensitivity configs x {TPC-B, TPC-C} (6 points)",
-     sweepSens},
-    {"quick", "reduced-work 8-point grid for smoke checks", sweepQuick},
+     sweepSens, renderSens},
+    {"quick", "reduced-work 8-point grid for smoke checks", sweepQuick,
+     nullptr},
 };
 
 int
@@ -536,6 +780,7 @@ main(int argc, char **argv)
     }
 
     SweepSpec spec;
+    const SweepEntry *entry = nullptr;
     if (!replay_path.empty()) {
         try {
             spec = replaySpec(replay_path);
@@ -553,7 +798,6 @@ main(int argc, char **argv)
         }
         spec = sweepLitmus(litmus_seeds);
     } else {
-        const SweepEntry *entry = nullptr;
         for (const SweepEntry &e : kSweeps)
             if (sweep_name == e.name)
                 entry = &e;
@@ -581,18 +825,37 @@ main(int argc, char **argv)
 
     SweepReport report = SweepRunner(opts).run(spec);
 
+    // Cells come from the flat stats, which the process tier and
+    // --resume restore; "-" where a job has no such stat.
+    auto cell = [](const JobResult &j, const char *key, double scale,
+                   int precision) -> std::string {
+        auto it = j.stats.find(key);
+        return j.status == JobStatus::Ok && it != j.stats.end()
+                   ? TextTable::fmt(scale * it->second, precision)
+                   : "-";
+    };
     TextTable t({"Job", "Status", "ExecTime(ms)", "Busy%", "Host(s)"});
-    for (const JobResult &j : report.jobs) {
-        bool ok = j.status == JobStatus::Ok;
+    for (const JobResult &j : report.jobs)
         t.addRow({j.label, jobStatusName(j.status),
-                  ok ? TextTable::fmt(ms(j.run.execTime), 3) : "-",
-                  ok ? TextTable::fmt(100 * j.run.busyFrac, 1) : "-",
+                  cell(j, "exec_time_ps", 1e-9, 3),
+                  cell(j, "busy_frac", 100, 1),
                   TextTable::fmt(j.hostSeconds, 2)});
-    }
     t.print(std::cout);
     std::printf("\n%zu jobs on %u threads in %.2fs host time%s\n",
                 report.jobs.size(), report.threads, report.hostSeconds,
                 report.interrupted ? " (interrupted)" : "");
+
+    bool rendered = true;
+    if (entry && entry->render &&
+        report.count(JobStatus::Ok) == report.jobs.size()) {
+        try {
+            entry->render(report);
+        } catch (const std::exception &e) {
+            std::cerr << "cannot render " << entry->name << ": "
+                      << e.what() << "\n";
+            rendered = false;
+        }
+    }
 
     if (!json_path.empty()) {
         if (!report.writeJsonFile(json_path))
@@ -603,5 +866,5 @@ main(int argc, char **argv)
         return 130;
     unsigned bad = report.count(JobStatus::Failed) +
                    report.count(JobStatus::TimedOut);
-    return bad ? 1 : 0;
+    return bad || !rendered ? 1 : 0;
 }

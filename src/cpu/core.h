@@ -77,8 +77,8 @@ class Core : public SimObject, public MemRspClient
 
     /**
      * Process-wide default for CoreParams::fastPath, sampled at core
-     * construction (mirrors EventQueue::setDefaultWheelEnabled): one
-     * binary can run fast and slow modes back to back and compare.
+     * construction: one binary can run fast and slow modes back to
+     * back and compare.
      */
     static void setDefaultFastPathEnabled(bool on)
     {

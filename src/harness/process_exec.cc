@@ -12,6 +12,7 @@
 #include <thread>
 
 #include <poll.h>
+#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #ifdef __linux__
@@ -186,12 +187,16 @@ applyChaos(WorkerFault f, int result_fd)
       case WorkerFault::Segv:
         // Through a real fault, not raise(): the crash reporter must
         // catch a genuine SIGSEGV delivery, emit its PJX1 frame, and
-        // re-raise so the supervisor still sees a signal death.
+        // re-raise so the supervisor still sees a signal death. The
+        // store hits a PROT_NONE page, not null: UBSan would stop a
+        // null store as a runtime error before any signal arrived.
         {
-            volatile int *p = nullptr;
-            *p = 1;
+            void *page = ::mmap(nullptr, 4096, PROT_NONE,
+                                MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+            if (page != MAP_FAILED)
+                *static_cast<volatile int *>(page) = 1;
         }
-        ::_exit(99); // unreachable
+        ::_exit(99); // only if the mapping failed
       case WorkerFault::Kill:
         ::raise(SIGKILL);
         ::_exit(99);
@@ -495,13 +500,11 @@ struct Supervisor
             Retry r;
             r.idx = idx;
             r.attempt = attempt + 1;
-            double backoff = std::min(
-                10.0, opts.retryBackoffSec *
-                          static_cast<double>(1u << (attempt - 1)));
             r.notBefore =
                 HostClock::now() +
                 std::chrono::duration_cast<HostClock::duration>(
-                    std::chrono::duration<double>(backoff));
+                    std::chrono::duration<double>(
+                        retryBackoff(opts.retryBackoffSec, attempt)));
             retries.push_back(r);
             return;
         }

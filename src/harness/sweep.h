@@ -105,7 +105,7 @@ struct SweepSpec
 /**
  * A transient host-side failure (resource exhaustion, a flaky I/O
  * path in a custom job body, ...). The runner retries a job that
- * throws this, with bounded attempts and linear backoff
+ * throws this, with bounded attempts and exponential backoff
  * (SweepOptions::maxAttempts / retryBackoffSec). Deterministic
  * simulation errors must NOT use this type: anything else thrown from
  * a job is recorded as Failed on the first attempt, because a

@@ -43,6 +43,15 @@ SweepRunner::effectiveThreads(size_t njobs) const
         std::min<size_t>(t, std::max<size_t>(njobs, 1)));
 }
 
+double
+retryBackoff(double base_sec, unsigned attempt)
+{
+    // 2^63 times any base above 1e-18 s is already past the cap.
+    unsigned shift = std::min(attempt - 1, 63u);
+    return std::min(10.0, base_sec * static_cast<double>(
+                                         std::uint64_t(1) << shift));
+}
+
 JobResult
 SweepRunner::runJob(const SweepPoint &pt) const
 {
@@ -57,10 +66,9 @@ SweepRunner::runJob(const SweepPoint &pt) const
         if (jr.status != JobStatus::Failed || !transient ||
             attempt >= max_attempts)
             break;
-        // Bounded linear backoff before the retry.
         if (_opts.retryBackoffSec > 0)
             std::this_thread::sleep_for(std::chrono::duration<double>(
-                attempt * _opts.retryBackoffSec));
+                retryBackoff(_opts.retryBackoffSec, attempt)));
     }
     // Wire metadata for the process supervisor: it retries transient
     // failures across worker processes, with its own backoff.

@@ -99,11 +99,9 @@ struct SweepOptions
      */
     unsigned maxAttempts = 1;
 
-    /** Backoff base between attempts. Thread tier: attempt k sleeps
-     *  k * retryBackoffSec (linear, as in PR 5). Process tier: the
-     *  supervisor sleeps retryBackoffSec * 2^(k-1), capped at 10 s
-     *  (exponential — crash-class retries also contend for host
-     *  resources, so back off harder). */
+    /** Backoff base between attempts: after failed attempt k, both
+     *  tiers wait retryBackoff(retryBackoffSec, k), that is
+     *  retryBackoffSec * 2^(k-1) capped at 10 s. */
     double retryBackoffSec = 0.1;
 
     /**
@@ -166,6 +164,13 @@ struct SweepOptions
     /** Supervisor fault injection (tests / CI crashsafe stage). */
     ProcessChaos chaos;
 };
+
+/**
+ * Seconds to wait after failed attempt @p attempt (1-based) before the
+ * next one: @p base_sec * 2^(attempt-1), capped at 10 s. The exponent
+ * is capped before the shift, so every attempt count is defined.
+ */
+double retryBackoff(double base_sec, unsigned attempt);
 
 /** Executes sweep jobs on a host-thread pool. */
 class SweepRunner

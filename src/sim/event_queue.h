@@ -77,8 +77,7 @@ class EventQueue
     friend class LambdaEvent;
 
   public:
-    EventQueue() : _wheelEnabled(defaultWheelEnabled()) {}
-    explicit EventQueue(bool use_wheel) : _wheelEnabled(use_wheel) {}
+    EventQueue() = default;
     ~EventQueue();
 
     EventQueue(const EventQueue &) = delete;
@@ -257,18 +256,6 @@ class EventQueue
             _curTick = t;
     }
 
-    /**
-     * Process-wide default for new queues: timing wheel + heap
-     * (true, the default) or heap-only. Heap-only exists so
-     * benchmarks can measure the wheel's contribution on one binary;
-     * both modes execute events in the identical (when, seq) order.
-     */
-    static void setDefaultWheelEnabled(bool on) { defaultWheelFlag() = on; }
-    static bool defaultWheelEnabled() { return defaultWheelFlag(); }
-
-    /** True when this queue files near events in the wheel. */
-    bool wheelEnabled() const { return _wheelEnabled; }
-
   private:
     // Wheel geometry: 256 buckets of 2^11 ticks (~1 cycle at 500 MHz)
     // cover a horizon of 2^19 ticks (~524 ns) ahead of curTick.
@@ -298,7 +285,7 @@ class EventQueue
         ev._sched = true;
         ++_numPending;
         std::uint64_t blk = when >> kBucketShift;
-        if (_wheelEnabled && blk - (_curTick >> kBucketShift) < kNumBuckets)
+        if (blk - (_curTick >> kBucketShift) < kNumBuckets)
             insertWheel(ev, blk);
         else
             insertHeap(ev);
@@ -322,13 +309,6 @@ class EventQueue
             return a.seq > b.seq;
         }
     };
-
-    static bool &
-    defaultWheelFlag()
-    {
-        static bool flag = true;
-        return flag;
-    }
 
     void
     insertWheel(Event &ev, std::uint64_t blk)
@@ -476,7 +456,6 @@ class EventQueue
     void releaseLambda(LambdaEvent *ev);
     void purgeHeapRefs(Event *ev);
 
-    bool _wheelEnabled;
     Tick _curTick = 0;
     Tick _horizon = ~Tick(0);
     std::uint64_t _nextSeq = kNormalSeqBase;

@@ -13,8 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "legacy_event_queue.h"
 #include "sim/event_queue.h"
-#include "sim/legacy_event_queue.h"
 #include "sim/rng.h"
 
 namespace piranha {
@@ -323,14 +323,11 @@ TEST(EventKernel, RandomizedOrderMatchesLegacyKernel)
 {
     for (std::uint64_t seed : {1u, 2u, 3u, 42u, 1234u}) {
         LegacyEventQueue legacy;
-        EventQueue wheel(true);
-        EventQueue heapOnly(false);
+        EventQueue wheel;
         std::vector<int> a = runScript(legacy, seed);
         std::vector<int> b = runScript(wheel, seed);
-        std::vector<int> c = runScript(heapOnly, seed);
         ASSERT_FALSE(a.empty());
         EXPECT_EQ(a, b) << "wheel kernel diverged, seed " << seed;
-        EXPECT_EQ(a, c) << "heap-only kernel diverged, seed " << seed;
         EXPECT_EQ(legacy.curTick(), wheel.curTick());
         EXPECT_EQ(legacy.executed(), wheel.executed());
     }

@@ -371,6 +371,20 @@ TEST(SweepRetry, DeterministicFailuresAreNeverRetried)
     EXPECT_EQ(calls->load(), 1);
 }
 
+TEST(SweepRetry, BackoffDoublesUpToTenSeconds)
+{
+    // One policy for both tiers: base * 2^(attempt-1), capped at 10 s,
+    // and defined for any attempt count (no shift past the word).
+    const double expect[] = {0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 10.0};
+    for (unsigned k = 1; k <= 8; ++k)
+        EXPECT_DOUBLE_EQ(retryBackoff(0.1, k), expect[k - 1]) << k;
+    EXPECT_DOUBLE_EQ(retryBackoff(0.1, 32), 10.0);
+    EXPECT_DOUBLE_EQ(retryBackoff(0.1, 33), 10.0);
+    EXPECT_DOUBLE_EQ(retryBackoff(0.1, 40), 10.0);
+    EXPECT_DOUBLE_EQ(retryBackoff(0.1, ~0u), 10.0);
+    EXPECT_EQ(retryBackoff(0, 40), 0.0);
+}
+
 TEST(SweepCancel, GracefulDrainMarksQueuedJobsCancelled)
 {
     auto cancel = std::make_shared<std::atomic<bool>>(false);
