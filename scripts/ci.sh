@@ -20,7 +20,8 @@
 #   scripts/ci.sh faults [build-dir]  build + tests, then a pinned-seed
 #                                     fault-injection campaign
 #                                     (DESIGN.md §9) whose outcome
-#                                     histogram must match exactly;
+#                                     histogram and fired-fault
+#                                     records must match exactly;
 #                                     writes CAMPAIGN_ci.json as an
 #                                     artifact
 #   scripts/ci.sh trace [build-dir]   build + tests, then record the
@@ -129,7 +130,7 @@ if [[ "$MODE" == "faults" ]]; then
         --kinds mem_data_flip,mem_data_double_flip,mem_check_flip,l1_data_flip,l2_data_flip,ics_drop,ics_delay,mem_stall \
         --json CAMPAIGN_ci.json
     python3 - <<'PYEOF'
-import json, sys
+import hashlib, json, sys
 rep = json.load(open("CAMPAIGN_ci.json"))
 # Re-pinned when the serial multichip schedule changed with the
 # canonical fabric ordering (parallel-engine PR); the planner side
@@ -141,11 +142,25 @@ print(f"campaign histogram: {got}")
 if got != expect:
     print(f"FAIL: expected {expect}", file=sys.stderr)
     sys.exit(1)
+# The per-run records too: a digest over each run's seed, outcome and
+# fired faults (kind, time, node, site), so a change that moves which
+# line or cache a fault lands on fails even when every outcome holds.
+records = [[r["seed"], r["outcome"],
+            [[f["kind"], int(f["at_ps"]), f["node"], f["site"]]
+             for f in r.get("fired", [])]]
+           for r in sorted(rep["runs"], key=lambda r: r["seed"])]
+digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16]
+expect_digest = "d1e1620514a54544"
+print(f"fired-record digest: {digest}")
+if digest != expect_digest:
+    print(f"FAIL: expected fired-record digest {expect_digest}",
+          file=sys.stderr)
+    sys.exit(1)
 hangs = [r for r in rep["runs"] if r["outcome"] == "hang"]
 if not all("diagnostic dump" in r.get("watchdog_dump", "") for r in hangs):
     print("FAIL: hang outcome without a watchdog dump", file=sys.stderr)
     sys.exit(1)
-print("campaign histogram matches the pinned expectation")
+print("campaign histogram and fired records match the pinned expectation")
 PYEOF
 fi
 

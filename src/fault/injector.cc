@@ -132,7 +132,7 @@ FaultInjector::pickLine(unsigned node, Addr &addr)
         static_cast<std::uint32_t>(st->touchedLines()));
     std::uint32_t i = 0;
     bool found = false;
-    st->forEachLine([&](Addr a, BackingStore::Line &) {
+    st->forEachLine([&](Addr a) {
         if (i++ == pick) {
             addr = a;
             found = true;

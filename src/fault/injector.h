@@ -135,7 +135,7 @@ class FaultInjector : public SimObject
     void fireNet(const PlannedFault &pf);
     void fireMemStall(const PlannedFault &pf);
 
-    /** Pick a materialized line of @p node's store; false if none. */
+    /** Pick a touched line of @p node's store; false if none. */
     bool pickLine(unsigned node, Addr &addr);
 
     void record(const PlannedFault &pf, std::string site);

@@ -2,13 +2,28 @@
  * @file
  * Functional memory contents for one node.
  *
- * Lines materialize on first touch (sparse table), so simulating the
- * paper's multi-hundred-megabyte database working sets costs memory
- * proportional to the lines actually referenced. Each line stores its
- * 64 data bytes plus the 44 directory bits that live in the freed ECC
- * bits (paper §2.5.2). The table is the flat open-addressed LineTable:
- * every memory read and posted write goes through it, and it showed up
- * as one of the hottest host-side maps under OLTP.
+ * The paper's workloads stress memory on purpose (a multi-hundred-
+ * megabyte OLTP SGA, a 500 MB DSS scan table, §3), so the store spends
+ * host memory only on what the simulation needs:
+ *
+ *  - a line index, a LineTable<uint32_t> (16 bytes per slot) holding
+ *    every line the run has touched. Its value is the line's slot in
+ *    the slab plus one, or 0 for "touched, never written";
+ *  - a SlabPool of materialized lines: those a data or directory
+ *    write, a fault injection or a line() call has given contents.
+ *    Each is the line's 64 data bytes plus the 44 directory bits that
+ *    live in the freed ECC bits (paper §2.5.2).
+ *
+ * A read-only scan (DSS Q6) therefore costs one index slot per line,
+ * not a 72-byte value, and the slab grows without recopying lines.
+ *
+ * Reads go through the index's operator[] too, so a line the run
+ * has only read counts as touched. Fault-site selection
+ * (FaultInjector::pickLine) draws from touchedLines() and walks
+ * forEachLine()'s slot order; both, like the index's growth points,
+ * follow the exact sequence of operator[] calls. A read that skipped
+ * the index would move every fault site a seeded campaign picks
+ * (scripts/ci.sh faults pins them).
  */
 
 #ifndef PIRANHA_MEM_BACKING_STORE_H
@@ -32,37 +47,59 @@ class BackingStore
         std::uint64_t dirBits = 0;
     };
 
-    /** Access (and materialize) the line containing @p addr. The
-     *  reference is invalidated by the next materializing access. */
+    /** Access the line containing @p addr, materializing it (zeroed)
+     *  if it has no contents yet. The reference stays valid for the
+     *  store's lifetime. */
     Line &
     line(Addr addr)
     {
-        return _lines[lineNum(addr)];
+        std::uint32_t &slot = _index[lineNum(addr)];
+        if (slot == 0)
+            slot = _slab.acquire() + 1;
+        return _slab[slot - 1];
     }
 
-    /** Read-only access; returns a zero line if never touched. */
+    /**
+     * Memory-array read: touch the line in the index without
+     * materializing it. A line never written reads as one shared zero
+     * line, so a caller that may write the line copies first (MemCtrl
+     * copies into its read snapshot).
+     */
+    const Line &
+    read(Addr addr)
+    {
+        std::uint32_t slot = _index[lineNum(addr)];
+        return slot ? _slab[slot - 1] : kZeroLine;
+    }
+
+    /** Read-only access that leaves the index untouched; returns a
+     *  zero line if never written. */
     Line
     peek(Addr addr) const
     {
-        const Line *l = _lines.find(lineNum(addr));
-        return l ? *l : Line{};
+        const std::uint32_t *slot = _index.find(lineNum(addr));
+        return slot && *slot ? _slab[*slot - 1] : Line{};
     }
 
-    /** Number of materialized lines (footprint statistics). */
-    std::size_t touchedLines() const { return _lines.size(); }
+    /** Number of touched lines, read or written (footprint
+     *  statistics and fault-site selection). */
+    std::size_t touchedLines() const { return _index.size(); }
+
+    /** Test support: number of lines holding contents. */
+    std::size_t storedLines() const { return _slab.inUse(); }
 
     /**
-     * Visit every materialized line as (lineAddr, Line&). Iteration
-     * order is a deterministic function of the insertion history, so
-     * fault-site selection driven by a seeded RNG over this walk is
-     * reproducible run-to-run.
+     * Visit the address of every touched line. The order is the
+     * index's slot order, a deterministic function of the access
+     * history, so fault-site selection driven by a seeded RNG over
+     * this walk is reproducible run-to-run.
      */
     template <typename F>
     void
-    forEachLine(F f)
+    forEachLine(F f) const
     {
-        _lines.forEach([&](std::uint64_t line_num, Line &l) {
-            f(static_cast<Addr>(line_num * lineBytes), l);
+        _index.forEach([&](Addr line_num, std::uint32_t) {
+            f(static_cast<Addr>(line_num * lineBytes));
         });
     }
 
@@ -82,8 +119,13 @@ class BackingStore
     }
 
   private:
-    LineTable<Line> _lines;
+    static const Line kZeroLine;
+
+    LineTable<std::uint32_t> _index;
+    SlabPool<Line> _slab;
 };
+
+inline const BackingStore::Line BackingStore::kZeroLine{};
 
 } // namespace piranha
 

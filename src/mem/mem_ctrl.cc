@@ -114,7 +114,7 @@ MemCtrl::pump()
         Tick done_at = now + lat;
         ReadDoneEvent *ev = _readDoneEvents.acquire(this);
         ev->done = std::move(op.done);
-        ev->snapshot = _store.line(op.addr);
+        ev->snapshot = _store.read(op.addr);
 #if PIRANHA_FAULT_INJECT
         // ECC check point: the array read is where stored check bits
         // are decoded. Correctable errors are fixed in the snapshot

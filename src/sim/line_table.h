@@ -13,10 +13,11 @@
  * cost stays bounded by cluster length.
  *
  * Two variants:
- *  - LineTable<V>: values live inline in the slot array. References
- *    are invalidated by rehash (any insert) — callers must not hold a
- *    value reference across an insert, same discipline unordered_map
- *    required across erase.
+ *  - LineTable<V>: key, occupancy flag and value share one slot in
+ *    a single array. References are invalidated by rehash, which any
+ *    operator[] call may trigger (even one that finds its key) —
+ *    callers must not hold a value reference across one, same
+ *    discipline unordered_map required across erase.
  *  - StableLineTable<V>: the slot array holds indices into a
  *    chunked SlabPool, so value pointers are stable across
  *    insert/erase for the value's whole lifetime. Used where the
@@ -69,8 +70,8 @@ class LineTable
     {
         if (_size == 0)
             return nullptr;
-        std::size_t i = probe(key);
-        return _keys[i].used ? &_values[i] : nullptr;
+        Slot &s = _slots[probe(key)];
+        return s.used ? &s.value : nullptr;
     }
 
     const V *
@@ -81,20 +82,24 @@ class LineTable
 
     bool contains(Addr key) const { return find(key) != nullptr; }
 
-    /** Find-or-insert-default, like unordered_map::operator[]. */
+    /**
+     * Find-or-insert-default, like unordered_map::operator[]. The
+     * growth check runs before the probe, so a lookup of a present
+     * key can rehash too: growth points depend only on the sequence
+     * of operator[] calls, not on which of them inserted.
+     */
     V &
     operator[](Addr key)
     {
         maybeGrow();
-        std::size_t i = probe(key);
-        KeySlot &s = _keys[i];
+        Slot &s = _slots[probe(key)];
         if (!s.used) {
             s.used = true;
             s.key = key;
-            _values[i] = V{};
+            s.value = V{};
             ++_size;
         }
-        return _values[i];
+        return s.value;
     }
 
     /** Erase if present; returns true when an entry was removed. */
@@ -104,7 +109,7 @@ class LineTable
         if (_size == 0)
             return false;
         std::size_t i = probe(key);
-        if (!_keys[i].used)
+        if (!_slots[i].used)
             return false;
         eraseSlot(i);
         --_size;
@@ -114,40 +119,39 @@ class LineTable
     void
     clear()
     {
-        for (KeySlot &s : _keys)
-            s = KeySlot{};
-        for (V &v : _values)
-            v = V{};
+        for (Slot &s : _slots)
+            s = Slot{};
         _size = 0;
     }
 
-    /** Visit every (key, value&) in unspecified order. */
+    /** Visit every (key, value&) in slot order: a deterministic
+     *  function of the operator[] and erase history. */
     template <typename F>
     void
     forEach(F &&f)
     {
-        for (std::size_t i = 0; i < _keys.size(); ++i)
-            if (_keys[i].used)
-                f(_keys[i].key, _values[i]);
+        for (Slot &s : _slots)
+            if (s.used)
+                f(s.key, s.value);
     }
 
     template <typename F>
     void
     forEach(F &&f) const
     {
-        for (std::size_t i = 0; i < _keys.size(); ++i)
-            if (_keys[i].used)
-                f(_keys[i].key, _values[i]);
+        for (const Slot &s : _slots)
+            if (s.used)
+                f(s.key, s.value);
     }
 
   private:
-    /** Keys live apart from values so probes stride over a dense
-     *  16-byte array that stays cache-resident even when the value
-     *  array (e.g. 72-byte backing-store lines) far outgrows LLC. */
-    struct KeySlot
+    /** Key, occupancy and value side by side: a probe that finds its
+     *  key has the value on the same cache line. */
+    struct Slot
     {
         Addr key = 0;
         bool used = false;
+        V value{};
     };
 
     static constexpr std::size_t kMinCap = 16;
@@ -158,7 +162,7 @@ class LineTable
     probe(Addr key) const
     {
         std::size_t i = line_table_detail::mixHash(key) & _mask;
-        while (_keys[i].used && _keys[i].key != key)
+        while (_slots[i].used && _slots[i].key != key)
             i = (i + 1) & _mask;
         return i;
     }
@@ -166,50 +170,41 @@ class LineTable
     void
     maybeGrow()
     {
-        if (_keys.empty()) {
-            _keys.resize(kMinCap);
-            _values.resize(kMinCap);
+        if (_slots.empty()) {
+            _slots.resize(kMinCap);
             _mask = kMinCap - 1;
             return;
         }
         // Rehash at 70% occupancy to bound cluster length.
-        if ((_size + 1) * 10 < _keys.size() * 7)
+        if ((_size + 1) * 10 < _slots.size() * 7)
             return;
-        std::vector<KeySlot> old_keys = std::move(_keys);
-        std::vector<V> old_values = std::move(_values);
-        _keys.assign(old_keys.size() * 2, KeySlot{});
-        _values.clear();
-        _values.resize(old_keys.size() * 2);
-        _mask = _keys.size() - 1;
-        for (std::size_t j = 0; j < old_keys.size(); ++j) {
-            if (!old_keys[j].used)
-                continue;
-            std::size_t i = probe(old_keys[j].key);
-            _keys[i] = old_keys[j];
-            _values[i] = std::move(old_values[j]);
-        }
+        std::vector<Slot> old = std::move(_slots);
+        _slots.clear();
+        _slots.resize(old.size() * 2);
+        _mask = _slots.size() - 1;
+        for (Slot &s : old)
+            if (s.used)
+                _slots[probe(s.key)] = std::move(s);
     }
 
     /** Backward-shift deletion keeping probe chains intact. */
     void
     eraseSlot(std::size_t i)
     {
-        std::size_t cap = _keys.size();
+        std::size_t cap = _slots.size();
         std::size_t j = i;
         for (;;) {
-            _keys[i].used = false;
-            _values[i] = V{};
+            _slots[i] = Slot{};
             for (;;) {
                 j = (j + 1) & _mask;
-                if (!_keys[j].used)
+                if (!_slots[j].used)
                     return;
                 std::size_t ideal =
-                    line_table_detail::mixHash(_keys[j].key) & _mask;
+                    line_table_detail::mixHash(_slots[j].key) & _mask;
                 // Move j back into the hole when its probe distance
                 // reaches past the hole.
                 if (((j - ideal) & (cap - 1)) >= ((j - i) & (cap - 1))) {
-                    _keys[i] = _keys[j];
-                    _values[i] = std::move(_values[j]);
+                    _slots[i] = std::move(_slots[j]);
                     i = j;
                     break;
                 }
@@ -217,8 +212,7 @@ class LineTable
         }
     }
 
-    std::vector<KeySlot> _keys;
-    std::vector<V> _values;
+    std::vector<Slot> _slots;
     std::size_t _mask = 0;
     std::size_t _size = 0;
 };

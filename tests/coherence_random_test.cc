@@ -40,7 +40,10 @@ struct TesterConfig
     unsigned lines;
     unsigned opsPerCpu;
     std::uint64_t seed;
-    bool parallel = false; //!< drive with the parallel engine
+    // Drive with the parallel engine. A full word, not a bool: gtest
+    // prints the param's raw bytes into each ctest case name, and a
+    // bool would leave seven bytes of uninitialized padding there.
+    std::uint64_t parallel = 0;
 };
 
 class CoherenceRandomTest : public ::testing::TestWithParam<TesterConfig>

@@ -18,7 +18,10 @@ struct SuiteParam
 {
     std::size_t prog;
     std::uint64_t seed;
-    bool parallel; //!< drive the run with the parallel engine
+    // Drive the run with the parallel engine. A full word, not a bool:
+    // gtest prints the param's raw bytes into each ctest case name, and
+    // a bool would leave seven bytes of uninitialized padding there.
+    std::uint64_t parallel;
 };
 
 class LitmusSuiteTest : public ::testing::TestWithParam<SuiteParam>

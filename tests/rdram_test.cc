@@ -3,13 +3,19 @@
  * RDRAM channel and memory-controller tests (paper §2.4): open-page
  * timing (60 ns random / 40 ns open-page hit), the keep-open window,
  * row-buffer capacity, read-after-write ordering and channel
- * serialization.
+ * serialization; and the backing store's contract: reads touch lines
+ * without storing them, line() references are stable, and
+ * forEachLine follows the line index's slot order.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/mem_ctrl.h"
 #include "sim/event_queue.h"
+#include "sim/line_table.h"
+#include "sim/rng.h"
 
 namespace piranha {
 namespace {
@@ -137,6 +143,120 @@ TEST(BackingStoreTest, SparseMaterialization)
     s.poke64(0x123456780, 5);
     EXPECT_EQ(s.touchedLines(), 1u);
     EXPECT_EQ(s.peek64(0x123456780), 5u);
+}
+
+TEST(BackingStoreTest, ReadOnlyScanStoresNoLines)
+{
+    // The DSS scan pattern: every line is read, none written. Each is
+    // touched (counted, visited by forEachLine) but holds no contents.
+    constexpr unsigned kLines = 5000;
+    BackingStore s;
+    for (unsigned i = 0; i < kLines; ++i) {
+        const BackingStore::Line &l = s.read(0x40000000 + i * lineBytes);
+        EXPECT_EQ(l.data, LineData{}) << "line " << i;
+        EXPECT_EQ(l.dirBits, 0u) << "line " << i;
+    }
+    EXPECT_EQ(s.touchedLines(), kLines);
+    EXPECT_EQ(s.storedLines(), 0u);
+    EXPECT_EQ(s.peek64(0x40000000 + 17 * lineBytes + 8), 0u);
+    std::size_t visited = 0;
+    s.forEachLine([&](Addr) { ++visited; });
+    EXPECT_EQ(visited, kLines);
+}
+
+TEST(BackingStoreTest, WriteAfterReadReadsBackThroughEveryAccessor)
+{
+    const Addr a = 0x2000c0;
+    BackingStore s;
+    EXPECT_EQ(s.read(a).data.read(8, 8), 0u);
+    BackingStore::Line &w = s.line(a);
+    w.data.write(8, 8, 0xfeedface);
+    w.dirBits = 0x2a;
+    EXPECT_EQ(s.touchedLines(), 1u);
+    EXPECT_EQ(s.storedLines(), 1u);
+
+    EXPECT_EQ(s.read(a).data.read(8, 8), 0xfeedfaceu);
+    EXPECT_EQ(s.read(a).dirBits, 0x2au);
+    EXPECT_EQ(&s.line(a), &w);
+    EXPECT_EQ(s.peek(a).data, w.data);
+    EXPECT_EQ(s.peek(a).dirBits, 0x2au);
+    EXPECT_EQ(s.peek64(a + 8), 0xfeedfaceu);
+    EXPECT_EQ(s.storedLines(), 1u);
+}
+
+TEST(BackingStoreTest, LineReferenceSurvivesLaterMaterializations)
+{
+    BackingStore s;
+    BackingStore::Line &held = s.line(0x1000);
+    held.data.write(0, 8, 0x0123456789abcdef);
+    held.dirBits = 0x5a5a;
+    // Many more lines: the index rehashes repeatedly and the slab
+    // grows by hundreds of chunks.
+    for (unsigned i = 0; i < 10000; ++i) {
+        BackingStore::Line &l = s.line(0x100000 + i * lineBytes);
+        l.data.write(0, 8, i);
+        l.dirBits = i;
+    }
+    EXPECT_EQ(s.storedLines(), 10001u);
+    EXPECT_EQ(&s.line(0x1000), &held);
+    EXPECT_EQ(held.data.read(0, 8), 0x0123456789abcdefu);
+    EXPECT_EQ(held.dirBits, 0x5a5au);
+    EXPECT_EQ(s.peek64(0x100000 + 4321 * lineBytes), 4321u);
+}
+
+TEST(BackingStoreTest, ForEachLineFollowsIndexSlotOrder)
+{
+    // Fault-site selection walks forEachLine in order, so the order
+    // must be exactly that of a LineTable fed the same line numbers
+    // through operator[] — reads included, peeks excluded.
+    BackingStore s;
+    LineTable<int> ref;
+    Pcg32 rng(7);
+    for (int step = 0; step < 20000; ++step) {
+        Addr ln = rng.below(6000);
+        Addr a = ln * lineBytes + rng.below(8) * 8;
+        switch (rng.below(4)) {
+          case 0:
+            s.read(a);
+            ref[ln];
+            break;
+          case 1:
+            s.poke64(a, step);
+            ref[ln];
+            break;
+          case 2:
+            s.line(a).dirBits = static_cast<std::uint64_t>(step);
+            ref[ln];
+            break;
+          default:
+            s.peek(a);
+            break;
+        }
+    }
+    std::vector<Addr> got;
+    s.forEachLine([&](Addr a) { got.push_back(a); });
+    std::vector<Addr> want;
+    ref.forEach([&](Addr ln, int) { want.push_back(ln * lineBytes); });
+    EXPECT_EQ(s.touchedLines(), ref.size());
+    EXPECT_LT(s.storedLines(), s.touchedLines());
+    EXPECT_EQ(got, want);
+}
+
+TEST(MemCtrl, ReadOfUnwrittenLineStoresNothing)
+{
+    EventQueue eq;
+    BackingStore store;
+    MemCtrl mc(eq, "mc", store);
+    bool done = false;
+    mc.readLine(0x8040, [&](const LineData &d, std::uint64_t dir) {
+        EXPECT_EQ(d, LineData{});
+        EXPECT_EQ(dir, 0u);
+        done = true;
+    });
+    eq.run();
+    EXPECT_TRUE(done);
+    EXPECT_EQ(store.touchedLines(), 1u);
+    EXPECT_EQ(store.storedLines(), 0u);
 }
 
 } // namespace
