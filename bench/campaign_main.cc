@@ -12,15 +12,13 @@
  *                 [--kinds k1,k2,...] [--nodes N] [--workload oltp|dss]
  *                 [--work W] [--threads N] [--serial] [--json FILE]
  *                 [--max-time-us U] [--check-trace] [--list-kinds]
- *
- * Built with PIRANHA_FAULTS=OFF this still runs, but every plan is
- * ignored (with a warning) and all runs classify as not_fired.
  */
 
 #include <atomic>
 #include <csignal>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -64,7 +62,8 @@ usage()
         << "  --journal DIR   write-ahead job journal for --resume\n"
         << "  --resume        skip journal-completed runs "
            "(requires --journal)\n"
-        << "  --grace SEC     kill/abandon grace past --timeout\n"
+        << "  --grace SEC     process tier: SIGTERM/SIGKILL grace past\n"
+        << "                  --timeout (default 1)\n"
         << "  --timeout SEC   per-run host wall-clock timeout\n"
         << "  --retries N     max attempts per run (default 1)\n"
         << "  --list-kinds    print the known fault kinds\n";
@@ -111,26 +110,28 @@ main(int argc, char **argv)
                           << "\n";
             return 0;
         } else if (arg == "--injections" && i + 1 < argc) {
-            spec.injections =
-                static_cast<unsigned>(std::atoi(argv[++i]));
+            if (!parseNumber(argv[++i], spec.injections))
+                return usage();
         } else if (arg == "--seed" && i + 1 < argc) {
-            spec.baseSeed =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            if (!parseNumber(argv[++i], spec.baseSeed))
+                return usage();
         } else if (arg == "--count" && i + 1 < argc) {
-            spec.planTemplate.count =
-                static_cast<unsigned>(std::atoi(argv[++i]));
+            if (!parseNumber(argv[++i], spec.planTemplate.count))
+                return usage();
         } else if (arg == "--kinds" && i + 1 < argc) {
             if (!parseKinds(argv[++i], spec.planTemplate.kinds))
                 return 2;
         } else if (arg == "--nodes" && i + 1 < argc) {
-            nodes = static_cast<unsigned>(std::atoi(argv[++i]));
+            if (!parseNumber(argv[++i], nodes))
+                return usage();
         } else if (arg == "--workload" && i + 1 < argc) {
             workload = argv[++i];
         } else if (arg == "--work" && i + 1 < argc) {
-            total_work =
-                static_cast<std::uint64_t>(std::atoll(argv[++i]));
+            if (!parseNumber(argv[++i], total_work))
+                return usage();
         } else if (arg == "--threads" && i + 1 < argc) {
-            opts.threads = static_cast<unsigned>(std::atoi(argv[++i]));
+            if (!parseNumber(argv[++i], opts.threads))
+                return usage();
         } else if (arg == "--serial") {
             opts.threads = 1;
         } else if (arg == "--engine" && i + 1 < argc) {
@@ -142,13 +143,16 @@ main(int argc, char **argv)
             else
                 return usage();
         } else if (arg == "--shards" && i + 1 < argc) {
-            opts.engineShards =
-                static_cast<unsigned>(std::atoi(argv[++i]));
+            if (!parseNumber(argv[++i], opts.engineShards))
+                return usage();
         } else if (arg == "--json" && i + 1 < argc) {
             json_path = argv[++i];
         } else if (arg == "--max-time-us" && i + 1 < argc) {
-            spec.maxTime = static_cast<Tick>(std::atoll(argv[++i])) *
-                           ticksPerUs;
+            Tick us;
+            if (!parseNumber(argv[++i], us) ||
+                us > std::numeric_limits<Tick>::max() / ticksPerUs)
+                return usage();
+            spec.maxTime = us * ticksPerUs;
         } else if (arg == "--check-trace") {
             spec.checkTrace = true;
         } else if (arg == "--exec" && i + 1 < argc) {
@@ -164,12 +168,14 @@ main(int argc, char **argv)
         } else if (arg == "--resume") {
             opts.resume = true;
         } else if (arg == "--grace" && i + 1 < argc) {
-            opts.killGraceSec = std::atof(argv[++i]);
+            if (!parseNumber(argv[++i], opts.killGraceSec))
+                return usage();
         } else if (arg == "--timeout" && i + 1 < argc) {
-            opts.jobTimeoutSec = std::atof(argv[++i]);
+            if (!parseNumber(argv[++i], opts.jobTimeoutSec))
+                return usage();
         } else if (arg == "--retries" && i + 1 < argc) {
-            opts.maxAttempts =
-                static_cast<unsigned>(std::atoi(argv[++i]));
+            if (!parseNumber(argv[++i], opts.maxAttempts))
+                return usage();
         } else {
             return usage();
         }

@@ -541,8 +541,9 @@ usage()
         << "  --journal DIR   write-ahead job journal for --resume\n"
         << "  --resume        skip journal-completed jobs "
            "(requires --journal)\n"
-        << "  --grace SEC     kill/abandon grace past the timeout "
-           "(default 1)\n"
+        << "  --grace SEC     process tier: SIGTERM/SIGKILL grace past "
+           "the\n"
+        << "                  timeout (default 1)\n"
         << "  --retries N     max attempts per job (default 1)\n"
         << "  --chaos K@I     inject worker fault K at job index I\n"
         << "                  (K: segv|kill|exit|hang|garbage; "
@@ -580,11 +581,10 @@ parseChaos(const std::string &arg, ProcessChaos &chaos)
             f = WorkerFault::Garbage;
         else
             return false;
-        char *end = nullptr;
-        unsigned long idx = std::strtoul(item.c_str() + at + 1, &end, 10);
-        if (!end || *end != '\0')
+        std::size_t idx;
+        if (!parseNumber(std::string_view(item).substr(at + 1), idx))
             return false;
-        chaos.byIndex[static_cast<std::size_t>(idx)] = f;
+        chaos.byIndex[idx] = f;
         pos = comma == std::string::npos ? arg.size() : comma + 1;
     }
     return !chaos.byIndex.empty();
@@ -693,15 +693,18 @@ main(int argc, char **argv)
         } else if (arg == "--litmus") {
             sweep_name = "litmus";
         } else if (arg == "--seeds" && i + 1 < argc) {
-            litmus_seeds = static_cast<unsigned>(std::atoi(argv[++i]));
+            if (!parseNumber(argv[++i], litmus_seeds))
+                return usage();
         } else if (arg == "--threads" && i + 1 < argc) {
-            opts.threads = static_cast<unsigned>(std::atoi(argv[++i]));
+            if (!parseNumber(argv[++i], opts.threads))
+                return usage();
         } else if (arg == "--serial") {
             opts.threads = 1;
         } else if (arg == "--json" && i + 1 < argc) {
             json_path = argv[++i];
         } else if (arg == "--timeout" && i + 1 < argc) {
-            opts.jobTimeoutSec = std::atof(argv[++i]);
+            if (!parseNumber(argv[++i], opts.jobTimeoutSec))
+                return usage();
         } else if (arg == "--no-stat-tree") {
             opts.captureStatTree = false;
         } else if (arg == "--verify") {
@@ -715,8 +718,8 @@ main(int argc, char **argv)
             else
                 return usage();
         } else if (arg == "--shards" && i + 1 < argc) {
-            opts.engineShards =
-                static_cast<unsigned>(std::atoi(argv[++i]));
+            if (!parseNumber(argv[++i], opts.engineShards))
+                return usage();
         } else if (arg == "--record" && i + 1 < argc) {
             record_dir = argv[++i];
         } else if (arg == "--replay" && i + 1 < argc) {
@@ -734,18 +737,19 @@ main(int argc, char **argv)
         } else if (arg == "--resume") {
             opts.resume = true;
         } else if (arg == "--grace" && i + 1 < argc) {
-            opts.killGraceSec = std::atof(argv[++i]);
+            if (!parseNumber(argv[++i], opts.killGraceSec))
+                return usage();
         } else if (arg == "--retries" && i + 1 < argc) {
-            opts.maxAttempts =
-                static_cast<unsigned>(std::atoi(argv[++i]));
+            if (!parseNumber(argv[++i], opts.maxAttempts))
+                return usage();
         } else if (arg == "--chaos" && i + 1 < argc) {
             if (!parseChaos(argv[++i], opts.chaos))
                 return usage();
         } else if (arg == "--chaos-all-attempts") {
             opts.chaos.onAttempt = 0;
         } else if (arg == "--chaos-die-after" && i + 1 < argc) {
-            opts.chaos.supervisorExitAfter =
-                static_cast<unsigned>(std::atoi(argv[++i]));
+            if (!parseNumber(argv[++i], opts.chaos.supervisorExitAfter))
+                return usage();
         } else if (arg == "--no-fastpath") {
             // Run every job through the evented L1-hit path; with
             // --verify this doubles as a fastpath-off determinism

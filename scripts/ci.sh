@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification, as CI runs it: configure with warnings promoted
-# to errors on the library targets, build everything, run the full
-# test suite.
+# to errors on every target, build everything, run the full test
+# suite.
 #
 # Usage:
 #   scripts/ci.sh [build-dir]         tier-1 build + tests

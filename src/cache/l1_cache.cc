@@ -3,11 +3,8 @@
 #include <algorithm>
 
 #include "check/trace.h"
-#include "sim/profiler.h"
-
-#if PIRANHA_FAULT_INJECT
 #include "fault/injector.h"
-#endif
+#include "sim/profiler.h"
 
 namespace piranha {
 
@@ -106,11 +103,6 @@ L1Cache::access(const MemReq &req, MemRspClient *client)
 bool
 L1Cache::accessFast(const MemReq &req, MemRsp &out)
 {
-#if !PIRANHA_L1_FASTPATH
-    (void)req;
-    (void)out;
-    return false;
-#else
     // Each arm below mirrors the corresponding tryStart() hit arm
     // exactly — same gating, same stats, same trace records at the
     // same tick — minus the respond() event. Anything tryStart would
@@ -126,10 +118,8 @@ L1Cache::accessFast(const MemReq &req, MemRsp &out)
         L1Line *l = _tags.find(req.addr);
         if (!(l && (l->state == L1State::M || l->state == L1State::E)))
             return false;
-#if PIRANHA_FAULT_INJECT
         if (l->parityBad)
             return false; // slow path runs the parity recovery
-#endif
         PIR_TRACE(_p.tracer,
                   TraceEvent{.tick = curTick(),
                              .kind = TraceKind::StoreIssue,
@@ -173,10 +163,8 @@ L1Cache::accessFast(const MemReq &req, MemRsp &out)
         L1Line *l = _tags.find(req.addr);
         if (!(l && (l->state == L1State::M || l->state == L1State::E)))
             return false;
-#if PIRANHA_FAULT_INJECT
         if (l->parityBad)
             return false; // slow path runs the parity recovery
-#endif
         l->state = L1State::M;
         _tags.touch(*l);
         ++statHits;
@@ -206,10 +194,8 @@ L1Cache::accessFast(const MemReq &req, MemRsp &out)
     L1Line *l = _tags.find(req.addr);
     if (!l)
         return false;
-#if PIRANHA_FAULT_INJECT
     if (l->parityBad)
         return false; // slow path runs the parity recovery
-#endif
     _tags.touch(*l);
     ++statHits;
     ++fastHits;
@@ -225,7 +211,6 @@ L1Cache::accessFast(const MemReq &req, MemRsp &out)
                          .value = v});
     out = MemRsp{v, FillSource::L1};
     return true;
-#endif // PIRANHA_L1_FASTPATH
 }
 
 void
@@ -252,7 +237,6 @@ L1Cache::tryStart()
             // only when the line is modifiable and the data applied
             // (globally ordered).
             L1Line *l = _tags.find(req.addr);
-#if PIRANHA_FAULT_INJECT
             if (l && l->parityBad) {
                 // Detected at use: refetch exclusively (an S-state
                 // upgrade would keep the corrupt data), or machine
@@ -262,7 +246,6 @@ L1Cache::tryStart()
                 _cpuQueue.pop_front();
                 continue;
             }
-#endif
             if (l && (l->state == L1State::M ||
                       l->state == L1State::E)) {
                 PIR_TRACE(_p.tracer,
@@ -319,7 +302,6 @@ L1Cache::tryStart()
 
         if (req.op == MemOp::Wh64) {
             L1Line *l = _tags.find(req.addr);
-#if PIRANHA_FAULT_INJECT
             if (l && l->parityBad) {
                 // The write hint overwrites the whole line and leaves
                 // its contents architecturally undefined — the parity
@@ -328,7 +310,6 @@ L1Cache::tryStart()
                 if (_p.injector)
                     ++_p.injector->counters.parityMaskedByOverwrite;
             }
-#endif
             if (l && (l->state == L1State::M || l->state == L1State::E)) {
                 l->state = L1State::M;
                 _tags.touch(*l);
@@ -364,14 +345,12 @@ L1Cache::tryStart()
             continue;
         }
         L1Line *l = _tags.find(req.addr);
-#if PIRANHA_FAULT_INJECT
         if (l && l->parityBad) {
             if (!startParityRecovery(req, pc.rsp, *l))
                 return;
             _cpuQueue.pop_front();
             continue;
         }
-#endif
         if (l) {
             _tags.touch(*l);
             ++statHits;
@@ -449,7 +428,6 @@ L1Cache::issueMiss(const MemReq &req, RspHandler rsp, bool is_upgrade)
     sendToBank(std::move(msg), _mshr.lineAddr);
 }
 
-#if PIRANHA_FAULT_INJECT
 bool
 L1Cache::startParityRecovery(const MemReq &req, RspHandler &rsp,
                              L1Line &bad)
@@ -499,7 +477,6 @@ L1Cache::startParityRecovery(const MemReq &req, RspHandler &rsp,
     sendToBank(std::move(msg), _mshr.lineAddr);
     return true;
 }
-#endif // PIRANHA_FAULT_INJECT
 
 void
 L1Cache::sendToBank(IcsMsg msg, Addr addr)
@@ -641,9 +618,7 @@ L1Cache::completeMiss(const IcsMsg &msg)
         }
         slot->data = msg.data;
         slot->state = L1State::E;
-#if PIRANHA_FAULT_INJECT
         slot->parityBad = false; // full fill: parity regenerated
-#endif
         _tags.touch(*slot);
         PIR_TRACE(_p.tracer,
                   TraceEvent{.tick = curTick(),
@@ -679,9 +654,7 @@ L1Cache::completeMiss(const IcsMsg &msg)
                 panic("%s: fill found no free way", name().c_str());
         }
         _tags.install(*slot, msg.addr);
-#if PIRANHA_FAULT_INJECT
         slot->parityBad = false; // fresh fill: parity regenerated
-#endif
         if (msg.hasData)
             slot->data = msg.data;
         else
@@ -759,7 +732,6 @@ L1Cache::drainStoreBuffer()
         return;
     const SbEntry &e = _sb.front();
     L1Line *l = _tags.find(e.addr);
-#if PIRANHA_FAULT_INJECT
     if (l && l->parityBad) {
         // The pending store must not merge into a corrupt line:
         // refetch exclusively first (the entry stays buffered; the
@@ -773,7 +745,6 @@ L1Cache::drainStoreBuffer()
         startParityRecovery(req, none, *l);
         return;
     }
-#endif
     if (l && (l->state == L1State::M || l->state == L1State::E)) {
         applyStore(*l, e);
         _sb.pop_front();
@@ -884,7 +855,6 @@ L1Cache::notifyEviction(Addr addr)
         _evictionListener(addr);
 }
 
-#if PIRANHA_FAULT_INJECT
 L1State
 L1Cache::faultMarkParity(unsigned nth, unsigned bit, bool corrupt_data)
 {
@@ -903,7 +873,6 @@ L1Cache::faultMarkParity(unsigned nth, unsigned bit, bool corrupt_data)
     }
     return L1State::I;
 }
-#endif
 
 
 } // namespace piranha

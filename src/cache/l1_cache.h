@@ -189,7 +189,6 @@ class L1Cache : public SimObject, public IcsClient
 
     int l1Id() const { return _l1Id; }
 
-#if PIRANHA_FAULT_INJECT
     /** Valid lines currently in the array (fault-site selection). */
     unsigned faultValidLines() const { return _tags.validCount(); }
 
@@ -200,7 +199,6 @@ class L1Cache : public SimObject, public IcsClient
      */
     L1State faultMarkParity(unsigned nth, unsigned bit,
                             bool corrupt_data);
-#endif
 
     void regStats(StatGroup &parent);
 
@@ -267,7 +265,6 @@ class L1Cache : public SimObject, public IcsClient
     void tryStart();
     void startAccess(const MemReq &req, RspHandler rsp);
     void issueMiss(const MemReq &req, RspHandler rsp, bool is_upgrade);
-#if PIRANHA_FAULT_INJECT
     /**
      * Parity recovery: refetch a clean parity-bad line by issuing a
      * miss that names the line as its own victim (the L2 clears the
@@ -278,7 +275,6 @@ class L1Cache : public SimObject, public IcsClient
      */
     bool startParityRecovery(const MemReq &req, RspHandler &rsp,
                              L1Line &bad);
-#endif
     void completeMiss(const IcsMsg &msg);
     void drainStoreBuffer();
     void scheduleDrain();

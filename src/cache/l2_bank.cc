@@ -5,11 +5,8 @@
 #include <ostream>
 
 #include "check/trace.h"
-#include "sim/profiler.h"
-
-#if PIRANHA_FAULT_INJECT
 #include "fault/injector.h"
-#endif
+#include "sim/profiler.h"
 
 namespace piranha {
 
@@ -177,7 +174,6 @@ L2Bank::block(Info &info, IcsMsg msg)
     holdPending(info).blocked.push_back(std::move(msg));
 }
 
-#if PIRANHA_FAULT_INJECT
 L2Line *
 L2Bank::findChecked(Addr addr)
 {
@@ -206,7 +202,6 @@ L2Bank::findChecked(Addr addr)
         i->pdir = Info::PD_Unknown;
     return nullptr;
 }
-#endif
 
 bool
 L2Bank::canProcess(const Info &info, const IcsMsg &msg) const
@@ -347,7 +342,6 @@ L2Bank::handleVictim(const IcsMsg &msg)
         if (!msg.hasData)
             panic("%s: owner victim without shipped data",
                   name().c_str());
-#if PIRANHA_FAULT_INJECT
         if (msg.parityVictim) {
             // Parity refetch: the departing copy failed parity, so the
             // shipped payload is untrusted and must not be installed.
@@ -362,7 +356,6 @@ L2Bank::handleVictim(const IcsMsg &msg)
             maybeErase(v, msg.victimAddr);
             return false;
         }
-#endif
         ++statWbInstalls;
         bool dirty = msg.victimDirty || v.nodeDirty;
         v.nodeDirty = false;
@@ -835,9 +828,7 @@ L2Bank::installL2(Info &info, Addr addr, const LineData &data, bool dirty)
     info.inL2 = true;
     slot->data = data;
     slot->dirty = dirty;
-#if PIRANHA_FAULT_INJECT
     slot->parityBad = false;
-#endif
 }
 
 void
@@ -1233,8 +1224,6 @@ L2Bank::drainRetryDispatch(IcsMsg next)
         drainBlocked(*info);
 }
 
-#if PIRANHA_FAULT_INJECT
-
 unsigned
 L2Bank::faultEligibleLines()
 {
@@ -1263,7 +1252,5 @@ L2Bank::faultMarkParity(unsigned nth, unsigned bit, bool corrupt_data)
     }
     return false;
 }
-
-#endif // PIRANHA_FAULT_INJECT
 
 } // namespace piranha

@@ -129,7 +129,6 @@ class L2Bank : public SimObject, public IcsClient
     /** Diagnostic dump of busy lines. */
     void debugDump(std::ostream &os) const;
 
-#if PIRANHA_FAULT_INJECT
     /**
      * Fault-injection site selection. Eligible lines are valid,
      * clean, and local-homed: a clean local line is backed by current
@@ -143,7 +142,6 @@ class L2Bank : public SimObject, public IcsClient
     /** Mark the @p nth eligible line parity-bad; when @p corrupt_data
      *  also flip data bit @p bit. Returns false if out of range. */
     bool faultMarkParity(unsigned nth, unsigned bit, bool corrupt_data);
-#endif
 
     /**
      * Hook that stashes an evicted node-exclusive line into the
@@ -326,16 +324,12 @@ class L2Bank : public SimObject, public IcsClient
     /** Park @p msg behind the line's active transaction. */
     void block(Info &info, IcsMsg msg);
 
-#if PIRANHA_FAULT_INJECT
     /**
      * Read-time parity check: returns the line, or discards a
      * parity-bad copy (clean, so memory is current — the caller then
      * proceeds as on an L2 miss and refetches) and returns null.
      */
     L2Line *findChecked(Addr addr);
-#else
-    L2Line *findChecked(Addr addr) { return _tags.find(addr); }
-#endif
 
     // Request-side handlers.
     void lookupDispatch(IcsMsg m);

@@ -6,8 +6,7 @@
  * appended by hooks in the L1s, the L2 banks (duplicate-tag view) and
  * the protocol engines. The memory system holds only a nullable
  * pointer: a run that does not attach a tracer pays one predictable
- * branch per hook, and configuring with -DPIRANHA_TRACE=OFF compiles
- * the hooks out entirely (PIR_TRACE below expands to nothing).
+ * branch per hook (PIR_TRACE below).
  *
  * Traces round-trip through the stats/json layer (toJson /
  * eventsFromJson) so a run can be captured in one process and checked
@@ -163,17 +162,11 @@ mergeShardTraces(const std::vector<std::vector<TraceEvent>> &parts)
  * Hook macro used at every instrumentation point in the memory
  * system. @p tracer is a CoherenceTracer pointer (may be null).
  */
-#if PIRANHA_COHERENCE_TRACE
 #define PIR_TRACE(tracer, ...)                                         \
     do {                                                               \
         if (tracer)                                                    \
             (tracer)->record(__VA_ARGS__);                             \
     } while (0)
-#else
-#define PIR_TRACE(tracer, ...)                                         \
-    do {                                                               \
-    } while (0)
-#endif
 
 } // namespace piranha
 

@@ -18,9 +18,7 @@ Core::Core(EventQueue &eq, std::string name, const Clock &clk,
         // the bound is the window depth in cycles.
         _creditCap = static_cast<double>(_clk.cycles(_p.windowSize));
     }
-#if PIRANHA_L1_FASTPATH
     _fastEnabled = _p.fastPath && defaultFastPathEnabled();
-#endif
 }
 
 void
@@ -109,12 +107,6 @@ Core::nextOp()
 Core::FastIssue
 Core::tryFastAccess(L1Cache &l1, const MemReq &req, MemRsp &rsp)
 {
-#if !PIRANHA_L1_FASTPATH
-    (void)l1;
-    (void)req;
-    (void)rsp;
-    return FastIssue::NotTaken;
-#else
     if (!_fastEnabled || !l1.accessFast(req, rsp))
         return FastIssue::NotTaken;
     EventQueue &eq = eventQueue();
@@ -131,7 +123,6 @@ Core::tryFastAccess(L1Cache &l1, const MemReq &req, MemRsp &rsp)
     scheduleIn(_fastRspEvent, delay);
     l1.commitFastDrain();
     return FastIssue::Evented;
-#endif
 }
 
 bool

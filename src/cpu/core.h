@@ -43,8 +43,8 @@ struct CoreParams
     /**
      * Use the zero-event L1-hit fast path (see L1Cache::accessFast).
      * Timing and stats are bit-identical either way — the knob (plus
-     * Core::setDefaultFastPathEnabled and the PIRANHA_FASTPATH
-     * configure option) exists so that identity can be verified.
+     * Core::setDefaultFastPathEnabled) exists so that identity can be
+     * verified.
      */
     bool fastPath = true;
 };

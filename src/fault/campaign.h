@@ -81,9 +81,7 @@ struct CampaignSpec
     /**
      * Attach a coherence tracer to every run and replay the checker
      * afterwards, so completed-but-corrupted runs classify as Silent
-     * instead of Masked. Requires PIRANHA_COHERENCE_TRACE=ON to
-     * observe anything (without it the trace is empty and the check
-     * passes vacuously).
+     * instead of Masked.
      */
     bool checkTrace = false;
 };

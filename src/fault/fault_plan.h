@@ -15,9 +15,9 @@
  * function of the plan, so a campaign re-run with the same seeds
  * reproduces the same outcome histogram bit-for-bit.
  *
- * The heavy machinery lives in src/fault/injector.* and compiles out
- * under -DPIRANHA_FAULTS=OFF; this header always compiles so configs
- * carrying a (disabled) plan parse identically in both builds.
+ * The heavy machinery lives in src/fault/injector.*; this header only
+ * declares the plan, so configs can carry a (disabled) one without
+ * pulling the injector in.
  */
 
 #ifndef PIRANHA_FAULT_FAULT_PLAN_H

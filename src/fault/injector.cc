@@ -1,7 +1,5 @@
 #include "fault/injector.h"
 
-#if PIRANHA_FAULT_INJECT
-
 #include <algorithm>
 #include <cstring>
 
@@ -505,4 +503,3 @@ FaultInjector::raiseMachineCheck(std::string why)
 
 } // namespace piranha
 
-#endif // PIRANHA_FAULT_INJECT

@@ -29,14 +29,11 @@
  * All bookkeeping is host-side (plain counters, no Scalars, no
  * self-scheduled periodic events), so a run whose plan fires zero
  * faults is bit-identical — same event count, same stat tree — to a
- * run without an injector. The whole subsystem compiles out under
- * -DPIRANHA_FAULTS=OFF.
+ * run without an injector.
  */
 
 #ifndef PIRANHA_FAULT_INJECTOR_H
 #define PIRANHA_FAULT_INJECTOR_H
-
-#if PIRANHA_FAULT_INJECT
 
 #include <string>
 #include <unordered_map>
@@ -82,7 +79,8 @@ class FaultInjector : public SimObject
     void arm();
 
     // ------------------------------------------------------------------
-    // Component hooks (called from the #if PIRANHA_FAULT_INJECT sites).
+    // Component hooks (called wherever a component holds a non-null
+    // FaultInjector pointer).
 
     /**
      * Memory-array read: decode each ECC block of @p snapshot against
@@ -192,7 +190,5 @@ class FaultInjector : public SimObject
 };
 
 } // namespace piranha
-
-#endif // PIRANHA_FAULT_INJECT
 
 #endif // PIRANHA_FAULT_INJECTOR_H

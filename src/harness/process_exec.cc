@@ -21,7 +21,6 @@
 
 #include "harness/journal.h"
 #include "sim/logging.h"
-#include "stats/stats.h"
 #include "system/sim_system.h"
 
 namespace piranha {
@@ -383,24 +382,13 @@ struct Supervisor
     {}
 
     void
-    progressLine(const JobResult &jr)
+    printProgress(const JobResult &jr)
     {
         ++progressDone;
-        if (!opts.progress)
-            return;
-        *opts.progress << "[" << progressDone << "/"
-                       << report.jobs.size() << "] " << jr.label
-                       << ": " << jobStatusName(jr.status) << " ("
-                       << TextTable::fmt(jr.hostSeconds, 2)
-                       << "s host";
-        if (!jr.exitClass.empty() && jr.exitClass != "ok")
-            *opts.progress << ", " << jr.exitClass;
-        if (jr.attempts > 1)
-            *opts.progress << ", attempt " << jr.attempts;
-        *opts.progress << ")";
-        if (!jr.error.empty())
-            *opts.progress << " - " << jr.error;
-        *opts.progress << std::endl;
+        if (opts.progress)
+            *opts.progress
+                << progressLine(progressDone, report.jobs.size(), jr)
+                << std::endl;
     }
 
     void
@@ -408,7 +396,7 @@ struct Supervisor
     {
         if (journal)
             journal->recordDone(jr, opts.captureStatTree);
-        progressLine(jr);
+        printProgress(jr);
         report.jobs[idx] = std::move(jr);
         ++recorded;
         if (opts.chaos.supervisorExitAfter &&
@@ -711,7 +699,7 @@ struct Supervisor
         jr.status = JobStatus::Cancelled;
         // No journal record: a cancelled job never ran, so --resume
         // re-runs it — that is what finishes an interrupted sweep.
-        progressLine(jr);
+        printProgress(jr);
         report.jobs[idx] = std::move(jr);
     }
 };

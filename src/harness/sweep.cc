@@ -148,8 +148,6 @@ jobResultToJson(const JobResult &j, bool include_stat_tree)
     // comparison set, which is label + status + stats + stat_tree).
     if (!j.exitClass.empty())
         jo.set("exit_class", j.exitClass);
-    if (j.leakedWorker)
-        jo.set("leaked_worker", true);
     if (j.fromJournal)
         jo.set("resumed", true);
     if (j.transient)
@@ -218,7 +216,6 @@ jobResultFromJson(const JsonValue &v)
     j.eventsPerHostSec = num("events_per_host_sec", 0);
     j.error = str("error");
     j.exitClass = str("exit_class");
-    j.leakedWorker = flag("leaked_worker");
     j.transient = flag("transient");
     j.run.engineFallback = flag("engine_fallback");
     j.crashReport = str("crash_report");
@@ -275,16 +272,13 @@ SweepReport::toJson(bool include_stat_tree) const
     root.set("jobs_cancelled",
              static_cast<double>(count(JobStatus::Cancelled)));
 
-    unsigned leaked = 0, resumed = 0;
+    unsigned resumed = 0;
     std::map<std::string, unsigned> exit_classes;
     for (const JobResult &j : jobs) {
-        leaked += j.leakedWorker;
         resumed += j.fromJournal;
         if (!j.exitClass.empty())
             ++exit_classes[j.exitClass];
     }
-    if (leaked)
-        root.set("jobs_leaked", static_cast<double>(leaked));
     if (resumed)
         root.set("jobs_resumed", static_cast<double>(resumed));
     if (!exit_classes.empty()) {

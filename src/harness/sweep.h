@@ -155,15 +155,6 @@ struct JobResult
      */
     std::string exitClass;
 
-    /**
-     * The thread tier abandoned this job's worker thread: it ignored
-     * the cooperative timeout past the grace window, so its result
-     * slot was closed (TimedOut) and the thread was leaked — it can
-     * never write into sweep state again, and its pool slot is not
-     * reused. Only the process tier can reclaim such a job for real.
-     */
-    bool leakedWorker = false;
-
     /** Result was recovered from a job journal by --resume rather
      *  than executed in this run. */
     bool fromJournal = false;

@@ -3,18 +3,18 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <sstream>
 #include <thread>
 
 #include "harness/journal.h"
 #include "harness/process_exec.h"
 #include "sim/logging.h"
 #include "stats/json_writer.h"
+#include "stats/stats.h"
 
 namespace piranha {
 
@@ -155,224 +155,100 @@ SweepRunner::runJobOnce(const SweepPoint &pt, bool &transient) const
     return jr;
 }
 
+std::string
+progressLine(std::size_t done, std::size_t total, const JobResult &jr)
+{
+    std::ostringstream os;
+    os << "[" << done << "/" << total << "] " << jr.label << ": "
+       << jobStatusName(jr.status) << " ("
+       << TextTable::fmt(jr.hostSeconds, 2) << "s host";
+    if (!jr.exitClass.empty() && jr.exitClass != "ok")
+        os << ", " << jr.exitClass;
+    if (jr.attempts > 1)
+        os << ", attempt " << jr.attempts;
+    os << ")";
+    if (!jr.error.empty())
+        os << " - " << jr.error;
+    return os.str();
+}
+
 namespace {
 
 /**
- * Shared state of one thread-tier pool run. Heap-allocated and owned
- * via shared_ptr by the orchestrator AND every worker thread, because
- * abandoned (leaked) workers can outlive the sweep: a leaked thread
- * must still be able to take the mutex, observe that its job slot was
- * closed, and discard its result — never touch freed sweep state.
- */
-struct PoolCtx
-{
-    // Leaked threads read points[i] while the caller's vectors may be
-    // long gone, so the pool owns copies.
-    const SweepOptions opts;
-    const std::vector<SweepPoint> points;
-    const std::vector<std::size_t> todo;
-
-    std::mutex mu;
-    std::condition_variable cv; // signaled on any job-state change
-
-    enum class JobPhase { Queued, Running, Done, Abandoned };
-    struct JobState
-    {
-        JobPhase phase = JobPhase::Queued;
-        HostClock::time_point startedAt;
-        JobResult result; // valid when Done
-    };
-    std::deque<std::size_t> queue;     // indices not yet started
-    std::vector<JobState> state;       // indexed like points
-    std::size_t settled = 0;           // Done + Abandoned + Cancelled
-    std::size_t progressDone = 0;      // includes resumed jobs
-    std::size_t leaked = 0;
-    bool sawCancel = false;
-
-    // Only the orchestrator thread reads results/journal; cleared
-    // before it returns so leaked threads cannot race the caller.
-    JobJournal *journal = nullptr;
-    std::ostream *progress = nullptr;
-    std::size_t totalJobs = 0; // for "[k/n]" lines
-
-    PoolCtx(const SweepOptions &o, const std::vector<SweepPoint> &pts,
-            const std::vector<std::size_t> &td)
-        : opts(o), points(pts), todo(td), state(pts.size())
-    {}
-
-    bool
-    cancelled() const
-    {
-        return opts.cancel &&
-               opts.cancel->load(std::memory_order_relaxed);
-    }
-
-    /** Progress line, caller holds mu. Matches the historic format. */
-    void
-    progressLine(const JobResult &jr)
-    {
-        ++progressDone;
-        if (!progress)
-            return;
-        *progress << "[" << progressDone << "/" << totalJobs << "] "
-                  << jr.label << ": " << jobStatusName(jr.status)
-                  << " (" << TextTable::fmt(jr.hostSeconds, 2)
-                  << "s host";
-        if (jr.leakedWorker)
-            *progress << ", worker leaked";
-        *progress << ")";
-        if (!jr.error.empty())
-            *progress << " - " << jr.error;
-        *progress << std::endl;
-    }
-};
-
-/** Body of one (detached) thread-tier worker. */
-void
-threadWorker(std::shared_ptr<PoolCtx> ctx)
-{
-    SweepRunner runner(ctx->opts);
-    for (;;) {
-        std::size_t i;
-        {
-            std::lock_guard<std::mutex> lock(ctx->mu);
-            if (ctx->queue.empty())
-                return;
-            i = ctx->queue.front();
-            ctx->queue.pop_front();
-            if (ctx->cancelled()) {
-                // Graceful drain: jobs not yet started are skipped
-                // (in-flight ones on other workers finish normally).
-                ctx->sawCancel = true;
-                JobResult jr;
-                jr.label = ctx->points[i].label;
-                jr.status = JobStatus::Cancelled;
-                ctx->state[i].phase = PoolCtx::JobPhase::Done;
-                ctx->state[i].result = std::move(jr);
-                ++ctx->settled;
-                ctx->progressLine(ctx->state[i].result);
-                ctx->cv.notify_all();
-                continue;
-            }
-            ctx->state[i].phase = PoolCtx::JobPhase::Running;
-            ctx->state[i].startedAt = HostClock::now();
-            if (ctx->journal)
-                ctx->journal->recordStart(ctx->points[i].label);
-        }
-
-        JobResult jr = runner.runJob(ctx->points[i]);
-
-        std::lock_guard<std::mutex> lock(ctx->mu);
-        if (ctx->state[i].phase == PoolCtx::JobPhase::Abandoned) {
-            // The monitor gave up on us: the job was already recorded
-            // TimedOut/leaked_worker and this thread's slot is dead.
-            // Drop the late result and exit rather than pull more
-            // jobs — a thread that blew through one timeout is not
-            // trusted with another job.
-            return;
-        }
-        if (ctx->journal)
-            ctx->journal->recordDone(jr, ctx->opts.captureStatTree);
-        ctx->state[i].phase = PoolCtx::JobPhase::Done;
-        ctx->state[i].result = std::move(jr);
-        ++ctx->settled;
-        ctx->progressLine(ctx->state[i].result);
-        ctx->cv.notify_all();
-    }
-}
-
-/**
- * Thread-tier pool with hard job reclamation: workers run detached,
- * and one that is still running killGraceSec past its cooperative
- * timeout is abandoned — its job is closed as TimedOut with
- * leaked_worker set, a replacement worker is spawned, and the leaked
- * thread can never publish into the sweep again. Returns saw-cancel.
+ * Thread tier: the calling thread plus @p nthreads - 1 helpers take
+ * the indices of @p todo in order, each running its job to the end
+ * (a timeout stops a job only through the cooperative abort hook).
+ * Journal and progress writes share one mutex. Returns saw-cancel.
  */
 bool
-runThreadPool(const SweepOptions &opts,
+runThreadPool(const SweepRunner &runner, const SweepOptions &opts,
               const std::vector<SweepPoint> &points,
-              const std::vector<std::size_t> &todo,
-              JobJournal *journal, SweepReport &report,
-              std::size_t progress_base, unsigned nthreads)
+              const std::vector<std::size_t> &todo, JobJournal *journal,
+              SweepReport &report, std::size_t progress_base,
+              unsigned nthreads)
 {
-    auto ctx = std::make_shared<PoolCtx>(opts, points, todo);
-    ctx->journal = journal;
-    ctx->progress = opts.progress;
-    ctx->totalJobs = report.jobs.size();
-    ctx->progressDone = progress_base;
-    for (std::size_t i : todo)
-        ctx->queue.push_back(i);
+    std::atomic<std::size_t> next{0};
+    std::mutex mu; // guards journal, progress and the three below
+    std::size_t done = progress_base;
+    bool saw_cancel = false;
+    std::exception_ptr helper_error; // first exception out of a helper
 
-    // Abandonment deadline of a running job; zero timeout = never.
-    auto abandonAt = [&](HostClock::time_point started) {
-        return started +
-               std::chrono::duration_cast<HostClock::duration>(
-                   std::chrono::duration<double>(
-                       opts.jobTimeoutSec +
-                       std::max(0.05, opts.killGraceSec)));
+    auto worker = [&] {
+        for (;;) {
+            std::size_t k = next.fetch_add(1);
+            if (k >= todo.size())
+                return;
+            std::size_t i = todo[k];
+            JobResult jr;
+            // Graceful drain: jobs not yet started are skipped, the
+            // ones in flight on other threads finish normally.
+            bool cancelled =
+                opts.cancel &&
+                opts.cancel->load(std::memory_order_relaxed);
+            if (cancelled) {
+                jr.label = points[i].label;
+                jr.status = JobStatus::Cancelled;
+            } else {
+                if (journal) {
+                    std::lock_guard<std::mutex> lock(mu);
+                    journal->recordStart(points[i].label);
+                }
+                jr = runner.runJob(points[i]);
+            }
+            std::lock_guard<std::mutex> lock(mu);
+            if (cancelled)
+                saw_cancel = true;
+            else if (journal)
+                journal->recordDone(jr, opts.captureStatTree);
+            if (opts.progress)
+                *opts.progress
+                    << progressLine(++done, report.jobs.size(), jr)
+                    << std::endl;
+            report.jobs[i] = std::move(jr);
+        }
     };
 
-    unsigned live = std::min<unsigned>(
-        nthreads, static_cast<unsigned>(todo.size()));
-    for (unsigned t = 0; t < live; ++t)
-        std::thread(threadWorker, ctx).detach();
-
-    std::unique_lock<std::mutex> lock(ctx->mu);
-    while (ctx->settled < todo.size()) {
-        if (opts.jobTimeoutSec > 0) {
-            // Wake at the earliest possible abandonment.
-            HostClock::time_point next =
-                HostClock::now() + std::chrono::milliseconds(250);
-            for (std::size_t i : todo) {
-                const auto &st = ctx->state[i];
-                if (st.phase == PoolCtx::JobPhase::Running)
-                    next = std::min(next, abandonAt(st.startedAt));
-            }
-            ctx->cv.wait_until(lock, next);
-
-            HostClock::time_point now = HostClock::now();
-            for (std::size_t i : todo) {
-                auto &st = ctx->state[i];
-                if (st.phase != PoolCtx::JobPhase::Running ||
-                    now < abandonAt(st.startedAt))
-                    continue;
-                // Hard abandonment: thread ignored the cooperative
-                // abort hook through the entire grace window.
-                st.phase = PoolCtx::JobPhase::Abandoned;
-                JobResult jr;
-                jr.label = points[i].label;
-                jr.status = JobStatus::TimedOut;
-                jr.error = strFormat(
-                    "worker thread unresponsive %.1fs past the "
-                    "%.1fs timeout; thread leaked",
-                    opts.killGraceSec, opts.jobTimeoutSec);
-                jr.leakedWorker = true;
-                jr.attempts = 1;
-                jr.hostSeconds = secondsSince(st.startedAt);
-                if (journal)
-                    journal->recordDone(jr, opts.captureStatTree);
-                report.jobs[i] = jr;
-                ++ctx->settled;
-                ++ctx->leaked;
-                ctx->progressLine(jr);
-                // The leaked thread's slot is gone for good; keep the
-                // pool at strength so the sweep still finishes.
-                if (!ctx->queue.empty())
-                    std::thread(threadWorker, ctx).detach();
-            }
-        } else {
-            ctx->cv.wait(lock);
+    // A helper's exception is rethrown here once every thread has
+    // joined, as the calling thread's own would be.
+    auto helper = [&] {
+        try {
+            worker();
+        } catch (...) {
+            std::lock_guard<std::mutex> lock(mu);
+            if (!helper_error)
+                helper_error = std::current_exception();
         }
+    };
+    {
+        std::size_t nworkers =
+            std::min<std::size_t>(nthreads, todo.size());
+        std::vector<std::jthread> helpers; // joined on every exit path
+        for (std::size_t t = 1; t < nworkers; ++t)
+            helpers.emplace_back(helper);
+        worker();
     }
-
-    // Copy results out and detach the journal/progress pointers so a
-    // still-running leaked thread can never touch caller-owned state.
-    for (std::size_t i : todo)
-        if (ctx->state[i].phase == PoolCtx::JobPhase::Done)
-            report.jobs[i] = std::move(ctx->state[i].result);
-    bool saw_cancel = ctx->sawCancel;
-    ctx->journal = nullptr;
-    ctx->progress = nullptr;
+    if (helper_error)
+        std::rethrow_exception(helper_error);
     return saw_cancel;
 }
 
@@ -443,40 +319,10 @@ SweepRunner::run(const std::string &name,
     } else if (_opts.exec == ExecTier::Process) {
         saw_cancel = runProcessTier(_opts, points, todo,
                                     journal.get(), report, resumed);
-    } else if (nthreads <= 1 && _opts.jobTimeoutSec <= 0) {
-        // Serial inline path: no pool, no monitor, byte-identical to
-        // the historic single-threaded behaviour.
-        std::size_t done = resumed;
-        for (std::size_t i : todo) {
-            JobResult jr;
-            if (_opts.cancel &&
-                _opts.cancel->load(std::memory_order_relaxed)) {
-                saw_cancel = true;
-                jr.label = points[i].label;
-                jr.status = JobStatus::Cancelled;
-            } else {
-                if (journal)
-                    journal->recordStart(points[i].label);
-                jr = runJob(points[i]);
-                if (journal)
-                    journal->recordDone(jr, _opts.captureStatTree);
-            }
-            ++done;
-            if (_opts.progress) {
-                *_opts.progress
-                    << "[" << done << "/" << points.size() << "] "
-                    << jr.label << ": " << jobStatusName(jr.status)
-                    << " (" << TextTable::fmt(jr.hostSeconds, 2)
-                    << "s host)";
-                if (!jr.error.empty())
-                    *_opts.progress << " - " << jr.error;
-                *_opts.progress << std::endl;
-            }
-            report.jobs[i] = std::move(jr);
-        }
     } else {
-        saw_cancel = runThreadPool(_opts, points, todo, journal.get(),
-                                   report, resumed, nthreads);
+        saw_cancel = runThreadPool(*this, _opts, points, todo,
+                                   journal.get(), report, resumed,
+                                   nthreads);
     }
 
     report.interrupted = saw_cancel;

@@ -13,7 +13,8 @@
  * recorded as Failed (with the exception text) without taking down
  * the process or the other jobs, and a job exceeding the host
  * wall-clock timeout is stopped cooperatively (via the
- * PiranhaSystem::run abort hook) and recorded as TimedOut.
+ * PiranhaSystem::run abort hook) and recorded as TimedOut. A job that
+ * must be killed from outside runs on the process tier.
  */
 
 #ifndef PIRANHA_HARNESS_SWEEP_RUNNER_H
@@ -30,10 +31,10 @@ namespace piranha {
 /**
  * Which tier executes the jobs.
  *
- * Thread: the original host-thread pool. Cheap, but isolation is
- * cooperative — a worker that segfaults takes the sweep down, and a
- * worker that ignores the abort hook can only be abandoned (leaked),
- * never reclaimed.
+ * Thread: a joinable pool of host threads in this process. Cheap, but
+ * isolation is cooperative — a job that segfaults takes the sweep
+ * down, and a timeout stops a job only at the PiranhaSystem::run
+ * abort hook, so a job that never reaches it keeps its thread.
  *
  * Process: one forked worker process per job (DESIGN.md §14). A
  * crashing/hanging/OOM-killed worker costs exactly its own job: the
@@ -140,7 +141,7 @@ struct SweepOptions
      * result is fsynced when it finishes, so a killed sweep can be
      * resumed (DESIGN.md §14).
      */
-    std::string journalDir;
+    std::string journalDir{};
 
     /**
      * Resume from journalDir: jobs with a valid completion record are
@@ -152,17 +153,14 @@ struct SweepOptions
     bool resume = false;
 
     /**
-     * Grace period for reclaiming unresponsive workers. Process tier:
-     * a worker still alive killGraceSec after its cooperative timeout
-     * gets SIGTERM, and SIGKILL killGraceSec later. Thread tier: a
-     * worker thread still running killGraceSec past its timeout is
-     * abandoned — its job is recorded TimedOut with leaked_worker set
-     * and its pool slot is never reused (threads cannot be killed).
+     * Process tier only: a worker still alive killGraceSec after its
+     * cooperative timeout gets SIGTERM, and SIGKILL killGraceSec
+     * later.
      */
     double killGraceSec = 1.0;
 
     /** Supervisor fault injection (tests / CI crashsafe stage). */
-    ProcessChaos chaos;
+    ProcessChaos chaos{};
 };
 
 /**
@@ -172,7 +170,15 @@ struct SweepOptions
  */
 double retryBackoff(double base_sec, unsigned attempt);
 
-/** Executes sweep jobs on a host-thread pool. */
+/**
+ * The live "[k/n] label: status (…)" line for a finished job, without
+ * the newline; both tiers print it. The exit class is shown when it is
+ * not "ok", the attempt count when it is above one.
+ */
+std::string progressLine(std::size_t done, std::size_t total,
+                         const JobResult &jr);
+
+/** Executes sweep jobs on host threads or forked worker processes. */
 class SweepRunner
 {
   public:

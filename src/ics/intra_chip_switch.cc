@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <ostream>
 
-#include "sim/profiler.h"
-
-#if PIRANHA_FAULT_INJECT
 #include "fault/injector.h"
-#endif
+#include "sim/profiler.h"
 
 namespace piranha {
 
@@ -62,13 +59,11 @@ IntraChipSwitch::send(IcsMsg msg)
     if (!p.client)
         panic("ICS port %d has no client", msg.dstPort);
 
-#if PIRANHA_FAULT_INJECT
     // Armed transport faults consume the next message through this
     // switch: drop (suppressed entirely), delay (the injector re-sends
     // a copy later), or duplicate (a copy follows the original).
     if (_faults && !_faults->icsSendHook(_faultNode, *this, msg))
         return;
-#endif
 
     ++statTransfers;
     if (msg.hasData)

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 
-#include "sim/profiler.h"
-
-#if PIRANHA_FAULT_INJECT
 #include "fault/injector.h"
-#endif
+#include "sim/profiler.h"
 
 namespace piranha {
 
@@ -43,12 +40,10 @@ MemCtrl::writeLine(Addr addr, const LineData *data,
 {
     ++statWrites;
     // Posted: apply functionally now; charge channel time via queue.
-#if PIRANHA_FAULT_INJECT
     // A full-line data write overwrites any injected corruption (the
     // rewrite regenerates the stored check bits): fault masked.
     if (_faults && data)
         _faults->memWriteHook(_faultNode, lineAlign(addr));
-#endif
     BackingStore::Line &l = _store.line(addr);
     if (data)
         l.data = *data;
@@ -92,7 +87,6 @@ MemCtrl::pump()
     _pumpPending = false;
     if (_queue.empty())
         return;
-#if PIRANHA_FAULT_INJECT
     // Only an injected stall can move _freeAt past a scheduled pump
     // (normal pumps fire at or after _freeAt by construction).
     if (curTick() < _freeAt) {
@@ -100,7 +94,6 @@ MemCtrl::pump()
         schedule(_pumpEvent, _freeAt);
         return;
     }
-#endif
     Op op = std::move(_queue.front());
     _queue.pop_front();
 
@@ -115,7 +108,6 @@ MemCtrl::pump()
         ReadDoneEvent *ev = _readDoneEvents.acquire(this);
         ev->done = std::move(op.done);
         ev->snapshot = _store.read(op.addr);
-#if PIRANHA_FAULT_INJECT
         // ECC check point: the array read is where stored check bits
         // are decoded. Correctable errors are fixed in the snapshot
         // and scrubbed back to the array; uncorrectable ones raise a
@@ -123,7 +115,6 @@ MemCtrl::pump()
         // the run is torn down by the machine-check poll).
         if (_faults)
             _faults->memReadHook(_faultNode, op.addr, ev->snapshot);
-#endif
         schedule(*ev, done_at);
     }
     _freeAt = now + occupancy;

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <deque>
 
-#if PIRANHA_FAULT_INJECT
 #include "fault/injector.h"
-#endif
 
 namespace piranha {
 
@@ -130,14 +128,12 @@ Network::finalizeRoutes()
 void
 Network::inject(NetPacket pkt)
 {
-#if PIRANHA_FAULT_INJECT
     // Armed inter-chip faults consume the next injection: drop (the
     // injector re-injects after its retry timeout, modeling the
     // protocol's timeout-and-retry), duplicate (tagged copy follows;
     // the receive filter below discards the second arrival), or delay.
     if (_faults && !_faults->netInjectHook(*this, pkt))
         return;
-#endif
     NodeId src = pkt.src;
     EventQueue &q = eqFor(src);
     if (_fabric) {
@@ -167,13 +163,11 @@ Network::hop(NetPacket pkt, NodeId at, Tick injected)
     EventQueue &q = eqFor(at);
     Tick now = q.curTick();
     if (pkt.dst == at) {
-#if PIRANHA_FAULT_INJECT
         // Receiver-side duplicate filter: hardware interfaces drop a
         // packet whose sequence number was already accepted.
         if (_faults && pkt.faultSeq &&
             !_faults->netDeliverFilter(pkt))
             return;
-#endif
         // Input queue: interpret the type field through the
         // disposition vector and hand to the target module.
         double lat = static_cast<double>(now - injected) /

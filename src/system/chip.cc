@@ -26,11 +26,9 @@ PiranhaChip::PiranhaChip(EventQueue &eq, std::string name, NodeId node,
     _p.l1d.node = _p.l1i.node = int(_node);
     _p.l1d.tracer = _p.l1i.tracer = _p.l2.tracer = _p.tracer;
     _p.l1d.faults = _p.l1i.faults = _p.l2.faults = _p.faults;
-#if PIRANHA_FAULT_INJECT
     _p.l1d.injector = _p.l1i.injector = _p.l2.injector = _p.injector;
     if (_p.injector)
         _ics->setFaultInjector(_p.injector, _node);
-#endif
 
     _l1s.resize(2 * _p.cpus);
     for (unsigned cpu = 0; cpu < _p.cpus; ++cpu) {
@@ -50,10 +48,8 @@ PiranhaChip::PiranhaChip(EventQueue &eq, std::string name, NodeId node,
         _mcs.push_back(std::make_unique<MemCtrl>(
             eq, strFormat("%s.mc%u", this->name().c_str(), b), _store,
             _p.rdram));
-#if PIRANHA_FAULT_INJECT
         if (_p.injector)
             _mcs.back()->setFaultInjector(_p.injector, _node);
-#endif
         _banks.push_back(std::make_unique<L2Bank>(
             eq, strFormat("%s.l2b%u", this->name().c_str(), b), _p.l2,
             _clock, *_ics, l2Port(b), _node, _amap, *_mcs.back()));

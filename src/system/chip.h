@@ -55,7 +55,7 @@ struct ChipParams
      * Optional fault injector (src/fault/), owned by the system.
      * Propagated into every L1, L2 bank, memory controller and the
      * ICS. Null = no injection (the hooks cost one predictable
-     * branch); ignored entirely when PIRANHA_FAULTS=OFF.
+     * branch).
      */
     FaultInjector *injector = nullptr;
 

@@ -79,7 +79,7 @@ struct SystemConfig
     /**
      * Fault-injection plan (src/fault/). Disabled by default; a
      * config whose plan never fires builds a system bit-identical to
-     * one without the fault subsystem compiled in at all.
+     * one without an injector.
      */
     FaultPlanConfig faults{};
 

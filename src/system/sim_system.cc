@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <sstream>
 
+#include "fault/injector.h"
 #include "sim/parallel_engine.h"
 #include "sim/profiler.h"
-
-#if PIRANHA_FAULT_INJECT
-#include "fault/injector.h"
-#endif
 
 namespace piranha {
 
@@ -29,7 +26,6 @@ PiranhaSystem::PiranhaSystem(const SystemConfig &cfg) : _cfg(cfg)
              "(SystemConfig::chipTracers); falling back to serial");
         _parallel = false;
     }
-#if PIRANHA_FAULT_INJECT
     // The injector must exist before the chips: every L1/L2/MC/ICS
     // captures the pointer at construction.
     if (_cfg.faults.any()) {
@@ -38,10 +34,6 @@ PiranhaSystem::PiranhaSystem(const SystemConfig &cfg) : _cfg(cfg)
                                                     _cfg.nodes);
         _cfg.chip.injector = _injector.get();
     }
-#else
-    if (_cfg.faults.any())
-        warn("fault plan ignored: built with PIRANHA_FAULTS=OFF");
-#endif
     if (_parallel) {
         _shards = _cfg.shards ? std::min(_cfg.shards, cfg.nodes)
                               : cfg.nodes;
@@ -102,7 +94,6 @@ PiranhaSystem::PiranhaSystem(const SystemConfig &cfg) : _cfg(cfg)
             _cores.back()->regStats(_stats);
         }
     }
-#if PIRANHA_FAULT_INJECT
     if (_injector) {
         for (unsigned n = 0; n < cfg.nodes; ++n) {
             PiranhaChip &c = *_chips[n];
@@ -123,7 +114,6 @@ PiranhaSystem::PiranhaSystem(const SystemConfig &cfg) : _cfg(cfg)
             _injector->attachNetwork(_net.get());
         _injector->arm();
     }
-#endif
 }
 
 PiranhaSystem::~PiranhaSystem() = default;
@@ -168,7 +158,6 @@ PiranhaSystem::diagnosticDump(const std::string &why) const
         _chips[n]->homeEngine().debugDump(os);
         _chips[n]->remoteEngine().debugDump(os);
     }
-#if PIRANHA_FAULT_INJECT
     if (_injector) {
         os << "faults: fired=" << _injector->counters.fired;
         for (const FiredFault &f : _injector->fired())
@@ -176,7 +165,6 @@ PiranhaSystem::diagnosticDump(const std::string &why) const
                << "ps node" << f.node << " " << f.site;
         os << "\n";
     }
-#endif
     return os.str();
 }
 
@@ -314,14 +302,12 @@ PiranhaSystem::run(Workload &wl, std::uint64_t work_per_cpu,
                 aborted = true;
                 break;
             }
-#if PIRANHA_FAULT_INJECT
             // A machine check is a clean detected-error teardown: stop
             // at the next event boundary with the cause recorded.
             if (_injector && _injector->machineCheck()) {
                 aborted = true;
                 break;
             }
-#endif
             ++iter;
             // Poll the host-side abort hook sparsely; a syscall-backed
             // check (clock read) every event would dominate runtime.
@@ -381,14 +367,12 @@ PiranhaSystem::run(Workload &wl, std::uint64_t work_per_cpu,
     r.watchdogTripped = wd_tripped;
     r.watchdogReason = std::move(wd_reason);
     r.watchdogDump = std::move(wd_dump);
-#if PIRANHA_FAULT_INJECT
     if (_injector) {
         r.faults = _injector->counters;
         r.firedFaults = _injector->fired();
         r.machineCheck = _injector->machineCheck();
         r.machineCheckReason = _injector->machineCheckReason();
     }
-#endif
     r.eventsExecuted = totalEventsExecuted() - events_before;
     r.shardsUsed = shards_used;
     r.parallelEpochs = parallel_epochs;

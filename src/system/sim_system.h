@@ -159,11 +159,9 @@ class PiranhaSystem
     EventQueue &eventQueue() { return _eq; }
     StatGroup &stats() { return _stats; }
 
-#if PIRANHA_FAULT_INJECT
     /** The run's fault injector; null unless the config carries an
      *  enabled plan (tests inspect counters mid-run through this). */
     FaultInjector *injector() { return _injector.get(); }
-#endif
 
     /** Diagnostic state dump (watchdog / max_time; DESIGN.md §9). */
     std::string diagnosticDump(const std::string &why) const;
@@ -193,9 +191,7 @@ class PiranhaSystem
     std::vector<std::unique_ptr<PiranhaChip>> _chips;
     std::vector<std::unique_ptr<Core>> _cores;
     std::vector<std::unique_ptr<InstrStream>> _streams;
-#if PIRANHA_FAULT_INJECT
     std::unique_ptr<FaultInjector> _injector;
-#endif
     StatGroup _stats{"system"};
 };
 

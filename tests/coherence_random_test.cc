@@ -214,7 +214,6 @@ TEST_P(CoherenceRandomTest, NoDataCorruptionUnderRandomTraffic)
         }
     }
 
-#if PIRANHA_COHERENCE_TRACE
     // Second, independent oracle: replay the captured coherence trace
     // through the offline axiomatic checker. Canonical assembly:
     // pre-settle events of every chip merged in (tick, node, record
@@ -243,7 +242,6 @@ TEST_P(CoherenceRandomTest, NoDataCorruptionUnderRandomTraffic)
     trace.insert(trace.end(), tail.begin(), tail.end());
     CheckReport report = checkCoherence(trace);
     EXPECT_TRUE(report.ok()) << report.summary(trace);
-#endif
 }
 
 /**

@@ -6,15 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include "fault/injector.h"
 #include "mem/backing_store.h"
 #include "mem/ecc.h"
 #include "mem/mem_ctrl.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
-
-#if PIRANHA_FAULT_INJECT
-#include "fault/injector.h"
-#endif
 
 namespace piranha {
 namespace {
@@ -151,8 +148,6 @@ TEST(Secded256, CheckBitOnlyCorruptionNeverAltersData)
     }
 }
 
-#if PIRANHA_FAULT_INJECT
-
 /**
  * Flip-then-scrub round trip through the memory controller: a planned
  * single-bit fault lands in a stored line, the next read corrects it
@@ -217,8 +212,6 @@ TEST(FaultScrub, FlipThenScrubRoundTripThroughMemCtrl)
     EXPECT_EQ(inj.counters.eccCorrectedData, 1u);
     EXPECT_EQ(inj.counters.scrubWrites, 1u);
 }
-
-#endif // PIRANHA_FAULT_INJECT
 
 } // namespace
 } // namespace piranha

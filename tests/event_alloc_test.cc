@@ -2,8 +2,8 @@
  * @file
  * Steady-state allocation accounting for the event kernel. This test
  * binary overrides the global operator new/delete with counting
- * versions (safe because every tests/*_test.cc links into its own
- * executable) and checks that, once warm, scheduling and executing
+ * versions (safe because every tests/<name>_test.cc links into its
+ * own executable) and checks that, once warm, scheduling and executing
  * member events, pooled events and small-capture closures performs
  * zero heap allocations.
  */
@@ -38,9 +38,17 @@ operator new(std::size_t n, const std::nothrow_t &) noexcept
     return std::malloc(n ? n : 1);
 }
 
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete(void *p, const std::nothrow_t &) noexcept
+// Not inlined: inlined into a new-expression's cleanup path, the
+// free() below would read to GCC as freeing operator new's memory
+// (-Wmismatched-new-delete), though the operator new above is malloc.
+[[gnu::noinline]] void operator delete(void *p) noexcept { std::free(p); }
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+[[gnu::noinline]] void
+operator delete(void *p, const std::nothrow_t &) noexcept
 {
     std::free(p);
 }

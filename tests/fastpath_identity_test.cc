@@ -53,13 +53,6 @@ runMode(bool fast, SystemConfig cfg, MakeWl make_wl,
     return m;
 }
 
-/** Skip tests that need the fast path compiled in. */
-#define REQUIRE_FASTPATH_COMPILED()                                    \
-    do {                                                               \
-        if (!PIRANHA_L1_FASTPATH)                                      \
-            GTEST_SKIP() << "built with PIRANHA_FASTPATH=OFF";         \
-    } while (0)
-
 template <typename MakeWl>
 void
 expectIdentical(SystemConfig cfg, MakeWl make_wl,
@@ -92,18 +85,15 @@ expectIdentical(SystemConfig cfg, MakeWl make_wl,
               fast.run.l1FastHits)
         << what;
 
-#if PIRANHA_COHERENCE_TRACE
     // Same coherence trace, event for event (ticks, values, states).
     ASSERT_EQ(slow.trace.size(), fast.trace.size()) << what;
     for (std::size_t i = 0; i < slow.trace.size(); ++i)
         EXPECT_TRUE(slow.trace[i] == fast.trace[i])
             << what << ": trace diverges at event " << i;
-#endif
 }
 
 TEST(FastPathIdentity, OltpP8AcrossSeeds)
 {
-    REQUIRE_FASTPATH_COMPILED();
     for (std::uint64_t seed : {1ull, 2ull, 7ull}) {
         expectIdentical(
             configP8(),
@@ -118,7 +108,6 @@ TEST(FastPathIdentity, OltpP8AcrossSeeds)
 
 TEST(FastPathIdentity, DssP8)
 {
-    REQUIRE_FASTPATH_COMPILED();
     expectIdentical(
         configP8(),
         [] { return std::make_unique<DssWorkload>(DssParams{}, 3); },
@@ -127,7 +116,6 @@ TEST(FastPathIdentity, DssP8)
 
 TEST(FastPathIdentity, OltpMultiNode)
 {
-    REQUIRE_FASTPATH_COMPILED();
     expectIdentical(
         configPn(4, 2),
         [] {
@@ -138,7 +126,6 @@ TEST(FastPathIdentity, OltpMultiNode)
 
 TEST(FastPathIdentity, OltpSingleCpuInOrder)
 {
-    REQUIRE_FASTPATH_COMPILED();
     expectIdentical(
         configP1(),
         [] {
@@ -149,7 +136,6 @@ TEST(FastPathIdentity, OltpSingleCpuInOrder)
 
 TEST(FastPathIdentity, OltpOooBaseline)
 {
-    REQUIRE_FASTPATH_COMPILED();
     // The OOO baseline exercises nonzero overlap credit and a wider
     // issue width on the same datapath.
     expectIdentical(
@@ -176,7 +162,6 @@ TEST(FastPathIdentity, CoreParamKnobDisablesFastPath)
 
 TEST(FastPathIdentity, InlineHitsEngageSomewhere)
 {
-    REQUIRE_FASTPATH_COMPILED();
     // On a single-CPU system long hit streaks leave the event queue
     // quiet, so the zero-event tier must actually engage.
     FastPathGuard guard(true);

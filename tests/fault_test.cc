@@ -76,7 +76,6 @@ TEST(FaultIdentity, DormantPlanIsStatTreeIdentical)
     EXPECT_EQ(plain.first, dormant.first);
     EXPECT_EQ(plain.second, dormant.second);
 
-#if PIRANHA_FAULT_INJECT
     // Armed plan whose window opens long after the run ends: the
     // injector and every hook are live, but nothing fires — the hooks
     // themselves must be non-perturbing.
@@ -88,7 +87,6 @@ TEST(FaultIdentity, DormantPlanIsStatTreeIdentical)
     auto never = run_one(armed);
     EXPECT_EQ(plain.first, never.first);
     EXPECT_EQ(plain.second, never.second);
-#endif
 }
 
 TEST(FaultIdentity, ZeroFaultCampaignMatchesPlainRun)
@@ -128,23 +126,6 @@ TEST(Watchdog, MaxTimeAbortProducesDiagnosticDump)
     EXPECT_NE(r.watchdogDump.find("max_time"), std::string::npos);
     EXPECT_NE(r.watchdogDump.find("cores:"), std::string::npos);
 }
-
-#if !PIRANHA_FAULT_INJECT
-
-TEST(FaultPlan, IgnoredCleanlyWhenCompiledOut)
-{
-    SystemConfig cfg = configPn(2);
-    cfg.faults.enabled = true;
-    cfg.faults.count = 4;
-    PiranhaSystem sys(cfg);
-    OltpWorkload wl;
-    RunResult r = sys.run(wl, 24);
-    EXPECT_FALSE(r.aborted);
-    EXPECT_EQ(r.faults.fired, 0u);
-    EXPECT_TRUE(r.firedFaults.empty());
-}
-
-#else // PIRANHA_FAULT_INJECT
 
 // ---------------------------------------------------------------------
 // One pinned seed per outcome category. Classification precedence and
@@ -304,8 +285,6 @@ TEST(Campaign, JsonReportIsCompleteAndWritable)
     EXPECT_NE(buf.str().find("\"runs\""), std::string::npos);
     std::remove(path.c_str());
 }
-
-#endif // PIRANHA_FAULT_INJECT
 
 // ---------------------------------------------------------------------
 // Sweep-harness machinery the campaigns ride on (compiled both ways).

@@ -44,8 +44,9 @@ TEST(Isa, EncodeDecodeRoundTripAllFormats)
         ASSERT_TRUE(back.has_value());
         EXPECT_EQ(back->op, i.op);
         EXPECT_EQ(back->ra, i.ra);
-        if (alphaIsMemory(i.op) || alphaIsBranch(i.op))
+        if (alphaIsMemory(i.op) || alphaIsBranch(i.op)) {
             EXPECT_EQ(back->disp, i.disp);
+        }
         if (alphaIsOperate(i.op)) {
             EXPECT_EQ(back->useLit, i.useLit);
             EXPECT_EQ(back->func, i.func);
@@ -174,7 +175,6 @@ loop:   ldq r4, 0(r1)
 TEST(IsaSystem, StoresVisibleAcrossCores)
 {
     TestSystem sys(1, 2);
-    Addr flag = 0x3000000;
     AlphaProgram writer = assembleAlpha(R"(
         ldiq r1, 0x3000000
         ldiq r2, 0x77

@@ -123,7 +123,6 @@ TEST(JobResultJson, FailureMetadataRoundTrips)
     a.attempts = 3;
     a.exitClass = "signal";
     a.transient = true;
-    a.leakedWorker = true;
     a.crashReport = "worker crash: signal 11\nstate dump...";
     a.payload = JsonValue::object();
     a.payload.set("seed", 7.0);
@@ -134,7 +133,6 @@ TEST(JobResultJson, FailureMetadataRoundTrips)
     EXPECT_EQ(b.attempts, 3u);
     EXPECT_EQ(b.exitClass, "signal");
     EXPECT_TRUE(b.transient);
-    EXPECT_TRUE(b.leakedWorker);
     EXPECT_EQ(b.crashReport, a.crashReport);
     EXPECT_EQ(b.payload.dump(), a.payload.dump());
 }

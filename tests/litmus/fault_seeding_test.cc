@@ -288,9 +288,6 @@ class FaultSeedingTest
 
 TEST_P(FaultSeedingTest, CheckerFlagsSeededFault)
 {
-#if !PIRANHA_COHERENCE_TRACE
-    GTEST_SKIP() << "built with -DPIRANHA_TRACE=OFF";
-#else
     ProtocolFault f = GetParam();
     ProbeOutcome out = runProbe(f);
     EXPECT_GE(out.fires, 1u)
@@ -299,7 +296,6 @@ TEST_P(FaultSeedingTest, CheckerFlagsSeededFault)
         << protocolFaultName(f)
         << ": checker accepted a corrupted run ("
         << out.trace.size() << " events)";
-#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(

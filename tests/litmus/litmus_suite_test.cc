@@ -43,13 +43,11 @@ TEST_P(LitmusSuiteTest, CleanRunHasNoViolations)
         << ")";
     EXPECT_TRUE(res.report.ok()) << prog.name << ":\n"
                                  << res.report.summary(res.trace);
-#if PIRANHA_COHERENCE_TRACE
     // The run must actually have produced protocol events (not just
     // the harness's Init/Marker records).
     EXPECT_TRUE(res.report.sawSettleMarker);
     EXPECT_GT(res.trace.size(),
               std::size_t(prog.locs.size()) * (lineBytes / 8) + 1);
-#endif
 }
 
 std::vector<SuiteParam>

@@ -19,9 +19,6 @@ namespace {
 
 TEST(TraceRoundtrip, JsonFileRoundtripPreservesEventsAndVerdict)
 {
-#if !PIRANHA_COHERENCE_TRACE
-    GTEST_SKIP() << "built with -DPIRANHA_TRACE=OFF";
-#else
     // Produce a real multi-node trace with stores, fills, forwards
     // and invalidations in it.
     CoherenceTracer tracer(std::size_t(1) << 16);
@@ -70,7 +67,6 @@ TEST(TraceRoundtrip, JsonFileRoundtripPreservesEventsAndVerdict)
     EXPECT_EQ(orig.ok(), replay.ok());
     EXPECT_EQ(orig.violations.size(), replay.violations.size());
     EXPECT_TRUE(replay.ok()) << replay.summary(after);
-#endif
 }
 
 TEST(TraceRoundtrip, RingOverwriteReportsDroppedAndChecksTruncated)

@@ -77,12 +77,10 @@ expectSameSimulation(const ModeResult &a, const ModeResult &b,
         << what;
     EXPECT_EQ(a.statDump, b.statDump) << what;
     EXPECT_EQ(a.run.eventsEquivalent, b.run.eventsEquivalent) << what;
-#if PIRANHA_COHERENCE_TRACE
     ASSERT_EQ(a.trace.size(), b.trace.size()) << what;
     for (std::size_t i = 0; i < a.trace.size(); ++i)
         EXPECT_TRUE(a.trace[i] == b.trace[i])
             << what << ": trace diverges at event " << i;
-#endif
 }
 
 template <typename MakeWl>

@@ -68,11 +68,9 @@ TEST(StoreBuffer, SameSlotStoresDrainAcrossMigration)
     EXPECT_EQ(sys.load(0, 0, a), 0x62u);
     EXPECT_EQ(sys.load(1, 0, a + 8), 6u);
 
-#if PIRANHA_COHERENCE_TRACE
     ASSERT_EQ(tracer.dropped(), 0u);
     CheckReport rep = checkCoherence(tracer.events());
     EXPECT_TRUE(rep.ok()) << rep.summary(tracer.events());
-#endif
 }
 
 TEST(StoreBuffer, LoadDuringInFlightWriteback)

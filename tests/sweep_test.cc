@@ -8,11 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "core/piranha.h"
 #include "stats/json.h"
@@ -155,56 +154,84 @@ TEST(SweepRunner, HostTimeoutStopsRunawayJob)
 }
 
 /**
- * A worker that ignores the cooperative timeout entirely (custom jobs
- * never see the abort hook) used to wedge its pool slot for as long
- * as it pleased. Now the monitor abandons it after the grace window:
- * the job is closed as TimedOut with leaked_worker set, the sweep
- * finishes without waiting for the stuck thread, and the leaked
- * thread can never write into sweep state again.
+ * The thread tier's only timeout is the cooperative abort hook: a
+ * runaway simulation between two small ones ends TimedOut on its own
+ * thread, the small jobs are untouched (same stat trees as a run with
+ * no timeout), and the report carries the thread tier's keys only.
  */
-TEST(SweepRunner, UnresponsiveWorkerIsAbandonedAndFlagged)
+TEST(SweepRunner, RunawayJobTimesOutWithoutDisturbingItsNeighbours)
 {
-    std::vector<SweepPoint> pts;
-    SweepPoint stuck;
-    stuck.label = "stuck";
-    stuck.custom = []() -> CustomResult {
-        std::this_thread::sleep_for(std::chrono::seconds(2));
-        return {};
+    // Tiny caches and one transaction keep each small job near a
+    // millisecond (about 15 ms under ThreadSanitizer), far inside the
+    // 50 ms budget.
+    auto tiny = [](std::string label, unsigned cpus) {
+        SweepPoint pt = smallPoint(std::move(label), cpus, 1);
+        pt.config.chip.l1d.sizeBytes = 4096;
+        pt.config.chip.l1i.sizeBytes = 4096;
+        pt.config.chip.l2.bankBytes = 8192;
+        return pt;
     };
-    pts.push_back(stuck);
-    for (int i = 0; i < 2; ++i) {
-        SweepPoint ok;
-        ok.label = "ok" + std::to_string(i);
-        ok.custom = []() -> CustomResult {
-            CustomResult cr;
-            cr.stats["ran"] = 1;
-            return cr;
-        };
-        pts.push_back(ok);
+    std::vector<SweepPoint> pts = {tiny("small0", 1),
+                                   smallPoint("runaway", 8, 100000),
+                                   tiny("small1", 2)};
+    SweepOptions plain;
+    plain.threads = 1;
+    SweepReport ref = SweepRunner(plain).run(
+        "ref", {pts[0], pts[2]});
+    ASSERT_EQ(ref.count(JobStatus::Ok), 2u);
+
+    for (unsigned threads : {1u, 3u}) {
+        SCOPED_TRACE(threads);
+        SweepOptions opts;
+        opts.threads = threads;
+        opts.jobTimeoutSec = 0.05;
+        SweepReport rep = SweepRunner(opts).run("runaway", pts);
+        ASSERT_EQ(rep.jobs.size(), 3u);
+        EXPECT_EQ(rep.threads, threads);
+        EXPECT_EQ(rep.jobs[1].status, JobStatus::TimedOut);
+        EXPECT_FALSE(rep.jobs[1].error.empty());
+        for (std::size_t i : {0u, 2u}) {
+            ASSERT_EQ(rep.jobs[i].status, JobStatus::Ok)
+                << rep.jobs[i].label << ": " << rep.jobs[i].error;
+            EXPECT_EQ(rep.jobs[i].statTree.dump(0),
+                      ref.jobs[i / 2].statTree.dump(0));
+        }
+
+        JsonValue root = rep.toJson(false);
+        EXPECT_EQ(root.keys(),
+                  (std::vector<std::string>{
+                      "sweep", "threads", "exec", "host_seconds",
+                      "interrupted", "jobs_total", "jobs_failed",
+                      "jobs_cancelled", "jobs"}));
+        const std::set<std::string> job_keys = {
+            "label", "status", "config", "workload", "host_seconds",
+            "events_per_host_sec", "error", "stats", "fastpath",
+            "host_profile"};
+        for (std::size_t i = 0; i < root.at("jobs").size(); ++i)
+            for (const std::string &k : root.at("jobs").at(i).keys())
+                EXPECT_TRUE(job_keys.count(k)) << "job " << i << ": "
+                                               << k;
     }
+}
 
-    SweepOptions opts;
-    opts.threads = 2;
-    opts.jobTimeoutSec = 0.05;
-    opts.killGraceSec = 0.1;
-    auto t0 = std::chrono::steady_clock::now();
-    SweepReport rep = SweepRunner(opts).run("leak", pts);
-    double elapsed = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
+TEST(SweepRunner, ProgressLineFormat)
+{
+    JobResult ok;
+    ok.label = "P8/OLTP";
+    ok.hostSeconds = 1.234;
+    EXPECT_EQ(progressLine(3, 16, ok), "[3/16] P8/OLTP: ok (1.23s host)");
 
-    // Returned long before the stuck thread's 2 s sleep finished.
-    EXPECT_LT(elapsed, 1.5);
-    EXPECT_EQ(rep.jobs[0].status, JobStatus::TimedOut);
-    EXPECT_TRUE(rep.jobs[0].leakedWorker);
-    EXPECT_EQ(rep.jobs[1].status, JobStatus::Ok);
-    EXPECT_EQ(rep.jobs[2].status, JobStatus::Ok);
-
-    // The leak is report-visible, not just a stderr line.
-    JsonValue root = rep.toJson(false);
-    EXPECT_EQ(root.at("jobs_leaked").asNumber(), 1.0);
-    EXPECT_TRUE(
-        root.at("jobs").at(0).at("leaked_worker").asBool());
+    // A process-tier job whose worker died on both attempts.
+    JobResult crashed;
+    crashed.label = "P1/DSS";
+    crashed.status = JobStatus::Failed;
+    crashed.exitClass = "signal";
+    crashed.attempts = 2;
+    crashed.hostSeconds = 0.5;
+    crashed.error = "worker killed by signal 11 (Segmentation fault)";
+    EXPECT_EQ(progressLine(16, 16, crashed),
+              "[16/16] P1/DSS: failed (0.50s host, signal, attempt 2) - "
+              "worker killed by signal 11 (Segmentation fault)");
 }
 
 /**

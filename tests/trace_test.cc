@@ -407,12 +407,10 @@ expectSnapshotsIdentical(const Snapshot &a, const Snapshot &b,
         << what;
     EXPECT_EQ(a.run.eventsExecuted, b.run.eventsExecuted) << what;
     EXPECT_EQ(a.statDump, b.statDump) << what;
-#if PIRANHA_COHERENCE_TRACE
     ASSERT_EQ(a.trace.size(), b.trace.size()) << what;
     for (std::size_t i = 0; i < a.trace.size(); ++i)
         EXPECT_TRUE(a.trace[i] == b.trace[i])
             << what << ": coherence trace diverges at event " << i;
-#endif
 }
 
 template <typename MakeWl>
@@ -562,12 +560,10 @@ expectCanonicalIdentical(const Snapshot &a, const Snapshot &b,
         << what;
     EXPECT_EQ(a.run.eventsEquivalent, b.run.eventsEquivalent) << what;
     EXPECT_EQ(a.statDump, b.statDump) << what;
-#if PIRANHA_COHERENCE_TRACE
     ASSERT_EQ(a.trace.size(), b.trace.size()) << what;
     for (std::size_t i = 0; i < a.trace.size(); ++i)
         EXPECT_TRUE(a.trace[i] == b.trace[i])
             << what << ": coherence trace diverges at event " << i;
-#endif
 }
 
 TEST(TraceEngineInterop, RecordSerialReplayParallel)

@@ -110,9 +110,10 @@ TEST(OltpStream, PrivatePagesHomedAtOwnNode)
             if (op.kind != StreamOp::Kind::Load &&
                 op.kind != StreamOp::Kind::Store)
                 continue;
-            if (op.addr >= 0x400000000ULL)
+            if (op.addr >= 0x400000000ULL) {
                 EXPECT_EQ(amap.home(op.addr), node)
                     << std::hex << op.addr;
+            }
         }
     }
 }
