@@ -19,27 +19,10 @@ namespace {
 
 struct Explorer
 {
-    EventQueue eq;
-    AddressMap amap;
-    std::unique_ptr<Network> net;
-    std::vector<std::unique_ptr<PiranhaChip>> chips;
+    PiranhaSystem sys;
+    EventQueue &eq = sys.eventQueue();
 
-    explicit Explorer(unsigned nodes)
-    {
-        amap.numNodes = nodes;
-        net = std::make_unique<Network>(eq, "net");
-        ChipParams params; // P8-style defaults
-        for (unsigned n = 0; n < nodes; ++n)
-            chips.push_back(std::make_unique<PiranhaChip>(
-                eq, strFormat("node%u", n), static_cast<NodeId>(n),
-                amap, params, net.get()));
-        for (unsigned n = 0; n < nodes; ++n) {
-            PiranhaChip *c = chips[n].get();
-            net->addNode(static_cast<NodeId>(n),
-                         [c](const NetPacket &p) { c->deliverNet(p); });
-        }
-        Network::buildFullyConnected(*net);
-    }
+    explicit Explorer(const SystemConfig &cfg) : sys(cfg) {}
 
     double
     access(unsigned node, unsigned cpu, MemOp op, Addr a,
@@ -53,7 +36,7 @@ struct Explorer
         req.addr = a;
         req.size = 8;
         req.value = 0xbeef;
-        chips[node]->dl1(cpu).access(req, [&](const MemRsp &r) {
+        sys.chip(node).dl1(cpu).access(req, [&](const MemRsp &r) {
             done = true;
             src = r.source;
         });
@@ -72,10 +55,13 @@ struct Explorer
 int
 main()
 {
-    Explorer x(3);
+    SystemConfig cfg; // P8-style chip defaults
+    cfg.nodes = 3;
+    Explorer x(cfg);
     Addr a = 0x5000000;
-    while (x.amap.home(a) != 0)
-        a += 1ULL << x.amap.pageShift;
+    const AddressMap &amap = x.sys.addressMap();
+    while (amap.home(a) != 0)
+        a += 1ULL << amap.pageShift;
 
     std::printf("line %#llx, homed at node 0\n\n",
                 (unsigned long long)a);
@@ -94,8 +80,8 @@ main()
 
     std::printf("\nprotocol engines:\n");
     for (unsigned n = 0; n < 3; ++n) {
-        auto &he = x.chips[n]->homeEngine();
-        auto &re = x.chips[n]->remoteEngine();
+        auto &he = x.sys.chip(n).homeEngine();
+        auto &re = x.sys.chip(n).remoteEngine();
         std::printf("  node%u HE: %4.0f threads, %5.0f uinstrs "
                     "(%.1f/transaction)   RE: %4.0f threads, %5.0f "
                     "uinstrs\n",
@@ -107,9 +93,9 @@ main()
     }
     std::printf("\nmicrocode: home %zu words (%zu instrs), remote %zu "
                 "words (%zu instrs), budget 1024\n",
-                x.chips[0]->homeEngine().program().mem.size(),
-                x.chips[0]->homeEngine().program().instructionCount(),
-                x.chips[0]->remoteEngine().program().mem.size(),
-                x.chips[0]->remoteEngine().program().instructionCount());
+                x.sys.chip(0).homeEngine().program().mem.size(),
+                x.sys.chip(0).homeEngine().program().instructionCount(),
+                x.sys.chip(0).remoteEngine().program().mem.size(),
+                x.sys.chip(0).remoteEngine().program().instructionCount());
     return 0;
 }

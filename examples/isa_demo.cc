@@ -20,10 +20,9 @@ using namespace piranha;
 int
 main()
 {
-    EventQueue eq;
-    AddressMap amap;
-    ChipParams params;
-    PiranhaChip chip(eq, "node0", 0, amap, params, nullptr);
+    PiranhaSystem sys(SystemConfig{}); // one P8-style chip
+    EventQueue &eq = sys.eventQueue();
+    PiranhaChip &chip = sys.chip(0);
 
     const char *src = R"(
         ; r16 = my id (0..7)

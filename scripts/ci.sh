@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification, as CI runs it: configure with warnings promoted
-# to errors on every target, build everything, run the full test
-# suite.
+# Tier-1 verification, as CI runs it: check that only PiranhaSystem
+# wires systems, configure with warnings promoted to errors on every
+# target, build everything, run the full test suite.
 #
 # Usage:
 #   scripts/ci.sh [build-dir]         tier-1 build + tests
@@ -69,6 +69,23 @@ DEFAULT_DIR=build-ci
 [[ "$MODE" == "crashsafe" ]] && DEFAULT_DIR=build-crashsafe
 BUILD_DIR="${1:-$DEFAULT_DIR}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 2)"
+
+# Chips, network, event queues and shards are wired only by the
+# network, the sharded engine and PiranhaSystem (DESIGN.md §13).
+# Anything else that needs a system builds a PiranhaSystem, so the
+# wiring cannot be copied again.
+wiring="$(cd "$(dirname "$0")/.." &&
+    grep -rlE 'NetFabric|ShardPlan|ParallelEngine' \
+        src tests bench examples || [[ $? -eq 1 ]])"
+wiring="$(grep -vE \
+    '^src/noc/|^src/sim/parallel_engine\.|^src/system/sim_system\.' \
+    <<<"$wiring" || true)"
+if [[ -n "$wiring" ]]; then
+    echo "FAIL: these files name NetFabric, ShardPlan or" \
+         "ParallelEngine; build the system with PiranhaSystem" >&2
+    echo "$wiring" >&2
+    exit 1
+fi
 
 BUILD_TYPE=RelWithDebInfo
 EXTRA=()

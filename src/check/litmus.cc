@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <memory>
 
-#include "sim/logging.h"
-#include "sim/parallel_engine.h"
 #include "sim/rng.h"
-#include "system/chip.h"
+#include "system/sim_system.h"
 
 namespace piranha {
 
@@ -20,8 +18,14 @@ struct ThreadCtx
     bool done = false;
 };
 
-/** Simulated-time cap per phase: bounds livelock under seeded faults. */
+/** Simulated-time cap per phase: bounds a wedged protocol. */
 constexpr Tick runCapTicks = 500'000'000; // 0.5 ms at 1 ps/tick
+
+/** Largest random gap between a thread's ops, in CPU cycles. */
+constexpr unsigned maxDelayCycles = 40;
+
+/** Trace ring size per tracer: ample for every built-in program. */
+constexpr std::size_t traceCapacity = std::size_t(1) << 18;
 
 } // namespace
 
@@ -30,112 +34,27 @@ runLitmus(const LitmusProgram &prog, const LitmusRunOptions &opt)
 {
     LitmusResult res;
 
-    // The parallel engine gives every chip its own event queue;
-    // FaultState is one shared mutable blob, so fault runs stay
-    // serial.
-    const bool parallel =
-        opt.parallel && opt.fault == ProtocolFault::None;
-    if (opt.parallel && !parallel)
-        warn("litmus '%s': seeded faults are serial-only; ignoring "
-             "the parallel option",
-             prog.name.c_str());
-
-    FaultState faults;
-    faults.kind = opt.fault;
-
-    EventQueue eq; // the single serial universe (idle when parallel)
-    std::vector<std::unique_ptr<EventQueue>> qs;
-    if (parallel)
-        for (unsigned n = 0; n < prog.nodes; ++n)
-            qs.push_back(std::make_unique<EventQueue>());
-    auto queueFor = [&](unsigned n) -> EventQueue & {
-        return parallel ? *qs[n] : eq;
-    };
-    auto now = [&]() -> Tick {
-        Tick t = eq.curTick();
-        for (const auto &q : qs)
-            t = std::max(t, q->curTick());
-        return t;
-    };
-
-    // Serial runs keep the single shared tracer (ring order = exact
-    // global execution order); parallel runs need one per chip and
-    // merge canonically at the end.
+    // Serial runs keep one shared tracer (ring order = exact global
+    // execution order); parallel runs need one per chip and merge
+    // canonically at the end.
+    SystemConfig cfg;
+    cfg.nodes = prog.nodes;
+    cfg.cpusPerChip = cfg.chip.cpus = prog.cpusPerChip;
+    cfg.engine = opt.parallel ? EngineKind::Parallel : EngineKind::Serial;
     std::vector<std::unique_ptr<CoherenceTracer>> tracers;
-    for (unsigned n = 0; n < (parallel ? prog.nodes : 1); ++n)
+    for (unsigned n = 0; n < (opt.parallel ? prog.nodes : 1); ++n) {
         tracers.push_back(
-            std::make_unique<CoherenceTracer>(opt.traceCapacity));
+            std::make_unique<CoherenceTracer>(traceCapacity));
+        if (opt.parallel)
+            cfg.chipTracers.push_back(tracers.back().get());
+    }
+    if (!opt.parallel)
+        cfg.chip.tracer = tracers[0].get();
     auto tracerFor = [&](unsigned node) -> CoherenceTracer & {
-        return *tracers[parallel ? node : 0];
+        return *tracers[opt.parallel ? node : 0];
     };
-
-    AddressMap amap;
-    amap.numNodes = prog.nodes;
-    std::unique_ptr<Network> net;
-    if (prog.nodes > 1)
-        net = std::make_unique<Network>(queueFor(0), "net");
-
-    ChipParams params;
-    params.cpus = prog.cpusPerChip;
-    params.faults = &faults;
-    std::vector<std::unique_ptr<PiranhaChip>> chips;
-    for (unsigned n = 0; n < prog.nodes; ++n) {
-        ChipParams chip_params = params;
-        chip_params.tracer = &tracerFor(n);
-        chips.push_back(std::make_unique<PiranhaChip>(
-            queueFor(n), strFormat("node%u", n), static_cast<NodeId>(n),
-            amap, chip_params, net.get()));
-    }
-    if (net) {
-        for (unsigned n = 0; n < prog.nodes; ++n) {
-            PiranhaChip *c = chips[n].get();
-            net->addNode(static_cast<NodeId>(n),
-                         [c](const NetPacket &p) { c->deliverNet(p); });
-        }
-        Network::buildFullyConnected(*net);
-    }
-
-    // Shard layout + fabric (parallel only; serial litmus keeps the
-    // legacy direct-delivery network path).
-    const unsigned shards =
-        parallel ? std::min(opt.shards ? opt.shards : prog.nodes,
-                            prog.nodes)
-                 : 1;
-    std::vector<unsigned> shardOf(prog.nodes, 0);
-    for (unsigned n = 0; parallel && n < prog.nodes; ++n)
-        shardOf[n] = n * shards / prog.nodes;
-    std::unique_ptr<NetFabric> fabric;
-    if (parallel && net) {
-        std::vector<EventQueue *> queue_ptrs;
-        for (auto &q : qs)
-            queue_ptrs.push_back(q.get());
-        fabric = std::make_unique<NetFabric>();
-        Network *np = net.get();
-        fabric->configure(
-            std::move(queue_ptrs), shardOf, shards,
-            [np](NetPacket &&p, NodeId at, Tick injected) {
-                np->arriveAt(std::move(p), at, injected);
-            },
-            nullptr);
-        net->setFabric(fabric.get());
-    }
-
-    // Drive all queues until quiescence or @p deadline; returns true
-    // when everything drained.
-    auto runAll = [&](Tick deadline) -> bool {
-        if (!parallel)
-            return eq.run(deadline);
-        ShardPlan plan;
-        for (auto &q : qs)
-            plan.queues.push_back(q.get());
-        plan.shardOf = shardOf;
-        plan.shards = shards;
-        plan.fabric = fabric.get();
-        plan.lookahead = net ? net->minCrossLatency() : ~Tick(0);
-        plan.deadline = deadline;
-        ParallelEngine engine(std::move(plan));
-        return !engine.run().deadlineHit;
-    };
+    PiranhaSystem sys(cfg);
+    const AddressMap &amap = sys.addressMap();
 
     // Materialize each logical line in its own page so line i can be
     // homed at node (i % nodes) regardless of the interleaving.
@@ -165,7 +84,7 @@ runLitmus(const LitmusProgram &prog, const LitmusRunOptions &opt)
                 if (locAddr[l] == a && l < prog.init.size())
                     v = prog.init[l];
             if (v)
-                chips[amap.home(a)]->memory().poke64(a, v);
+                sys.chip(amap.home(a)).memory().poke64(a, v);
             tracerFor(amap.home(a)).init(a, 8, v);
         }
     }
@@ -173,9 +92,9 @@ runLitmus(const LitmusProgram &prog, const LitmusRunOptions &opt)
     // Drive every thread: ops in program order, seeded-random gaps.
     res.outcome.loads.resize(prog.threads.size());
     std::vector<ThreadCtx> ctx(prog.threads.size());
-    const Tick period = chips[0]->clock().period();
+    const Tick period = sys.chip(0).clock().period();
     auto gap = [&](std::size_t t) {
-        return Tick(ctx[t].rng.below(opt.maxDelayCycles + 1)) * period;
+        return Tick(ctx[t].rng.below(maxDelayCycles + 1)) * period;
     };
 
     std::function<void(std::size_t)> issueNext = [&](std::size_t t) {
@@ -192,22 +111,21 @@ runLitmus(const LitmusProgram &prog, const LitmusRunOptions &opt)
         req.size = static_cast<std::uint8_t>(op.size);
         req.value = op.value;
         bool is_load = op.op == MemOp::Load;
-        chips[th.node]->dl1(th.cpu).access(
+        sys.chip(th.node).dl1(th.cpu).access(
             req, [&, t, is_load](const MemRsp &r) {
                 if (is_load)
                     res.outcome.loads[t].push_back(r.value);
-                queueFor(prog.threads[t].node)
+                sys.chipQueue(prog.threads[t].node)
                     .scheduleIn(gap(t), [&, t] { issueNext(t); });
             });
     };
     for (std::size_t t = 0; t < prog.threads.size(); ++t) {
         ctx[t].rng = Pcg32(opt.seed, 0x9e3779b9u + t);
-        queueFor(prog.threads[t].node)
+        sys.chipQueue(prog.threads[t].node)
             .scheduleIn(gap(t), [&, t] { issueNext(t); });
     }
 
-    bool drained = runAll(now() + runCapTicks);
-    bool all_done = drained;
+    bool all_done = sys.drain(sys.now() + runCapTicks);
     for (const auto &c : ctx)
         all_done = all_done && c.done;
 
@@ -215,9 +133,9 @@ runLitmus(const LitmusProgram &prog, const LitmusRunOptions &opt)
     // Serial runs insert the marker in ring order; parallel runs note
     // the boundary per chip and splice one global marker in when the
     // canonical trace is assembled below.
-    const Tick settledTick = now();
+    const Tick settledTick = sys.now();
     std::vector<std::size_t> settledCount(tracers.size());
-    if (parallel)
+    if (opt.parallel)
         for (std::size_t i = 0; i < tracers.size(); ++i)
             settledCount[i] = tracers[i]->events().size();
     else
@@ -234,16 +152,17 @@ runLitmus(const LitmusProgram &prog, const LitmusRunOptions &opt)
                 std::uint64_t v = 0;
                 MemReq req;
                 req.addr = locAddr[l];
-                chips[n]->dl1(cpu).access(req, [&](const MemRsp &r) {
+                sys.chip(n).dl1(cpu).access(req, [&](const MemRsp &r) {
                     v = r.value;
                     done = true;
                 });
-                if (parallel) {
+                if (opt.parallel) {
                     if (!done)
-                        runAll(now() + runCapTicks);
+                        sys.drain(sys.now() + runCapTicks);
                 } else {
                     std::uint64_t budget = 2'000'000;
-                    while (!done && budget-- && eq.step()) {
+                    while (!done && budget-- &&
+                           sys.eventQueue().step()) {
                     }
                 }
                 if (!done) {
@@ -254,10 +173,10 @@ runLitmus(const LitmusProgram &prog, const LitmusRunOptions &opt)
             }
         }
     }
-    runAll(now() + runCapTicks);
+    sys.drain(sys.now() + runCapTicks);
 
     res.completed = all_done && reads_ok;
-    if (parallel) {
+    if (opt.parallel) {
         // Canonical trace: pre-settle events of every chip in (tick,
         // node, record-order) order, one global settled marker, then
         // the readback events in the same order.
@@ -289,7 +208,6 @@ runLitmus(const LitmusProgram &prog, const LitmusRunOptions &opt)
     for (const auto &t : tracers)
         dropped += t->dropped();
     res.report = checkCoherence(res.trace, dropped);
-    res.faultFires = faults.fires;
     if (prog.forbidden && res.completed)
         res.forbiddenHit = prog.forbidden(res.outcome);
     return res;

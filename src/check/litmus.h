@@ -4,21 +4,23 @@
  *
  * A LitmusProgram names a small set of memory locations and a few
  * threads (node/cpu pairs) each running a short straight-line sequence
- * of loads and stores. runLitmus() builds a fresh multi-chip system,
- * issues every thread's operations with seeded-random inter-operation
- * delays (so different seeds explore different protocol interleavings),
- * lets the system settle, reads back the final memory state, and
- * replays the captured coherence trace through the axiomatic checker
- * (src/check/checker.h).
+ * of loads and stores. runLitmus() builds a fresh multi-chip
+ * PiranhaSystem, issues every thread's operations through the L1
+ * ports with seeded-random inter-operation delays (so different seeds
+ * explore different protocol interleavings), lets the system settle,
+ * reads back the final memory state, and replays the captured
+ * coherence trace through the axiomatic checker (src/check/checker.h).
+ * Cross-chip messages take the same delivery fabric as every other
+ * PiranhaSystem run, so the suite checks the production schedule.
  *
  * Two independent oracles judge a run:
  *  - the program's `forbidden` predicate over the observed outcome
  *    (classic litmus-style: "r1 == 0 && r2 == 0 is forbidden"), and
  *  - the checker's per-location axioms over the full event trace.
  *
- * The same entry point drives the fault-seeding tests: pass a
- * ProtocolFault in LitmusRunOptions and the run is expected to either
- * trip the forbidden outcome or fail the axiomatic check.
+ * The fault-seeding tests (tests/litmus/fault_seeding_test.cc) do not
+ * go through here: each seeded ProtocolFault has its own targeted
+ * probe on the test fixture.
  */
 
 #ifndef PIRANHA_CHECK_LITMUS_H
@@ -88,16 +90,9 @@ struct LitmusProgram
 struct LitmusRunOptions
 {
     std::uint64_t seed = 1;
-    ProtocolFault fault = ProtocolFault::None;
-    unsigned maxDelayCycles = 40;   //!< max random gap between ops
-    std::size_t traceCapacity = std::size_t(1) << 18;
     /** Run under the parallel engine (DESIGN.md §13): one event queue
-     *  per chip, cross-chip traffic through the deterministic fabric,
-     *  every phase driven to quiescence by worker threads. Ignored
-     *  (with a warning) when a fault is seeded: FaultState is shared
-     *  across chips. */
+     *  and one worker per chip, every phase driven to quiescence. */
     bool parallel = false;
-    unsigned shards = 0; //!< parallel worker count; 0 = one per chip
 };
 
 struct LitmusResult
@@ -106,7 +101,6 @@ struct LitmusResult
     CheckReport report;        //!< axiomatic verdict over the trace
     bool forbiddenHit = false; //!< program predicate fired
     bool completed = false;    //!< every op of every thread finished
-    std::uint64_t faultFires = 0; //!< seeded-fault activation count
     std::vector<TraceEvent> trace; //!< captured events (oldest first)
 
     bool ok() const { return completed && !forbiddenHit && report.ok(); }

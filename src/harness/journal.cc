@@ -137,31 +137,35 @@ JobJournal::load(const std::string &dir)
             rec.truncated = true;
             break;
         }
+        JsonValue v;
         try {
-            JsonValue v = parseJson(payload);
-            if (tag == 'H') {
-                rec.version = static_cast<unsigned>(
-                    v.at("version").asNumber());
-                if (rec.version != kVersion)
-                    throw std::runtime_error(strFormat(
-                        "journal %s: unsupported version %u "
-                        "(expected %u)",
-                        filePath(dir).c_str(), rec.version, kVersion));
-                rec.sweepName = v.at("sweep").asString();
-                rec.jobs =
-                    static_cast<std::size_t>(v.at("jobs").asNumber());
-            } else if (tag == 'S') {
-                started.emplace(v.at("label").asString(), false);
-            } else {
+            v = parseJson(payload);
+            if (tag == 'S') {
+                const JsonValue *label = v.find("label");
+                if (!label || !label->isString())
+                    throw std::runtime_error("S record without a label");
+                started.emplace(label->asString(), false);
+            } else if (tag == 'D') {
                 JobResult jr = jobResultFromJson(v);
                 started[jr.label] = true;
                 rec.done[jr.label] = std::move(jr);
             }
-        } catch (const JsonParseError &) {
-            // Checksummed but unparseable: same treatment as a cut
-            // record — nothing after it can be trusted.
+        } catch (const std::exception &) {
+            // Checksummed but unparseable or off the schema: same
+            // treatment as a cut record — nothing after it can be
+            // trusted.
             rec.truncated = true;
             break;
+        }
+        if (tag == 'H') {
+            rec.version =
+                static_cast<unsigned>(v.at("version").asNumber());
+            if (rec.version != kVersion)
+                throw std::runtime_error(strFormat(
+                    "journal %s: unsupported version %u (expected %u)",
+                    filePath(dir).c_str(), rec.version, kVersion));
+            rec.sweepName = v.at("sweep").asString();
+            rec.jobs = static_cast<std::size_t>(v.at("jobs").asNumber());
         }
     }
     for (const auto &[label, has_done] : started)

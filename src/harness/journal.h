@@ -72,6 +72,9 @@ class JobJournal
      * Parse DIR/journal.log. A missing file yields an empty Recovery;
      * an unsupported version throws std::runtime_error (resuming
      * under the wrong format must fail loudly, not re-run silently).
+     * An S or D record that passes its checksum but does not parse,
+     * or holds values off the JobResult schema, is damage like a cut
+     * record: loading stops there.
      */
     static Recovery load(const std::string &dir);
 

@@ -1,6 +1,8 @@
 #include "harness/sweep.h"
 
+#include <cmath>
 #include <fstream>
+#include <stdexcept>
 
 #include "sim/logging.h"
 
@@ -206,13 +208,29 @@ jobResultFromJson(const JsonValue &v)
         return f && f->isBool() && f->asBool();
     };
 
+    // Schema checks: a record can pass its checksum or frame and
+    // still carry values no JobResult field can hold.
+    const JsonValue *label = v.find("label");
+    const JsonValue *status = v.find("status");
+    if (!label || !label->isString() || !status || !status->isString())
+        throw std::runtime_error(
+            "job result: label or status is not a string");
+    double attempts = 1;
+    if (const JsonValue *a = v.find("attempts")) {
+        attempts = a->isNumber() ? a->asNumber() : 0;
+        if (!(attempts >= 1 && attempts < 4294967296.0 &&
+              attempts == std::floor(attempts)))
+            throw std::runtime_error(
+                "job result: attempts is not an integer in [1, 2^32)");
+    }
+
     JobResult j;
-    j.label = v.at("label").asString();
-    j.status = jobStatusFromName(v.at("status").asString());
+    j.label = label->asString();
+    j.status = jobStatusFromName(status->asString());
     j.run.config = str("config");
     j.run.workload = str("workload");
     j.hostSeconds = num("host_seconds", 0);
-    j.attempts = static_cast<unsigned>(num("attempts", 1));
+    j.attempts = static_cast<unsigned>(attempts);
     j.eventsPerHostSec = num("events_per_host_sec", 0);
     j.error = str("error");
     j.exitClass = str("exit_class");

@@ -179,7 +179,10 @@ struct JobResult
  * stats, stat tree, status, error, fastpath/profile instrumentation,
  * payload), which is what makes a --resume'd report provably
  * identical to an uninterrupted run: journal-recovered jobs re-enter
- * the report through exactly this path.
+ * the report through exactly this path. jobResultFromJson throws
+ * std::runtime_error on a value off the schema: a label or status
+ * that is not a string, an unknown status, or `attempts` that is not
+ * an integer in [1, 2^32).
  */
 JsonValue jobResultToJson(const JobResult &j,
                           bool include_stat_tree = true);

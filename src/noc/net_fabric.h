@@ -17,8 +17,9 @@
  *    of the senders' deterministic streams, independent of which
  *    thread produced the post or when it was drained.
  *
- * Under the serial engine (one shard) posts stage immediately. Under
- * the parallel engine a post whose destination lives on another shard
+ * Every Network owns one fabric; it is the only delivery path. Under
+ * the serial engine (one shard) posts stage immediately. Under the
+ * parallel engine a post whose destination lives on another shard
  * is appended to a per-(source shard, destination node) mailbox and
  * drained at the next epoch barrier; mailboxes are single-writer /
  * single-reader with the barrier providing the happens-before edge,
@@ -87,34 +88,44 @@ class NetFabric
     /** Continues the hop pipeline at the destination node. */
     using ArriveFn = std::function<void(NetPacket &&, NodeId, Tick)>;
 
+    explicit NetFabric(ArriveFn arrive) : _arrive(std::move(arrive)) {}
+
     /**
-     * @param queue_of_node per-node event queue (the serial engine
-     *        passes the same queue for every node)
-     * @param shard_of_node owning shard per node (all zero when serial)
+     * Append the next node (ids are dense, in addNode order) on event
+     * queue @p q, in shard 0: the serial layout, one shard.
      */
     void
-    configure(std::vector<EventQueue *> queue_of_node,
+    addNode(EventQueue &q)
+    {
+        _queues.push_back(&q);
+        _shardOf.push_back(0);
+        _staging.emplace_back();
+        _postSeq.push_back(0);
+        _mail.resize(_queues.size());
+    }
+
+    /**
+     * Re-home every node before any traffic: node n runs on
+     * @p queue_of_node[n] in shard @p shard_of_node[n] of
+     * @p num_shards (the sharded engine gives each chip its own
+     * queue; the serial engine maps all of them to one).
+     */
+    void
+    mapShards(std::vector<EventQueue *> queue_of_node,
               std::vector<unsigned> shard_of_node, unsigned num_shards,
-              ArriveFn arrive, ParallelHooks *hooks)
+              ParallelHooks *hooks)
     {
         _queues = std::move(queue_of_node);
         _shardOf = std::move(shard_of_node);
         _numShards = num_shards;
-        _arrive = std::move(arrive);
         _hooks = hooks;
-        _staging.assign(_queues.size(), Staging{});
         _mail.assign(static_cast<std::size_t>(_numShards) *
                          _queues.size(),
                      {});
-        _postSeq.assign(_queues.size(), 0);
     }
 
-    unsigned numNodes() const
-    { return static_cast<unsigned>(_queues.size()); }
-    unsigned numShards() const { return _numShards; }
+    /** The event queue node @p n runs on. */
     EventQueue &queueFor(NodeId n) { return *_queues[n]; }
-    unsigned shardOf(NodeId n) const { return _shardOf[n]; }
-    ParallelHooks *hooks() { return _hooks; }
 
     /**
      * Record a cross-node handoff computed at @p src (on @p src's

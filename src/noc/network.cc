@@ -8,7 +8,10 @@
 namespace piranha {
 
 Network::Network(EventQueue &eq, std::string name, const NetworkParams &p)
-    : SimObject(eq, std::move(name)), _p(p)
+    : SimObject(eq, std::move(name)), _p(p),
+      _fabric([this](NetPacket &&pkt, NodeId at, Tick injected) {
+          hop(std::move(pkt), at, injected);
+      })
 {
 }
 
@@ -35,22 +38,14 @@ Network::icCycles(unsigned n) const
 void
 Network::addNode(NodeId node, NetDeliverFn deliver, unsigned channels)
 {
-    Node &n = _nodes[node];
+    if (node != _nodes.size())
+        fatal("network: node %u added out of order (next id is %zu)",
+              node, _nodes.size());
+    Node &n = _nodes.emplace_back();
     n.deliver = std::move(deliver);
     n.maxChannels = channels;
     n.rng = Pcg32{0x9142a4a, 42 + std::uint64_t(node)};
-}
-
-void
-Network::setFabric(NetFabric *f)
-{
-    _fabric = f;
-    _nodeStats.clear();
-    if (_fabric) {
-        _nodeStats.resize(_fabric->numNodes());
-        for (NodeStats &s : _nodeStats)
-            s.latency = Histogram{50.0, 64};
-    }
+    _fabric.addNode(eventQueue());
 }
 
 Tick
@@ -62,17 +57,11 @@ Network::minCrossLatency() const
     return icCycles(2) + nsToTicks(_p.linkNs);
 }
 
-EventQueue &
-Network::eqFor(NodeId n)
-{
-    return _fabric ? _fabric->queueFor(n) : eventQueue();
-}
-
 void
 Network::mergeShardedStats()
 {
-    for (NodeId n = 0; n < _nodeStats.size(); ++n) {
-        NodeStats &s = _nodeStats[n];
+    for (Node &node : _nodes) {
+        NodeStats &s = node.stats;
         statPackets += s.packets;
         statLongPackets += s.longPackets;
         statHops += s.hops;
@@ -80,12 +69,6 @@ Network::mergeShardedStats()
         statLatency.merge(s.latency);
         s = NodeStats{};
     }
-}
-
-void
-Network::arriveAt(NetPacket &&pkt, NodeId at, Tick injected)
-{
-    hop(std::move(pkt), at, injected);
 }
 
 void
@@ -104,7 +87,8 @@ void
 Network::finalizeRoutes()
 {
     // BFS from every node over the channel graph.
-    for (auto &[id, node] : _nodes) {
+    for (NodeId id = 0; id < _nodes.size(); ++id) {
+        Node &node = _nodes[id];
         node.nextHop.clear();
         std::deque<NodeId> frontier{id};
         std::unordered_map<NodeId, NodeId> first; // dest -> first hop
@@ -135,17 +119,11 @@ Network::inject(NetPacket pkt)
     if (_faults && !_faults->netInjectHook(*this, pkt))
         return;
     NodeId src = pkt.src;
-    EventQueue &q = eqFor(src);
-    if (_fabric) {
-        NodeStats &s = _nodeStats[src];
-        ++s.packets;
-        if (pkt.isLong())
-            ++s.longPackets;
-    } else {
-        ++statPackets;
-        if (pkt.isLong())
-            ++statLongPackets;
-    }
+    EventQueue &q = _fabric.queueFor(src);
+    NodeStats &s = _nodes.at(src).stats;
+    ++s.packets;
+    if (pkt.isLong())
+        ++s.longPackets;
     Tick injected = q.curTick();
     // Output-queue fall-through (single cycle when the router is
     // ready; transit traffic has priority, modeled in channel
@@ -160,7 +138,7 @@ void
 Network::hop(NetPacket pkt, NodeId at, Tick injected)
 {
     Node &node = _nodes.at(at);
-    EventQueue &q = eqFor(at);
+    EventQueue &q = _fabric.queueFor(at);
     Tick now = q.curTick();
     if (pkt.dst == at) {
         // Receiver-side duplicate filter: hardware interfaces drop a
@@ -170,12 +148,8 @@ Network::hop(NetPacket pkt, NodeId at, Tick injected)
             return;
         // Input queue: interpret the type field through the
         // disposition vector and hand to the target module.
-        double lat = static_cast<double>(now - injected) /
-                     static_cast<double>(ticksPerNs);
-        if (_fabric)
-            _nodeStats[at].latency.sample(lat);
-        else
-            statLatency.sample(lat);
+        node.stats.latency.sample(static_cast<double>(now - injected) /
+                                  static_cast<double>(ticksPerNs));
         q.schedule(now + nsToTicks(_p.iqNs),
                    [fn = node.deliver, pkt = std::move(pkt)] {
                        fn(pkt);
@@ -201,14 +175,10 @@ Network::hop(NetPacket pkt, NodeId at, Tick injected)
         // Hot potato: deflect to a random alternate channel with a
         // shorter backlog; the age field escalates priority so the
         // packet eventually takes the optimal path.
-        Pcg32 &rng = _fabric ? node.rng : _rng;
-        Channel &alt = node.channels[rng.below(
+        Channel &alt = node.channels[node.rng.below(
             static_cast<std::uint32_t>(node.channels.size()))];
         if (alt.to != preferred && alt.busyUntil < chan->busyUntil) {
-            if (_fabric)
-                ++_nodeStats[at].misroutes;
-            else
-                ++statMisroutes;
+            ++node.stats.misroutes;
             ++pkt.age;
             chan = &alt;
         }
@@ -218,50 +188,32 @@ Network::hop(NetPacket pkt, NodeId at, Tick injected)
     Tick occupancy = icCycles(pkt.icCycles());
     chan->busyUntil = start + occupancy;
     Tick arrive = start + occupancy + nsToTicks(_p.linkNs);
-    if (_fabric)
-        ++_nodeStats[at].hops;
-    else
-        ++statHops;
-    NodeId to = chan->to;
-    if (_fabric) {
-        // Canonical cross-node handoff: staged by arrival tick, merged
-        // in (send tick, source, sequence) order at the destination.
-        _fabric->post(at, to, arrive, injected, std::move(pkt));
-        return;
-    }
-    eventQueue().schedule(arrive, [this, pkt = std::move(pkt), to,
-                                   injected]() mutable {
-        hop(std::move(pkt), to, injected);
-    });
+    ++node.stats.hops;
+    // Canonical cross-node handoff: staged by arrival tick, merged in
+    // (send tick, source, sequence) order at the destination.
+    _fabric.post(at, chan->to, arrive, injected, std::move(pkt));
 }
 
 void
 Network::buildFullyConnected(Network &net)
 {
-    std::vector<NodeId> ids;
-    for (const auto &[id, _] : net._nodes)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    for (std::size_t i = 0; i < ids.size(); ++i)
-        for (std::size_t j = i + 1; j < ids.size(); ++j)
-            net.connect(ids[i], ids[j]);
+    for (NodeId a = 0; a < net._nodes.size(); ++a)
+        for (NodeId b = a + 1; b < net._nodes.size(); ++b)
+            net.connect(a, b);
     net.finalizeRoutes();
 }
 
 void
 Network::buildRing(Network &net)
 {
-    std::vector<NodeId> ids;
-    for (const auto &[id, _] : net._nodes)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    if (ids.size() < 2)
+    NodeId n = static_cast<NodeId>(net._nodes.size());
+    if (n < 2)
         return;
-    if (ids.size() == 2) {
-        net.connect(ids[0], ids[1]);
+    if (n == 2) {
+        net.connect(0, 1);
     } else {
-        for (std::size_t i = 0; i < ids.size(); ++i)
-            net.connect(ids[i], ids[(i + 1) % ids.size()]);
+        for (NodeId i = 0; i < n; ++i)
+            net.connect(i, (i + 1) % n);
     }
     net.finalizeRoutes();
 }

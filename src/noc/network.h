@@ -51,14 +51,25 @@ struct NetworkParams
 /** Delivery callback a node registers for terminal packets. */
 using NetDeliverFn = std::function<void(const NetPacket &)>;
 
-/** The whole-system interconnect fabric. */
+/**
+ * The whole-system interconnect. Every cross-node hop goes through
+ * the owned NetFabric (DESIGN.md §13), so deliveries into a node
+ * follow the canonical (send tick, source, sequence) order whether
+ * the system runs on one event queue or on per-chip queues under the
+ * sharded engine.
+ */
 class Network : public SimObject
 {
   public:
     Network(EventQueue &eq, std::string name,
             const NetworkParams &p = NetworkParams{});
 
-    /** Register @p node with its terminal delivery callback. */
+    /**
+     * Register @p node with its terminal delivery callback. Ids are
+     * dense: each call must pass the next one (0, 1, ...). The node
+     * runs on this network's event queue until PiranhaSystem re-homes
+     * it with fabric().mapShards().
+     */
     void addNode(NodeId node, NetDeliverFn deliver,
                  unsigned channels = 4);
 
@@ -82,16 +93,8 @@ class Network : public SimObject
     static void buildFullyConnected(Network &net);
     static void buildRing(Network &net);
 
-    /**
-     * Attach the canonical delivery fabric (DESIGN.md §13). From then
-     * on every per-node action runs against that node's own event
-     * queue, cross-node handoffs go through NetFabric::post, misroute
-     * randomness comes from a per-node stream, and stats accumulate in
-     * per-node partials folded back by mergeShardedStats(). Without a
-     * fabric the legacy single-queue path is byte-identical to before.
-     */
-    void setFabric(NetFabric *f);
-    NetFabric *fabric() { return _fabric; }
+    /** The delivery fabric: per-node queues, shards and mailboxes. */
+    NetFabric &fabric() { return _fabric; }
 
     /**
      * Smallest possible sender-to-next-node latency of any handoff:
@@ -100,11 +103,12 @@ class Network : public SimObject
      */
     Tick minCrossLatency() const;
 
-    /** Fold per-node partials into the registered stats, node order. */
+    /**
+     * Fold the per-node stat partials into the registered stats in
+     * node order. Every node accumulates its own partials (no stat is
+     * shared across shard threads), so read the stats after this.
+     */
     void mergeShardedStats();
-
-    /** Fabric flush callback: continue the hop pipeline at @p at. */
-    void arriveAt(NetPacket &&pkt, NodeId at, Tick injected);
 
     void regStats(StatGroup &parent);
 
@@ -121,20 +125,7 @@ class Network : public SimObject
         Tick busyUntil = 0;
     };
 
-    struct Node
-    {
-        NetDeliverFn deliver;
-        unsigned maxChannels = 4;
-        std::vector<Channel> channels;
-        // next hop per destination
-        std::unordered_map<NodeId, NodeId> nextHop;
-        // fabric mode only: node-local misroute stream, so results
-        // don't depend on which thread interleaving consumed a shared
-        // generator
-        Pcg32 rng{0x9142a4a, 42};
-    };
-
-    /** Fabric mode: per-node stat partials, merged at end of run. */
+    /** Per-node stat partials, merged by mergeShardedStats(). */
     struct NodeStats
     {
         double packets = 0;
@@ -144,16 +135,26 @@ class Network : public SimObject
         Histogram latency{50.0, 64};
     };
 
+    struct Node
+    {
+        NetDeliverFn deliver;
+        unsigned maxChannels = 4;
+        std::vector<Channel> channels;
+        // next hop per destination
+        std::unordered_map<NodeId, NodeId> nextHop;
+        // node-local misroute stream, so results don't depend on
+        // which thread interleaving consumed a shared generator
+        Pcg32 rng;
+        NodeStats stats;
+    };
+
     void hop(NetPacket pkt, NodeId at, Tick injected);
     Tick icCycles(unsigned n) const;
-    EventQueue &eqFor(NodeId n);
 
     NetworkParams _p;
     FaultInjector *_faults = nullptr;
-    NetFabric *_fabric = nullptr;
-    std::unordered_map<NodeId, Node> _nodes;
-    std::vector<NodeStats> _nodeStats;
-    Pcg32 _rng{0x9142a4a, 42}; // deterministic misrouting (legacy path)
+    std::vector<Node> _nodes;
+    NetFabric _fabric;
     StatGroup _stats{"network"};
 };
 

@@ -34,10 +34,10 @@ PiranhaSystem::PiranhaSystem(const SystemConfig &cfg) : _cfg(cfg)
                                                     _cfg.nodes);
         _cfg.chip.injector = _injector.get();
     }
+    _shardOf.assign(cfg.nodes, 0);
     if (_parallel) {
         _shards = _cfg.shards ? std::min(_cfg.shards, cfg.nodes)
                               : cfg.nodes;
-        _shardOf.resize(cfg.nodes);
         for (unsigned n = 0; n < cfg.nodes; ++n) {
             _shardOf[n] = n * _shards / cfg.nodes;
             _chipQueues.push_back(std::make_unique<EventQueue>());
@@ -68,21 +68,11 @@ PiranhaSystem::PiranhaSystem(const SystemConfig &cfg) : _cfg(cfg)
         // fabric (DESIGN.md §13): the serial engine is the one-shard
         // case, which is what makes its per-chip event streams — and
         // so stats and traces — identical to any sharded run.
-        _fabric = std::make_unique<NetFabric>();
         std::vector<EventQueue *> qs;
-        std::vector<unsigned> so;
-        for (unsigned n = 0; n < cfg.nodes; ++n) {
+        for (unsigned n = 0; n < cfg.nodes; ++n)
             qs.push_back(&chipQueue(n));
-            so.push_back(_parallel ? _shardOf[n] : 0);
-        }
-        Network *net = _net.get();
-        _fabric->configure(
-            std::move(qs), std::move(so), _parallel ? _shards : 1,
-            [net](NetPacket &&p, NodeId at, Tick injected) {
-                net->arriveAt(std::move(p), at, injected);
-            },
-            _cfg.parallelHooks);
-        _net->setFabric(_fabric.get());
+        _net->fabric().mapShards(std::move(qs), _shardOf, _shards,
+                                 _cfg.parallelHooks);
     }
     for (unsigned n = 0; n < cfg.nodes; ++n) {
         _chips[n]->regStats(_stats);
@@ -127,6 +117,40 @@ PiranhaSystem::totalEventsExecuted() const
     for (const auto &q : _chipQueues)
         total += q->executed();
     return total;
+}
+
+Tick
+PiranhaSystem::now() const
+{
+    Tick t = _eq.curTick();
+    for (const auto &q : _chipQueues)
+        t = std::max(t, q->curTick());
+    return t;
+}
+
+ParallelRunOutcome
+PiranhaSystem::runShards(Tick deadline,
+                         const std::function<bool()> &should_abort)
+{
+    ShardPlan plan;
+    for (unsigned n = 0; n < _cfg.nodes; ++n)
+        plan.queues.push_back(&chipQueue(n));
+    plan.shardOf = _shardOf;
+    plan.shards = _shards;
+    plan.fabric = _net ? &_net->fabric() : nullptr;
+    plan.lookahead = _net ? _net->minCrossLatency() : ~Tick(0);
+    plan.deadline = deadline;
+    plan.aborted = should_abort;
+    plan.hooks = _cfg.parallelHooks;
+    return ParallelEngine(std::move(plan)).run();
+}
+
+bool
+PiranhaSystem::drain(Tick deadline)
+{
+    if (!_parallel)
+        return _eq.run(deadline);
+    return !runShards(deadline, {}).deadlineHit;
 }
 
 std::string
@@ -235,18 +259,7 @@ PiranhaSystem::run(Workload &wl, std::uint64_t work_per_cpu,
         // watchdog needs cross-thread stat reads and is not available
         // here; the drained-with-unfinished-cores detection below
         // covers the wedged-protocol case it exists for.
-        ShardPlan plan;
-        for (unsigned n = 0; n < _cfg.nodes; ++n)
-            plan.queues.push_back(&chipQueue(n));
-        plan.shardOf = _shardOf;
-        plan.shards = _shards;
-        plan.fabric = _fabric.get();
-        plan.lookahead = _net ? _net->minCrossLatency() : ~Tick(0);
-        plan.deadline = deadline;
-        plan.aborted = should_abort;
-        plan.hooks = _cfg.parallelHooks;
-        ParallelEngine engine(std::move(plan));
-        ParallelRunOutcome po = engine.run();
+        ParallelRunOutcome po = runShards(deadline, should_abort);
         shards_used = _shards;
         parallel_epochs = po.epochs;
         shard_seconds = std::move(po.shardSeconds);
@@ -352,10 +365,10 @@ PiranhaSystem::run(Workload &wl, std::uint64_t work_per_cpu,
         warn("forward-progress watchdog tripped: %s",
              wd_reason.c_str());
     }
-    // Fold the fabric-mode per-node network partials into the
-    // registered stats in node order (identical fold order under both
-    // engines, so the floating-point sums match bit for bit).
-    if (_net && _net->fabric())
+    // Fold the per-node network partials into the registered stats in
+    // node order (identical fold order under both engines, so the
+    // floating-point sums match bit for bit).
+    if (_net)
         _net->mergeShardedStats();
 
     RunResult r;

@@ -23,6 +23,8 @@
 
 namespace piranha {
 
+struct ParallelRunOutcome;
+
 /** Result of one fixed-work run. */
 struct RunResult
 {
@@ -158,6 +160,25 @@ class PiranhaSystem
     unsigned totalCpus() const { return _cfg.nodes * _cfg.cpusPerChip; }
     EventQueue &eventQueue() { return _eq; }
     StatGroup &stats() { return _stats; }
+    const AddressMap &addressMap() const { return _amap; }
+
+    /** Chip @p n's event queue: its own under the parallel engine,
+     *  the one shared queue under the serial engine. */
+    EventQueue &chipQueue(unsigned n)
+    { return _parallel ? *_chipQueues[n] : _eq; }
+    const EventQueue &chipQueue(unsigned n) const
+    { return _parallel ? *_chipQueues[n] : _eq; }
+
+    /** Latest tick any chip queue has reached. */
+    Tick now() const;
+
+    /**
+     * Run the events already scheduled (by callers driving the L1
+     * ports directly, say) until every queue drains or nothing
+     * earlier than @p deadline remains; true when everything drained.
+     * Serial: EventQueue::run. Parallel: one sharded-engine pass.
+     */
+    bool drain(Tick deadline = ~Tick(0));
 
     /** The run's fault injector; null unless the config carries an
      *  enabled plan (tests inspect counters mid-run through this). */
@@ -174,10 +195,9 @@ class PiranhaSystem
     std::uint64_t totalEventsExecuted() const;
 
   private:
-    EventQueue &chipQueue(unsigned n)
-    { return _parallel ? *_chipQueues[n] : _eq; }
-    const EventQueue &chipQueue(unsigned n) const
-    { return _parallel ? *_chipQueues[n] : _eq; }
+    /** One sharded-engine pass over every chip queue. */
+    ParallelRunOutcome runShards(Tick deadline,
+                                 const std::function<bool()> &should_abort);
 
     SystemConfig _cfg;
     EventQueue _eq;
@@ -185,7 +205,6 @@ class PiranhaSystem
     unsigned _shards = 1;
     std::vector<unsigned> _shardOf;
     std::vector<std::unique_ptr<EventQueue>> _chipQueues;
-    std::unique_ptr<NetFabric> _fabric;
     AddressMap _amap;
     std::unique_ptr<Network> _net;
     std::vector<std::unique_ptr<PiranhaChip>> _chips;

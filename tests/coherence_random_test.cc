@@ -177,7 +177,7 @@ TEST_P(CoherenceRandomTest, NoDataCorruptionUnderRandomTraffic)
         next(ag);
 
     // Run to completion with a generous cycle budget.
-    bool drained = sys.runUntil(static_cast<Tick>(1) << 42);
+    bool drained = sys.drain(static_cast<Tick>(1) << 42);
     EXPECT_TRUE(drained) << "simulation did not converge (deadlock?)";
     EXPECT_EQ(active.load(), 0u);
     if (active.load() != 0) {

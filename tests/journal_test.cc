@@ -67,6 +67,18 @@ writeJournalFile(const std::string &dir, const std::string &text)
     os << text;
 }
 
+/** One journal record with a valid length and checksum. */
+std::string
+frameRecord(char tag, const std::string &payload)
+{
+    char head[64];
+    std::snprintf(head, sizeof(head), "%c %zu %016llx ", tag,
+                  payload.size(),
+                  static_cast<unsigned long long>(
+                      fnv1a64(payload.data(), payload.size())));
+    return head + payload + "\n";
+}
+
 WorkloadFactory
 oltpFactory()
 {
@@ -246,18 +258,71 @@ TEST(JobJournal, UnsupportedVersionThrows)
     {
         JobJournal j(tmp.dir(), "s", 1, false);
     }
-    std::string text = readJournalFile(tmp.dir());
     // Rewrite the header with a future version, fixing up length and
     // checksum so only the version check can object.
-    std::string payload = "{\"version\": 99, \"sweep\": \"s\"}";
-    char head[64];
-    std::snprintf(head, sizeof(head), "H %zu %016llx ",
-                  payload.size(),
-                  static_cast<unsigned long long>(
-                      fnv1a64(payload.data(), payload.size())));
-    writeJournalFile(tmp.dir(), head + payload + "\n");
+    writeJournalFile(tmp.dir(),
+                     frameRecord('H', "{\"version\": 99, \"sweep\": \"s\"}"));
     EXPECT_THROW(JobJournal::load(tmp.dir()), std::runtime_error);
 }
+
+// A record can pass its checksum and parse as JSON yet hold values no
+// JobResult can: each such S or D record is damage, like a cut one.
+struct BadRecord
+{
+    const char *name;
+    char tag;
+    const char *payload;
+};
+
+// gtest prints the parameter into each ctest case name; print the
+// name, not the struct's bytes (pointers and padding).
+void
+PrintTo(const BadRecord &r, std::ostream *os)
+{
+    *os << r.name;
+}
+
+class JournalBadRecordTest : public ::testing::TestWithParam<BadRecord>
+{
+};
+
+TEST_P(JournalBadRecordTest, CountsAsDamageAndLeavesTheJobInFlight)
+{
+    TempDir tmp;
+    {
+        JobJournal j(tmp.dir(), "s", 1, false);
+        j.recordStart("j1");
+    }
+    writeJournalFile(tmp.dir(),
+                     readJournalFile(tmp.dir()) +
+                         frameRecord(GetParam().tag, GetParam().payload));
+    JobJournal::Recovery rec = JobJournal::load(tmp.dir());
+    EXPECT_TRUE(rec.truncated);
+    EXPECT_TRUE(rec.done.empty());
+    EXPECT_EQ(rec.inFlight, std::vector<std::string>{"j1"});
+    // The worker pipe parses results with the same function.
+    if (GetParam().tag == 'D') {
+        EXPECT_THROW(jobResultFromJson(parseJson(GetParam().payload)),
+                     std::runtime_error);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OffSchema, JournalBadRecordTest,
+    ::testing::Values(
+        BadRecord{"unknown_status", 'D',
+                  R"({"label": "j1", "status": "bogus"})"},
+        BadRecord{"negative_attempts", 'D',
+                  R"({"label": "j1", "status": "ok", "attempts": -1})"},
+        BadRecord{"huge_attempts", 'D',
+                  R"({"label": "j1", "status": "ok", "attempts": 1e300})"},
+        BadRecord{"fractional_attempts", 'D',
+                  R"({"label": "j1", "status": "ok", "attempts": 1.5})"},
+        BadRecord{"numeric_label", 'D', R"({"label": 7, "status": "ok"})"},
+        BadRecord{"start_without_label", 'S', R"({"job": "j2"})"}),
+    [](const ::testing::TestParamInfo<BadRecord> &info) {
+        return std::string(info.param.name);
+    });
 
 TEST(JobJournal, FreshRunTruncatesStaleJournal)
 {

@@ -3,10 +3,15 @@
  * The built-in litmus suite, unmutated: every program under several
  * seeds must complete, never hit its forbidden outcome, and produce a
  * trace the axiomatic checker accepts. Two independent oracles — the
- * outcome predicate and the trace replay — must both stay green.
+ * outcome predicate and the trace replay — must both stay green. And
+ * because the serial engine is the one-shard case of the sharded one,
+ * both engines must take the same schedule for every program and seed.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <tuple>
 
 #include "check/litmus.h"
 #include "sim/logging.h"
@@ -73,6 +78,64 @@ INSTANTIATE_TEST_SUITE_P(
         return strFormat("%s_seed%llu%s", name.c_str(),
                          (unsigned long long)info.param.seed,
                          info.param.parallel ? "_parallel" : "");
+    });
+
+/** The events recorded before the settled marker, as a sorted
+ *  multiset (the engines record them in different orders). */
+std::vector<TraceEvent>
+preSettleEvents(const std::vector<TraceEvent> &trace)
+{
+    auto marker = std::find_if(
+        trace.begin(), trace.end(), [](const TraceEvent &e) {
+            return e.kind == TraceKind::Marker && e.value == markerSettled;
+        });
+    std::vector<TraceEvent> ev(trace.begin(), marker);
+    auto key = [](const TraceEvent &e) {
+        return std::tie(e.tick, e.kind, e.node, e.l1, e.aux, e.state,
+                        e.size, e.src, e.addr, e.value, e.mask);
+    };
+    std::sort(ev.begin(), ev.end(),
+              [&](const TraceEvent &a, const TraceEvent &b) {
+                  return key(a) < key(b);
+              });
+    return ev;
+}
+
+class LitmusEngineTest : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(LitmusEngineTest, SerialAndShardedRunsTakeOneSchedule)
+{
+    // Same loads, same settled values, same events up to the settled
+    // marker. The readback after the marker is driven differently by
+    // design (stepped until each load completes when serial, drained
+    // per load when sharded), so it is not compared.
+    const LitmusProgram &prog = builtinLitmusPrograms()[GetParam()];
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        LitmusRunOptions opt;
+        opt.seed = seed;
+        LitmusResult serial = runLitmus(prog, opt);
+        opt.parallel = true;
+        LitmusResult sharded = runLitmus(prog, opt);
+        EXPECT_EQ(serial.outcome.loads, sharded.outcome.loads)
+            << prog.name << " seed " << seed;
+        EXPECT_EQ(serial.outcome.final, sharded.outcome.final)
+            << prog.name << " seed " << seed;
+        EXPECT_TRUE(preSettleEvents(serial.trace) ==
+                    preSettleEvents(sharded.trace))
+            << prog.name << " seed " << seed
+            << ": pre-settle trace events differ";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPrograms, LitmusEngineTest,
+    ::testing::Range<std::size_t>(0, builtinLitmusPrograms().size()),
+    [](const ::testing::TestParamInfo<std::size_t> &info) {
+        std::string name = builtinLitmusPrograms()[info.param].name;
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
     });
 
 } // namespace

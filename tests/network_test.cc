@@ -1,8 +1,8 @@
 /**
  * @file
  * System interconnect tests (paper §2.6): routing over different
- * topologies, packet occupancies, delivery under load, and the
- * hot-potato behavior.
+ * topologies, packet occupancies, delivery under load, the
+ * hot-potato behavior, and the fabric's canonical arrival order.
  */
 
 #include <gtest/gtest.h>
@@ -59,6 +59,7 @@ TEST(Network, DeliversAcrossFullyConnected)
         ASSERT_EQ(h.got[static_cast<NodeId>(d)].size(), 1u);
         EXPECT_EQ(h.got[static_cast<NodeId>(d)][0].reqId, d);
     }
+    h.net.mergeShardedStats();
     EXPECT_EQ(h.net.statHops.value(), 3.0); // direct links
 }
 
@@ -70,6 +71,7 @@ TEST(Network, RingRoutesMultiHop)
     h.net.inject(h.pkt(0, 3, 7)); // 3 hops either way
     h.eq.run();
     ASSERT_EQ(h.got[3].size(), 1u);
+    h.net.mergeShardedStats();
     EXPECT_EQ(h.net.statHops.value(), 3.0);
 }
 
@@ -116,6 +118,43 @@ TEST(Network, ChannelLimitEnforced)
     h.nodes(6, 4);
     // A 6-node full crossbar needs 5 channels per node: must refuse.
     EXPECT_DEATH(Network::buildFullyConnected(h.net), "channels");
+}
+
+TEST(Network, SameTickArrivalsDeliverInCanonicalOrder)
+{
+    // Nodes 2 and 1 both send to node 0 at tick 0, in that order.
+    // Each packet reaches node 0 after OQ (2 ns) + a short packet's
+    // occupancy (1 ns) + the link (10 ns), and the IQ adds 4 ns, so
+    // both are delivered at 17 ns. Same-tick arrivals are handed over
+    // in (send tick, source, sequence) order, not injection order:
+    // node 1's packet first.
+    Harness h;
+    std::vector<std::pair<Tick, NetPacket>> got; // (delivery tick, packet)
+    for (NodeId id = 0; id < 3; ++id)
+        h.net.addNode(id, [&](const NetPacket &p) {
+            got.emplace_back(h.eq.curTick(), p);
+        });
+    Network::buildFullyConnected(h.net);
+    h.net.inject(h.pkt(2, 0, 20));
+    h.net.inject(h.pkt(1, 0, 10));
+    h.eq.run();
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0].first, 17'000u);
+    EXPECT_EQ(got[0].second.src, 1);
+    EXPECT_EQ(got[0].second.reqId, 10u);
+    EXPECT_EQ(got[1].first, 17'000u);
+    EXPECT_EQ(got[1].second.src, 2);
+    EXPECT_EQ(got[1].second.reqId, 20u);
+}
+
+TEST(Network, NodeIdsMustBeDense)
+{
+    // Per-node state is indexed by NodeId, so ids are handed out in
+    // order: skipping one is a wiring bug.
+    Harness h;
+    h.nodes(2);
+    EXPECT_DEATH(h.net.addNode(3, [](const NetPacket &) {}),
+                 "out of order");
 }
 
 TEST(Network, LongPacketsSlowerThanShort)

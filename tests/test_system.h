@@ -1,20 +1,19 @@
 /**
  * @file
- * Shared test fixture: builds an N-node Piranha system and drives CPU
- * ports directly (no CPU timing model), with synchronous helpers for
- * protocol tests and asynchronous agents for the random tester.
+ * Shared test fixture: a PiranhaSystem whose CPU ports the tests
+ * drive directly (the system's cores are never started), with
+ * synchronous helpers for protocol tests and asynchronous agents for
+ * the random tester. Chips, network and delivery fabric are wired by
+ * PiranhaSystem exactly as for every workload run.
  */
 
 #ifndef PIRANHA_TESTS_TEST_SYSTEM_H
 #define PIRANHA_TESTS_TEST_SYSTEM_H
 
-#include <memory>
 #include <vector>
 
 #include "check/trace.h"
-#include "sim/event_queue.h"
-#include "sim/parallel_engine.h"
-#include "system/chip.h"
+#include "system/sim_system.h"
 
 namespace piranha {
 
@@ -22,100 +21,26 @@ namespace piranha {
 struct TestSystemOptions
 {
     /** Per-chip event queues driven by the parallel engine
-     *  (DESIGN.md §13) instead of one shared serial queue. */
+     *  (DESIGN.md §13), one worker per chip, instead of one shared
+     *  serial queue. */
     bool parallel = false;
-    unsigned shards = 0; //!< parallel worker count; 0 = one per chip
     /** Per-chip tracer override (size = nodes); required instead of
      *  ChipParams::tracer when parallel (tracers are not
      *  thread-safe across chips). */
     std::vector<CoherenceTracer *> chipTracers;
 };
 
-class TestSystem
+class TestSystem : public PiranhaSystem
 {
   public:
     explicit TestSystem(unsigned nodes = 1, unsigned cpus = 8,
                         ChipParams params = ChipParams{},
                         TestSystemOptions opts = TestSystemOptions{})
-        : parallel(opts.parallel)
+        : PiranhaSystem(config(nodes, cpus, params, std::move(opts))),
+          eq(eventQueue()), amap(addressMap())
     {
-        amap.numNodes = nodes;
-        if (parallel)
-            for (unsigned n = 0; n < nodes; ++n)
-                qs.push_back(std::make_unique<EventQueue>());
-        if (nodes > 1)
-            net = std::make_unique<Network>(queueFor(0), "net");
-        params.cpus = cpus;
-        for (unsigned n = 0; n < nodes; ++n) {
-            ChipParams p = params;
-            if (!opts.chipTracers.empty())
-                p.tracer = opts.chipTracers[n];
-            chips.push_back(std::make_unique<PiranhaChip>(
-                queueFor(n), strFormat("node%u", n),
-                static_cast<NodeId>(n), amap, p, net.get()));
-        }
-        if (net) {
-            for (unsigned n = 0; n < nodes; ++n) {
-                PiranhaChip *c = chips[n].get();
-                net->addNode(static_cast<NodeId>(n),
-                             [c](const NetPacket &p) {
-                                 c->deliverNet(p);
-                             });
-            }
-            Network::buildFullyConnected(*net);
-        }
-        shards = parallel
-                     ? std::min(opts.shards ? opts.shards : nodes,
-                                nodes)
-                     : 1;
-        shardOf.assign(nodes, 0);
-        for (unsigned n = 0; parallel && n < nodes; ++n)
-            shardOf[n] = n * shards / nodes;
-        if (parallel && net) {
-            std::vector<EventQueue *> queue_ptrs;
-            for (auto &q : qs)
-                queue_ptrs.push_back(q.get());
-            fabric = std::make_unique<NetFabric>();
-            Network *np = net.get();
-            fabric->configure(
-                std::move(queue_ptrs), shardOf, shards,
-                [np](NetPacket &&p, NodeId at, Tick injected) {
-                    np->arriveAt(std::move(p), at, injected);
-                },
-                nullptr);
-            net->setFabric(fabric.get());
-        }
-    }
-
-    EventQueue &queueFor(unsigned n) { return parallel ? *qs[n] : eq; }
-
-    /** Latest tick any queue has reached. */
-    Tick
-    now() const
-    {
-        Tick t = eq.curTick();
-        for (const auto &q : qs)
-            t = std::max(t, q->curTick());
-        return t;
-    }
-
-    /** Drive every queue to quiescence (or @p deadline); returns true
-     *  when everything drained. */
-    bool
-    runUntil(Tick deadline = ~Tick(0))
-    {
-        if (!parallel)
-            return eq.run(deadline);
-        ShardPlan plan;
-        for (auto &q : qs)
-            plan.queues.push_back(q.get());
-        plan.shardOf = shardOf;
-        plan.shards = shards;
-        plan.fabric = fabric.get();
-        plan.lookahead = net ? net->minCrossLatency() : ~Tick(0);
-        plan.deadline = deadline;
-        ParallelEngine engine(std::move(plan));
-        return !engine.run().deadlineHit;
+        for (unsigned n = 0; n < nodes; ++n)
+            chips.push_back(&chip(n));
     }
 
     /** Synchronous load: run the system until the access completes. */
@@ -190,13 +115,13 @@ class TestSystem
     }
 
     /** Drain every pending event (store buffers, protocol, network). */
-    void settle() { runUntil(); }
+    void settle() { drain(); }
 
     void
     waitFor(bool &flag)
     {
-        if (parallel) {
-            runUntil();
+        if (parallelEngine()) {
+            drain();
             if (!flag)
                 panic("test system deadlock: queues drained while "
                       "waiting");
@@ -209,15 +134,25 @@ class TestSystem
         }
     }
 
-    EventQueue eq;
-    AddressMap amap;
-    std::unique_ptr<Network> net;
-    std::vector<std::unique_ptr<PiranhaChip>> chips;
-    bool parallel = false;
-    unsigned shards = 1;
-    std::vector<unsigned> shardOf;
-    std::vector<std::unique_ptr<EventQueue>> qs;
-    std::unique_ptr<NetFabric> fabric;
+    EventQueue &eq; //!< the serial engine's one queue
+    const AddressMap &amap;
+    std::vector<PiranhaChip *> chips;
+
+  private:
+    static SystemConfig
+    config(unsigned nodes, unsigned cpus, const ChipParams &params,
+           TestSystemOptions opts)
+    {
+        SystemConfig cfg;
+        cfg.nodes = nodes;
+        cfg.cpusPerChip = cpus;
+        cfg.chip = params;
+        cfg.chip.cpus = cpus;
+        cfg.engine =
+            opts.parallel ? EngineKind::Parallel : EngineKind::Serial;
+        cfg.chipTracers = std::move(opts.chipTracers);
+        return cfg;
+    }
 };
 
 /** An address homed at @p node (page-interleaved homes); @p line
