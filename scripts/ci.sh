@@ -14,8 +14,10 @@
 #                                     at seed 1 on every workload: each
 #                                     stat-tree digest must equal the one
 #                                     pinned in perfbench/ledger.json;
-#                                     timings are not gated), then a
-#                                     profiler-breakdown artifact
+#                                     timings are not gated), the same
+#                                     digest gate at validation seed 101
+#                                     against the digests pinned below,
+#                                     then a profiler-breakdown artifact
 #                                     (PROFILE_breakdown.json)
 #   scripts/ci.sh faults [build-dir]  build + tests, then a pinned-seed
 #                                     fault-injection campaign
@@ -325,6 +327,34 @@ if [[ "$MODE" == "perf" ]]; then
     CARGO_TARGET_DIR="$BUILD_DIR-bench" python3 \
         "$(dirname "$0")/../perfbench/run.py" \
         --workload all --seed 1 --seconds 1 --trace 0
+
+    # Gating: the ledger's validation seed (101) too, one sample per
+    # workload. The ledger pins no digest for it, so they are pinned
+    # here; a behaviour-preserving change keeps all four.
+    CARGO_TARGET_DIR="$BUILD_DIR-bench" python3 \
+        "$(dirname "$0")/../perfbench/run.py" \
+        --workload all --seed 101 --seconds 0.1 --trace 0 \
+        > "$BUILD_DIR/perf-seed101.txt"
+    python3 - "$BUILD_DIR/perf-seed101.txt" <<'PYEOF'
+import json, re, sys
+expect = {"p8_oltp": "5595710518f9bd4f", "p8_dss": "e8e172507ad62578",
+          "p4x8_oltp": "298f2feef7a8aa3b", "fig7_sweep": "2aed31eb7ae9cd78"}
+got = {}
+workload = None
+for line in open(sys.argv[1]):
+    if line.startswith("# meta "):
+        workload = json.loads(line[len("# meta "):])["workload"]
+    m = re.match(r"stat digest ([0-9a-f]+)", line)
+    if m:
+        got.setdefault(workload, set()).add(m.group(1))
+bad = [w for w, d in expect.items() if got.get(w) != {d}]
+for w in bad:
+    print(f"FAIL: {w} seed-101 digest {sorted(got.get(w, []))}, "
+          f"expected {expect[w]}", file=sys.stderr)
+if bad:
+    sys.exit(1)
+print("seed-101 digests match on all four workloads")
+PYEOF
 
     # Host-time profiler breakdown artifact: a separate small build
     # with PIRANHA_PROFILE=ON (zones cost two clock reads each, so the

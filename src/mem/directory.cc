@@ -31,10 +31,10 @@ DirEntry::unpack(std::uint64_t bits, unsigned num_nodes)
         if (e._state == DirState::Exclusive)
             count = 1;
         for (unsigned i = 0; i < count; ++i) {
-            NodeId n = static_cast<NodeId>((body >> (i * ptrBits)) &
-                                           ((1u << ptrBits) - 1));
-            e._ptrs.push_back(n);
+            e._ptrs[i] = static_cast<NodeId>((body >> (i * ptrBits)) &
+                                             ((1u << ptrBits) - 1));
         }
+        e._numPtrs = count;
         break;
       }
       case DirState::SharedCv:
@@ -53,12 +53,12 @@ DirEntry::pack() const
         break;
       case DirState::SharedPtr:
       case DirState::Exclusive: {
-        if (_ptrs.empty() || _ptrs.size() > maxPointers)
-            panic("directory pointer count %zu out of range",
-                  _ptrs.size());
-        for (size_t i = 0; i < _ptrs.size(); ++i)
+        if (_numPtrs == 0)
+            panic("directory pointer count 0 in state %d",
+                  static_cast<int>(_state));
+        for (unsigned i = 0; i < _numPtrs; ++i)
             body |= static_cast<std::uint64_t>(_ptrs[i]) << (i * ptrBits);
-        body |= static_cast<std::uint64_t>(_ptrs.size() - 1) << 40;
+        body |= static_cast<std::uint64_t>(_numPtrs - 1) << 40;
         break;
       }
       case DirState::SharedCv:
@@ -69,6 +69,13 @@ DirEntry::pack() const
 }
 
 bool
+DirEntry::hasPtr(NodeId node) const
+{
+    const NodeId *end = _ptrs.data() + _numPtrs;
+    return std::find(_ptrs.data(), end, node) != end;
+}
+
+bool
 DirEntry::mayBeSharer(NodeId node) const
 {
     switch (_state) {
@@ -76,7 +83,7 @@ DirEntry::mayBeSharer(NodeId node) const
         return false;
       case DirState::SharedPtr:
       case DirState::Exclusive:
-        return std::find(_ptrs.begin(), _ptrs.end(), node) != _ptrs.end();
+        return hasPtr(node);
       case DirState::SharedCv:
         return (_cv >> (node / groupSize(_numNodes))) & 1;
     }
@@ -92,16 +99,16 @@ DirEntry::owner() const
     return _ptrs[0];
 }
 
-std::vector<NodeId>
-DirEntry::sharerList() const
+void
+DirEntry::sharerList(std::vector<NodeId> &out) const
 {
-    std::vector<NodeId> out;
+    out.clear();
     switch (_state) {
       case DirState::Uncached:
         break;
       case DirState::SharedPtr:
       case DirState::Exclusive:
-        out = _ptrs;
+        out.assign(_ptrs.data(), _ptrs.data() + _numPtrs);
         break;
       case DirState::SharedCv: {
         unsigned gs = groupSize(_numNodes);
@@ -116,13 +123,28 @@ DirEntry::sharerList() const
         break;
       }
     }
-    return out;
 }
 
 unsigned
 DirEntry::sharerCount() const
 {
-    return static_cast<unsigned>(sharerList().size());
+    switch (_state) {
+      case DirState::Uncached:
+        return 0;
+      case DirState::SharedPtr:
+      case DirState::Exclusive:
+        return _numPtrs;
+      case DirState::SharedCv: {
+        // Every node of each set group, as sharerList() lists them.
+        unsigned gs = groupSize(_numNodes);
+        unsigned n = 0;
+        for (unsigned g = 0; g < sharerBits && g * gs < _numNodes; ++g)
+            if ((_cv >> g) & 1)
+                n += std::min((g + 1) * gs, _numNodes) - g * gs;
+        return n;
+      }
+    }
+    return 0;
 }
 
 void
@@ -130,9 +152,9 @@ DirEntry::switchToCoarse()
 {
     std::uint64_t cv = 0;
     unsigned gs = groupSize(_numNodes);
-    for (NodeId n : _ptrs)
-        cv |= 1ULL << (n / gs);
-    _ptrs.clear();
+    for (unsigned i = 0; i < _numPtrs; ++i)
+        cv |= 1ULL << (_ptrs[i] / gs);
+    _numPtrs = 0;
     _cv = cv;
     _state = DirState::SharedCv;
 }
@@ -143,23 +165,24 @@ DirEntry::addSharer(NodeId node)
     switch (_state) {
       case DirState::Uncached:
         _state = DirState::SharedPtr;
-        _ptrs.assign(1, node);
+        _ptrs[0] = node;
+        _numPtrs = 1;
         break;
       case DirState::Exclusive:
         // Owner demotes to a sharer alongside the new one.
         _state = DirState::SharedPtr;
         if (_ptrs[0] != node)
-            _ptrs.push_back(node);
+            _ptrs[_numPtrs++] = node;
         break;
       case DirState::SharedPtr:
-        if (std::find(_ptrs.begin(), _ptrs.end(), node) != _ptrs.end())
+        if (hasPtr(node))
             return;
-        if (_ptrs.size() == maxPointers) {
+        if (_numPtrs == maxPointers) {
             // Past 4 remote sharing nodes: switch representation.
             switchToCoarse();
             _cv |= 1ULL << (node / groupSize(_numNodes));
         } else {
-            _ptrs.push_back(node);
+            _ptrs[_numPtrs++] = node;
         }
         break;
       case DirState::SharedCv:
@@ -179,10 +202,11 @@ DirEntry::removeSharer(NodeId node)
             clear();
         break;
       case DirState::SharedPtr: {
-        auto it = std::find(_ptrs.begin(), _ptrs.end(), node);
-        if (it != _ptrs.end())
-            _ptrs.erase(it);
-        if (_ptrs.empty())
+        // Close the gap so the remaining pointers keep their order.
+        _numPtrs = static_cast<unsigned>(
+            std::remove(_ptrs.data(), _ptrs.data() + _numPtrs, node) -
+            _ptrs.data());
+        if (_numPtrs == 0)
             clear();
         break;
       }
@@ -198,7 +222,8 @@ void
 DirEntry::setExclusive(NodeId node)
 {
     _state = DirState::Exclusive;
-    _ptrs.assign(1, node);
+    _ptrs[0] = node;
+    _numPtrs = 1;
     _cv = 0;
 }
 
@@ -206,7 +231,7 @@ void
 DirEntry::clear()
 {
     _state = DirState::Uncached;
-    _ptrs.clear();
+    _numPtrs = 0;
     _cv = 0;
 }
 
@@ -219,10 +244,13 @@ DirEntry::operator==(const DirEntry &o) const
       case DirState::Uncached:
         return true;
       case DirState::SharedPtr: {
-        auto a = _ptrs, b = o._ptrs;
-        std::sort(a.begin(), a.end());
-        std::sort(b.begin(), b.end());
-        return a == b;
+        // Same set in any order; a pointer list holds distinct nodes.
+        if (_numPtrs != o._numPtrs)
+            return false;
+        for (unsigned i = 0; i < _numPtrs; ++i)
+            if (!o.hasPtr(_ptrs[i]))
+                return false;
+        return true;
       }
       case DirState::Exclusive:
         return _ptrs[0] == o._ptrs[0];

@@ -19,6 +19,7 @@
 #ifndef PIRANHA_MEM_DIRECTORY_H
 #define PIRANHA_MEM_DIRECTORY_H
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -72,11 +73,12 @@ class DirEntry
     bool empty() const { return _state == DirState::Uncached; }
 
     /**
-     * All nodes that must be invalidated (the precise pointer list, or
-     * every node in the set groups for coarse vector — coarse vector
-     * over-invalidates by construction).
+     * Replace @p out with all nodes that must be invalidated (the
+     * precise pointer list in pointer order, or every node in the set
+     * groups for coarse vector — coarse vector over-invalidates by
+     * construction). Callers keep @p out to reuse its storage.
      */
-    std::vector<NodeId> sharerList() const;
+    void sharerList(std::vector<NodeId> &out) const;
 
     /** Number of remote sharers (upper bound for coarse vector). */
     unsigned sharerCount() const;
@@ -111,10 +113,15 @@ class DirEntry
   private:
     DirState _state;
     unsigned _numNodes;
-    // SharedPtr/Exclusive: pointer list (owner in [0]); SharedCv: the
-    // 42-bit vector.
-    std::vector<NodeId> _ptrs;
+    // SharedPtr/Exclusive: the first _numPtrs slots hold the pointer
+    // list in insertion order (owner in [0]); SharedCv: the 42-bit
+    // vector.
+    std::array<NodeId, maxPointers> _ptrs{};
+    unsigned _numPtrs = 0;
     std::uint64_t _cv = 0;
+
+    /** True if the pointer list holds @p node. */
+    bool hasPtr(NodeId node) const;
 
     void switchToCoarse();
 };

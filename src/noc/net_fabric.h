@@ -9,9 +9,10 @@
  *  - Every cross-node channel traversal posts a Post record instead of
  *    scheduling the destination hop directly. Posts to the same
  *    (destination node, arrival tick) accumulate in a staging bucket.
- *  - Each bucket is flushed by exactly one priority event at the
- *    arrival tick (EventQueue::schedulePriority), so arrivals at tick
- *    T execute before any normal local event of tick T.
+ *  - Each bucket is a pooled priority event of its destination node,
+ *    scheduled at the arrival tick (EventQueue::schedulePriority) when
+ *    its first post stages, so arrivals at tick T execute before any
+ *    normal local event of tick T.
  *  - The flush processes its bucket in the canonical order
  *    (send tick, source node, per-source sequence) — a pure function
  *    of the senders' deterministic streams, independent of which
@@ -32,10 +33,10 @@
 #ifndef PIRANHA_NOC_NET_FABRIC_H
 #define PIRANHA_NOC_NET_FABRIC_H
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "noc/packet.h"
@@ -89,6 +90,10 @@ class NetFabric
     using ArriveFn = std::function<void(NetPacket &&, NodeId, Tick)>;
 
     explicit NetFabric(ArriveFn arrive) : _arrive(std::move(arrive)) {}
+
+    // Pooled flush events point back at their fabric.
+    NetFabric(const NetFabric &) = delete;
+    NetFabric &operator=(const NetFabric &) = delete;
 
     /**
      * Append the next node (ids are dense, in addNode order) on event
@@ -172,15 +177,30 @@ class NetFabric
     }
 
   private:
-    struct Bucket
+    /**
+     * One staging bucket: the posts to node dst arriving at the tick
+     * the event is scheduled for. Its posts vector keeps its capacity
+     * across reuse.
+     */
+    struct FlushEvent final : public Event
     {
+        FlushEvent(NetFabric *f, NodeId d) : fabric(f), dst(d) {}
+        void process() override { fabric->flush(*this); }
+        const char *eventName() const override { return "fabric.flush"; }
+        NetFabric *fabric;
+        NodeId dst;
         std::vector<Post> posts;
     };
 
+    /**
+     * Per-destination buckets. Only the shard owning the destination
+     * stages into them (directly or when draining its mailboxes), so
+     * no two threads share a pool.
+     */
     struct Staging
     {
-        // Arrival tick -> staged posts; one flush event per entry.
-        std::map<Tick, Bucket> byTick;
+        EventPool<FlushEvent> pool;
+        std::vector<FlushEvent *> pending; //!< scheduled, unflushed
     };
 
     void
@@ -201,20 +221,32 @@ class NetFabric
                 _hooks->lateArrivals.fetch_add(
                     1, std::memory_order_relaxed);
         }
-        Bucket &b = _staging[dst].byTick[at];
-        if (b.posts.empty())
-            q.schedulePriority(at, [this, dst, at] { flush(dst, at); });
-        b.posts.push_back(std::move(p));
+        Staging &st = _staging[dst];
+        FlushEvent *b = nullptr;
+        for (FlushEvent *f : st.pending) {
+            if (f->when() == at) {
+                b = f;
+                break;
+            }
+        }
+        if (!b) {
+            b = st.pool.acquire(this, dst);
+            st.pending.push_back(b);
+            q.schedulePriority(*b, at);
+        }
+        b->posts.push_back(std::move(p));
     }
 
     void
-    flush(NodeId dst, Tick at)
+    flush(FlushEvent &ev)
     {
-        auto it = _staging[dst].byTick.find(at);
-        if (it == _staging[dst].byTick.end())
-            return;
-        std::vector<Post> posts = std::move(it->second.posts);
-        _staging[dst].byTick.erase(it);
+        // Unlist first: a post staged from here on (only a late one,
+        // see stage()) opens a new bucket.
+        Staging &st = _staging[ev.dst];
+        *std::find(st.pending.begin(), st.pending.end(), &ev) =
+            st.pending.back();
+        st.pending.pop_back();
+        std::vector<Post> &posts = ev.posts;
         auto canon = [](const Post &a, const Post &b) {
             if (a.sendTick != b.sendTick)
                 return a.sendTick < b.sendTick;
@@ -229,7 +261,9 @@ class NetFabric
                 1, std::memory_order_relaxed);
         }
         for (Post &p : posts)
-            _arrive(std::move(p.pkt), dst, p.injected);
+            _arrive(std::move(p.pkt), ev.dst, p.injected);
+        posts.clear();
+        st.pool.release(&ev);
     }
 
     std::vector<EventQueue *> _queues;

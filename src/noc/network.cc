@@ -88,16 +88,15 @@ Network::finalizeRoutes()
 {
     // BFS from every node over the channel graph.
     for (NodeId id = 0; id < _nodes.size(); ++id) {
-        Node &node = _nodes[id];
-        node.nextHop.clear();
+        std::vector<NodeId> &first = _nodes[id].nextHop; // dest -> hop
+        first.assign(_nodes.size(), kNoRoute);
+        std::vector<bool> seen(_nodes.size(), false);
         std::deque<NodeId> frontier{id};
-        std::unordered_map<NodeId, NodeId> first; // dest -> first hop
-        std::unordered_map<NodeId, bool> seen;
         seen[id] = true;
         while (!frontier.empty()) {
             NodeId cur = frontier.front();
             frontier.pop_front();
-            for (const Channel &c : _nodes.at(cur).channels) {
+            for (const Channel &c : _nodes[cur].channels) {
                 if (seen[c.to])
                     continue;
                 seen[c.to] = true;
@@ -105,8 +104,35 @@ Network::finalizeRoutes()
                 frontier.push_back(c.to);
             }
         }
-        node.nextHop = std::move(first);
     }
+}
+
+void
+Network::schedulePacket(NodeId at, Tick when, bool deliver, Tick injected,
+                        NetPacket &&pkt)
+{
+    PacketEvent *ev = _nodes[at].events.acquire(this, at);
+    ev->deliver = deliver;
+    ev->injected = injected;
+    ev->pkt = std::move(pkt);
+    _fabric.queueFor(at).schedule(*ev, when);
+}
+
+void
+Network::PacketEvent::process()
+{
+    // Detach the payload and recycle before dispatching: the handler
+    // may schedule further packets at this node.
+    NetPacket p = std::move(pkt);
+    Network *n = net;
+    NodeId node = at;
+    bool iq = deliver;
+    Tick inj = injected;
+    n->_nodes[node].events.release(this);
+    if (iq)
+        n->_nodes[node].deliver(p);
+    else
+        n->hop(std::move(p), node, inj);
 }
 
 void
@@ -128,10 +154,8 @@ Network::inject(NetPacket pkt)
     // Output-queue fall-through (single cycle when the router is
     // ready; transit traffic has priority, modeled in channel
     // backlog).
-    q.schedule(injected + nsToTicks(_p.oqNs),
-               [this, pkt = std::move(pkt), src, injected]() mutable {
-                   hop(std::move(pkt), src, injected);
-               });
+    schedulePacket(src, injected + nsToTicks(_p.oqNs), false, injected,
+                   std::move(pkt));
 }
 
 void
@@ -150,16 +174,14 @@ Network::hop(NetPacket pkt, NodeId at, Tick injected)
         // disposition vector and hand to the target module.
         node.stats.latency.sample(static_cast<double>(now - injected) /
                                   static_cast<double>(ticksPerNs));
-        q.schedule(now + nsToTicks(_p.iqNs),
-                   [fn = node.deliver, pkt = std::move(pkt)] {
-                       fn(pkt);
-                   });
+        schedulePacket(at, now + nsToTicks(_p.iqNs), true, injected,
+                       std::move(pkt));
         return;
     }
-    auto rit = node.nextHop.find(pkt.dst);
-    if (rit == node.nextHop.end())
+    NodeId preferred =
+        pkt.dst < node.nextHop.size() ? node.nextHop[pkt.dst] : kNoRoute;
+    if (preferred == kNoRoute)
         panic("network: no route %u -> %u", at, pkt.dst);
-    NodeId preferred = rit->second;
 
     Channel *chan = nullptr;
     for (Channel &c : node.channels)

@@ -26,7 +26,7 @@
 #define PIRANHA_NOC_NETWORK_H
 
 #include <functional>
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
 #include "noc/net_fabric.h"
@@ -135,19 +135,42 @@ class Network : public SimObject
         Histogram latency{50.0, 64};
     };
 
+    /**
+     * One packet's output-queue fall-through at its source (the first
+     * hop) or its input-queue hand-off at its destination. Pooled per
+     * node, so only the thread running that node's queue touches it.
+     */
+    struct PacketEvent final : public Event
+    {
+        PacketEvent(Network *n, NodeId node) : net(n), at(node) {}
+        void process() override;
+        const char *eventName() const override { return "net.packet"; }
+        Network *net;
+        NodeId at;
+        bool deliver = false; //!< IQ hand-off; else the first hop
+        Tick injected = 0;
+        NetPacket pkt;
+    };
+
+    static constexpr NodeId kNoRoute = std::numeric_limits<NodeId>::max();
+
     struct Node
     {
         NetDeliverFn deliver;
         unsigned maxChannels = 4;
         std::vector<Channel> channels;
-        // next hop per destination
-        std::unordered_map<NodeId, NodeId> nextHop;
+        // next hop per destination id (kNoRoute when unreachable)
+        std::vector<NodeId> nextHop;
         // node-local misroute stream, so results don't depend on
         // which thread interleaving consumed a shared generator
         Pcg32 rng;
         NodeStats stats;
+        EventPool<PacketEvent> events;
     };
 
+    /** Schedule @p pkt's first hop or IQ hand-off at node @p at. */
+    void schedulePacket(NodeId at, Tick when, bool deliver, Tick injected,
+                        NetPacket &&pkt);
     void hop(NetPacket pkt, NodeId at, Tick injected);
     Tick icCycles(unsigned n) const;
 

@@ -161,15 +161,13 @@ installHomeProgram(ProtocolEngine &pe)
     // plus cruise-missile invalidations.
     a.label("hReqX_home");
     a.op(MicroOp::SET, [&pe](TsrfEntry &t) {
-        std::vector<NodeId> targets;
-        for (NodeId n : t.dir.sharerList())
-            if (n != t.requester)
-                targets.push_back(n);
+        t.dir.sharerList(t.cmiTargets);
+        std::erase(t.cmiTargets, t.requester);
         t.flagB = t.origMsg.type == NetMsgType::ReqUpgrade &&
                   t.dir.mayBeSharer(t.requester);
         if (t.flagB && t.dirty)
             panic("home: dirty local data under a shared directory");
-        pe.planCmi(t, targets);
+        pe.planCmi(t);
         t.dir.setExclusive(t.requester);
         std::uint64_t d = t.dir.pack();
         pe.memWrite(t.addr, t.dirty ? &t.data : nullptr, &d);
@@ -181,7 +179,7 @@ installHomeProgram(ProtocolEngine &pe)
         p.dst = t.requester;
         p.requester = t.requester;
         p.reqId = t.reqId;
-        p.ackCount = static_cast<int>(t.chains.size());
+        p.ackCount = static_cast<int>(t.numChains);
         if (t.flagB) {
             p.type = NetMsgType::RepUpgrade;
         } else {
@@ -194,7 +192,7 @@ installHomeProgram(ProtocolEngine &pe)
     });
     a.label("hReqX_chains");
     a.test([](TsrfEntry &t) {
-        return t.chainIdx < t.chains.size() ? 1u : 0u;
+        return t.chainIdx < t.numChains ? 1u : 0u;
     },
            {{0, "hReqX_done"}, {1, "hReqX_send"}});
     a.label("hReqX_send");
@@ -415,8 +413,9 @@ installHomeProgram(ProtocolEngine &pe)
     a.halt();
     a.label("hLX_inval");
     a.op(MicroOp::SET, [&pe, num_nodes](TsrfEntry &t) {
-        pe.planCmi(t, t.dir.sharerList());
-        t.acksLeft = static_cast<int>(t.chains.size());
+        t.dir.sharerList(t.cmiTargets);
+        pe.planCmi(t);
+        t.acksLeft = static_cast<int>(t.numChains);
         DirEntry nd(num_nodes);
         t.dir = nd;
         std::uint64_t d = nd.pack();
@@ -429,7 +428,7 @@ installHomeProgram(ProtocolEngine &pe)
     });
     a.label("hLX_chains");
     a.test([](TsrfEntry &t) {
-        return t.chainIdx < t.chains.size() ? 1u : 0u;
+        return t.chainIdx < t.numChains ? 1u : 0u;
     },
            {{0, "hLX_acks"}, {1, "hLX_send"}});
     a.label("hLX_send");

@@ -212,7 +212,10 @@ ProtocolEngine::spawn(const QMsg &m)
     TsrfEntry *t = freeEntry();
     if (!t)
         panic("%s: spawn without free TSRF", name().c_str());
+    // Fresh registers, but keep the CMI target storage for reuse.
+    std::vector<NodeId> cmi_targets = std::move(t->cmiTargets);
     *t = TsrfEntry{};
+    t->cmiTargets = std::move(cmi_targets);
     t->valid = true;
     _readyMask |= readyBit(*t);
     t->started = curTick();
@@ -506,22 +509,20 @@ ProtocolEngine::memWrite(Addr addr, const LineData *data,
 }
 
 void
-ProtocolEngine::planCmi(TsrfEntry &t, const std::vector<NodeId> &targets)
+ProtocolEngine::planCmi(TsrfEntry &t)
 {
-    t.chains.clear();
+    std::vector<NodeId> &targets = t.cmiTargets;
+    t.numChains = 0;
     t.chainIdx = 0;
     if (targets.empty())
         return;
     unsigned nchains =
         std::min<unsigned>(_cfg.cmiFanout,
                            static_cast<unsigned>(targets.size()));
-    t.chains.resize(nchains);
+    t.numChains = nchains;
     // Deterministic round-robin assignment over sorted targets gives
     // each cruise missile a predetermined set of nodes to visit.
-    std::vector<NodeId> sorted = targets;
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t i = 0; i < sorted.size(); ++i)
-        t.chains[i % nchains].push_back(sorted[i]);
+    std::sort(targets.begin(), targets.end());
     PIR_TRACE(_cfg.tracer,
               TraceEvent{.tick = curTick(),
                          .kind = TraceKind::CmiPlan,
@@ -534,16 +535,20 @@ ProtocolEngine::planCmi(TsrfEntry &t, const std::vector<NodeId> &targets)
 bool
 ProtocolEngine::sendNextChain(TsrfEntry &t)
 {
-    if (t.chainIdx >= t.chains.size())
+    if (t.chainIdx >= t.numChains)
         return false;
-    std::vector<NodeId> route = t.chains[t.chainIdx++];
+    std::size_t c = t.chainIdx++;
+    const std::vector<NodeId> &targets = t.cmiTargets;
     NetPacket inv;
     inv.type = NetMsgType::Inval;
     inv.addr = t.addr;
     inv.requester = t.requester;
     inv.reqId = t.reqId;
-    inv.dst = route.front();
-    inv.cmiRoute.assign(route.begin() + 1, route.end());
+    inv.dst = targets[c];
+    inv.cmiRoute.reserve((targets.size() - 1 - c) / t.numChains);
+    for (std::size_t i = c + t.numChains; i < targets.size();
+         i += t.numChains)
+        inv.cmiRoute.push_back(targets[i]);
     sendNet(std::move(inv));
     return true;
 }

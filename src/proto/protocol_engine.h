@@ -96,8 +96,8 @@ class ProtocolEngine : public SimObject, public IcsClient
     /** Posted memory/directory write at the home. */
     void memWrite(Addr addr, const LineData *data,
                   const std::uint64_t *dir);
-    /** Split @p targets into at most cmiFanout CMI chains. */
-    void planCmi(TsrfEntry &t, const std::vector<NodeId> &targets);
+    /** Split @p t's cmiTargets into at most cmiFanout CMI chains. */
+    void planCmi(TsrfEntry &t);
     /** Emit the next planned CMI chain; true if one was sent. */
     bool sendNextChain(TsrfEntry &t);
 

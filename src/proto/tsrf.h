@@ -53,8 +53,13 @@ struct TsrfEntry
     NodeId requester = 0;
     NodeId ownerReg = 0; //!< stashed previous owner
     int acksLeft = 0;
-    std::vector<std::vector<NodeId>> chains; //!< CMI routes to emit
-    std::size_t chainIdx = 0;
+    /** CMI plan: the targets, sorted and dealt round-robin into
+     *  numChains routes (chain c visits cmiTargets[c], then every
+     *  numChains-th one after it). The engine keeps this storage
+     *  across spawns. */
+    std::vector<NodeId> cmiTargets;
+    std::size_t numChains = 0;
+    std::size_t chainIdx = 0; //!< next chain to emit
     std::uint64_t reqId = 0;
     bool flagA = false;
     bool flagB = false;

@@ -12,10 +12,11 @@
  * Storage is hybrid (see DESIGN.md "Event kernel"):
  *
  *  - Near future: a power-of-two timing wheel of kNumBuckets buckets,
- *    each spanning 2^kBucketShift ticks (~one 500 MHz cycle). The
- *    1-8 cycle deltas that dominate simulation land here; insertion
- *    is an O(1) bitmap update plus a tail-backward walk of a sorted
- *    intrusive list that is almost always empty or monotone.
+ *    each spanning 2^kBucketShift ticks (512 ps, about one tick of
+ *    the 500-ps interconnect grid). The deltas that dominate
+ *    simulation land here; insertion is an O(1) bitmap update plus a
+ *    tail-backward walk of a sorted intrusive list, which for a
+ *    normal-band event finds the tail already in order.
  *  - Far future (beyond the wheel horizon): a binary min-heap of
  *    (when, seq, Event*) entries. Descheduling leaves a stale heap
  *    entry behind; entries are validated lazily against the event's
@@ -147,15 +148,6 @@ class EventQueue
         schedule(*ev, when);
     }
 
-    /** Closure variant of schedulePriority (fabric flush events). */
-    void
-    schedulePriority(Tick when, EventFn fn)
-    {
-        LambdaEvent *ev = acquireLambda();
-        ev->_fn = std::move(fn);
-        schedulePriority(*ev, when);
-    }
-
     /** Schedule closure @p fn to run @p delta ticks from now. */
     void
     scheduleIn(Tick delta, EventFn fn)
@@ -256,11 +248,18 @@ class EventQueue
             _curTick = t;
     }
 
+    /**
+     * Wheel geometry: kNumBuckets buckets of 2^kBucketShift ticks
+     * cover a horizon of 2^19 ticks (~524 ns) ahead of curTick; an
+     * event further out goes to the far heap. A bucket is 512 ticks,
+     * just over one 500-ps interconnect cycle, so it seldom holds two
+     * distinct ticks and a normal-band insert (the largest seq yet)
+     * files at the bucket tail without walking (DESIGN.md §7).
+     */
+    static constexpr unsigned kBucketShift = 9;
+    static constexpr std::size_t kNumBuckets = 1024;
+
   private:
-    // Wheel geometry: 256 buckets of 2^11 ticks (~1 cycle at 500 MHz)
-    // cover a horizon of 2^19 ticks (~524 ns) ahead of curTick.
-    static constexpr unsigned kBucketShift = 11;
-    static constexpr std::size_t kNumBuckets = 256;
     static constexpr std::size_t kOccWords = kNumBuckets / 64;
 
     // Sequence bands: normal events draw from [kNormalSeqBase, 2^64),

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <initializer_list>
+#include <vector>
 
 #include "mem/directory.h"
 #include "sim/rng.h"
@@ -62,7 +65,8 @@ TEST(DirEntry, CoarseVectorIsConservative)
     unsigned gs = DirEntry::groupSize(1024);
     EXPECT_TRUE(e.mayBeSharer(static_cast<NodeId>(gs - 1)));
     // All true sharers must be covered by sharerList().
-    auto list = e.sharerList();
+    std::vector<NodeId> list;
+    e.sharerList(list);
     for (NodeId n : {0, 100, 200, 300, 400}) {
         EXPECT_NE(std::find(list.begin(), list.end(), n), list.end())
             << "missing true sharer " << n;
@@ -106,6 +110,103 @@ TEST(DirEntry, RemoveOwnerClearsExclusive)
     e.setExclusive(5);
     e.removeSharer(6);
     EXPECT_EQ(e.owner(), 5);
+}
+
+// The pointer list keeps insertion order: pack() lays the pointers
+// out in that order, owner() reads slot 0, and CMI planning starts
+// from sharerList(). These pin the exact bits for three sequences.
+
+/** Packed limited-pointer entry: state, count - 1, then the slots. */
+std::uint64_t
+packedPtrs(DirState st, std::initializer_list<std::uint64_t> ptrs)
+{
+    std::uint64_t bits = std::uint64_t(st) << DirEntry::sharerBits |
+                         std::uint64_t(ptrs.size() - 1) << 40;
+    unsigned i = 0;
+    for (std::uint64_t p : ptrs)
+        bits |= p << (DirEntry::ptrBits * i++);
+    return bits;
+}
+
+TEST(DirEntry, RemoveKeepsPointerOrder)
+{
+    DirEntry e(16);
+    e.addSharer(1);
+    e.addSharer(2);
+    e.addSharer(3);
+    e.removeSharer(2);
+    EXPECT_EQ(e.state(), DirState::SharedPtr);
+    EXPECT_EQ(e.pack(), packedPtrs(DirState::SharedPtr, {1, 3}));
+    EXPECT_EQ(e.pack(), 0x50000000c01u);
+    std::vector<NodeId> list;
+    e.sharerList(list);
+    EXPECT_EQ(list, (std::vector<NodeId>{1, 3}));
+    EXPECT_EQ(e.sharerCount(), 2u);
+    // A later sharer files after the survivors, and removing the
+    // first pointer shifts the rest down in order.
+    e.addSharer(2);
+    EXPECT_EQ(e.pack(), packedPtrs(DirState::SharedPtr, {1, 3, 2}));
+    e.removeSharer(1);
+    EXPECT_EQ(e.pack(), packedPtrs(DirState::SharedPtr, {3, 2}));
+    e.sharerList(list);
+    EXPECT_EQ(list, (std::vector<NodeId>{3, 2}));
+}
+
+TEST(DirEntry, SetExclusiveAfterSharersPinsOwner)
+{
+    DirEntry e(16);
+    e.addSharer(4);
+    e.addSharer(9);
+    e.setExclusive(6);
+    EXPECT_EQ(e.pack(), packedPtrs(DirState::Exclusive, {6}));
+    EXPECT_EQ(e.pack(), 0xc0000000006u);
+    EXPECT_EQ(e.owner(), 6);
+    EXPECT_EQ(DirEntry::unpack(e.pack(), 16).owner(), 6);
+    EXPECT_EQ(e.sharerCount(), 1u);
+    // A reader demotes the owner, which stays in slot 0.
+    e.addSharer(2);
+    EXPECT_EQ(e.pack(), packedPtrs(DirState::SharedPtr, {6, 2}));
+    e.setExclusive(2);
+    EXPECT_EQ(e.owner(), 2);
+    EXPECT_EQ(e.pack(), packedPtrs(DirState::Exclusive, {2}));
+}
+
+TEST(DirEntry, FifthSharerPacksCoarseVector)
+{
+    // 64 nodes: two nodes per coarse-vector bit.
+    DirEntry e(64);
+    for (NodeId n : {1, 2, 3, 4})
+        e.addSharer(n);
+    EXPECT_EQ(e.pack(), packedPtrs(DirState::SharedPtr, {1, 2, 3, 4}));
+    EXPECT_EQ(e.pack(), 0x70100300801u);
+    e.addSharer(9);
+    EXPECT_EQ(e.state(), DirState::SharedCv);
+    // Groups {0,1}, {2,3}, {4,5} and {8,9}: bits 0, 1, 2 and 4.
+    EXPECT_EQ(e.pack(), std::uint64_t(DirState::SharedCv)
+                                << DirEntry::sharerBits |
+                            0x17u);
+    std::vector<NodeId> list;
+    e.sharerList(list);
+    EXPECT_EQ(list, (std::vector<NodeId>{0, 1, 2, 3, 4, 5, 8, 9}));
+    EXPECT_EQ(e.sharerCount(), 8u);
+}
+
+TEST(DirEntry, SharerCountMatchesSharerList)
+{
+    Pcg32 rng(81);
+    std::vector<NodeId> list;
+    for (int trial = 0; trial < 500; ++trial) {
+        // Node counts that are and are not multiples of the group.
+        unsigned nodes = 2 + rng.below(1023);
+        DirEntry e(nodes);
+        unsigned ops = rng.below(12);
+        for (unsigned i = 0; i < ops; ++i)
+            e.addSharer(static_cast<NodeId>(rng.below(nodes)));
+        if (rng.below(4) == 0)
+            e.setExclusive(static_cast<NodeId>(rng.below(nodes)));
+        e.sharerList(list);
+        EXPECT_EQ(e.sharerCount(), list.size()) << "nodes=" << nodes;
+    }
 }
 
 TEST(DirEntry, PackFitsIn44Bits)

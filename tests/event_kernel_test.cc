@@ -2,15 +2,19 @@
  * @file
  * Intrusive event-kernel tests: wheel/heap ordering across the
  * horizon, wrap-around, deschedule/reschedule of in-flight events,
- * misuse panics, monotonic time across run/step boundaries, and a
+ * misuse panics, monotonic time across run/step boundaries, a
  * randomized execution-order equivalence check against the preserved
- * closure/priority-queue kernel (LegacyEventQueue).
+ * closure/priority-queue kernel (LegacyEventQueue), and a randomized
+ * check of the priority band against a (tick, band, order) sort.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "legacy_event_queue.h"
@@ -20,11 +24,10 @@
 namespace piranha {
 namespace {
 
-// Wheel geometry mirrored from event_queue.h: 256 buckets of 2^11
-// ticks. Deltas below the horizon are filed in the wheel, at or above
-// it in the far-future heap.
-constexpr Tick kBucket = Tick(1) << 11;
-constexpr Tick kHorizon = 256 * kBucket;
+// The wheel's geometry: deltas below the horizon are filed in the
+// wheel, at or above it in the far-future heap.
+constexpr Tick kBucket = Tick(1) << EventQueue::kBucketShift;
+constexpr Tick kHorizon = EventQueue::kNumBuckets * kBucket;
 
 /** Appends its id to a shared log when it fires. */
 class LogEvent : public Event
@@ -64,12 +67,13 @@ TEST(EventKernel, OrderPreservedAtWheelHorizonBoundary)
 {
     EventQueue eq;
     std::vector<int> log;
-    // Delta of 255 buckets lands in the wheel's last reachable
-    // bucket (wrap-around index); 256 buckets goes to the heap.
+    // A delta one bucket short of the horizon lands in the wheel's
+    // last reachable bucket (wrap-around index); the horizon itself
+    // goes to the heap.
     LogEvent lastBucket(&log, 1), firstHeap(&log, 2), far(&log, 3);
-    eq.scheduleIn(lastBucket, 255 * kBucket);
-    eq.scheduleIn(firstHeap, 256 * kBucket);
-    eq.scheduleIn(far, 256 * kBucket + 1);
+    eq.scheduleIn(lastBucket, kHorizon - kBucket);
+    eq.scheduleIn(firstHeap, kHorizon);
+    eq.scheduleIn(far, kHorizon + 1);
     EXPECT_TRUE(eq.run());
     EXPECT_EQ(log, (std::vector<int>{1, 2, 3}));
 }
@@ -78,30 +82,50 @@ TEST(EventKernel, WheelWrapAroundKeepsTickOrder)
 {
     EventQueue eq;
     std::vector<int> log;
-    // March time forward so bucket indices wrap the 256-entry wheel
-    // several times; events scheduled at mixed deltas must still fire
-    // in global tick order.
+    // March time forward so bucket indices wrap the wheel several
+    // times; events scheduled at mixed deltas must still fire in
+    // global tick order. Each lap advances 25/32 of the horizon.
+    const Tick lap_ticks = kHorizon / 32 * 25 + 37;
+    const Tick back = kHorizon / 128 * 25;
     std::vector<std::unique_ptr<LogEvent>> events;
     int id = 0;
     Tick when = 0;
     std::vector<std::pair<Tick, int>> expected;
     for (int lap = 0; lap < 10; ++lap) {
-        when += 200 * kBucket + 37; // crosses the wrap point each lap
+        when += lap_ticks; // crosses the wrap point most laps
         events.push_back(std::make_unique<LogEvent>(&log, id));
         eq.schedule(*events.back(), when);
         expected.push_back({when, id});
         ++id;
         // A nearer event inserted later must still fire earlier.
         events.push_back(std::make_unique<LogEvent>(&log, id));
-        eq.schedule(*events.back(), when - 50 * kBucket);
-        expected.push_back({when - 50 * kBucket, id});
+        eq.schedule(*events.back(), when - back);
+        expected.push_back({when - back, id});
         ++id;
     }
+    // The same laps chained: each is scheduled when the previous one
+    // fires, so both of its events are filed in the wheel.
+    int chained = 100;
+    std::function<void(int)> run_lap = [&](int lap) {
+        Tick at = eq.curTick() + lap_ticks;
+        int far_id = chained++, near_id = chained++;
+        expected.push_back({at - back, near_id});
+        expected.push_back({at, far_id});
+        eq.schedule(at, [&, far_id, lap] {
+            log.push_back(far_id);
+            if (lap + 1 < 10)
+                run_lap(lap + 1);
+        });
+        eq.schedule(at - back,
+                    [&log, near_id] { log.push_back(near_id); });
+    };
+    eq.schedule(3 * kHorizon, [&] { run_lap(0); });
+    EXPECT_TRUE(eq.run());
+    // Same-tick ties, if any, keep schedule order.
     std::stable_sort(expected.begin(), expected.end(),
                      [](const auto &a, const auto &b) {
                          return a.first < b.first;
                      });
-    EXPECT_TRUE(eq.run());
     ASSERT_EQ(log.size(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i)
         EXPECT_EQ(log[i], expected[i].second) << "position " << i;
@@ -300,9 +324,15 @@ runScript(Queue &q, std::uint64_t seed)
             Tick delta;
             switch (rng.below(4)) {
               case 0: delta = rng.below(8) * 2000; break;       // hot
-              case 1: delta = rng.below(4096); break;           // sub-bucket
-              case 2: delta = 250 * 2048 + rng.below(20000); break; // boundary
-              default: delta = 600000 + rng.below(100000); break;   // far
+              case 1: // within two buckets
+                delta = rng.below(static_cast<std::uint32_t>(2 * kBucket));
+                break;
+              case 2: // straddles the horizon
+                delta = kHorizon - 10000 + rng.below(20000);
+                break;
+              default: // far heap
+                delta = kHorizon + kHorizon / 8 + rng.below(100000);
+                break;
             }
             int kid = nextId++;
             q.scheduleIn(delta, [&fire, kid, depth] {
@@ -330,6 +360,73 @@ TEST(EventKernel, RandomizedOrderMatchesLegacyKernel)
         EXPECT_EQ(a, b) << "wheel kernel diverged, seed " << seed;
         EXPECT_EQ(legacy.curTick(), wheel.curTick());
         EXPECT_EQ(legacy.executed(), wheel.executed());
+    }
+}
+
+TEST(EventKernel, RandomizedPriorityBandOrder)
+{
+    // Normal and priority events share ticks on the 500-ps
+    // interconnect grid and the 2000-ps chip clock; some land beyond
+    // the horizon. They must run in the order of a sort by (tick,
+    // band, schedule order), priority band first.
+    struct Rec
+    {
+        Tick when;
+        int band; //!< 0 priority, 1 normal
+        int id;   //!< schedule order
+    };
+    auto bucket = [](Tick t) { return t >> EventQueue::kBucketShift; };
+    for (std::uint64_t seed : {1u, 2u, 3u, 7u, 99u}) {
+        EventQueue eq;
+        Pcg32 rng(seed);
+        std::vector<int> log;
+        std::vector<std::unique_ptr<LogEvent>> events;
+        std::vector<Rec> recs;
+        auto add = [&](Tick when, bool prio) {
+            int id = static_cast<int>(events.size());
+            events.push_back(std::make_unique<LogEvent>(&log, id));
+            if (prio)
+                eq.schedulePriority(*events.back(), when);
+            else
+                eq.schedule(*events.back(), when);
+            recs.push_back(Rec{when, prio ? 0 : 1, id});
+        };
+        // Four rounds, each scheduled after the previous one ran part
+        // way, so pending events of both bands meet new ones.
+        for (int round = 0; round < 4; ++round) {
+            // Next chip-clock edge after now: both grids line up.
+            Tick base = (eq.curTick() / 2000 + 1) * 2000;
+            for (int i = 0; i < 300; ++i) {
+                Tick when = base + (rng.below(2)
+                                        ? 500 * Tick(rng.below(80))
+                                        : 2000 * Tick(rng.below(20)));
+                if (rng.below(16) == 0)
+                    when += kHorizon; // far heap
+                add(when, rng.below(2) != 0);
+            }
+            // Grid points that share a bucket with the next one:
+            // scheduling the later tick first files the earlier one
+            // into a bucket that already holds a later tick.
+            int pairs = 0;
+            for (Tick t = base; pairs < 8; t += 500) {
+                if (bucket(t) != bucket(t + 500))
+                    continue;
+                add(t + 500, rng.below(2) != 0);
+                add(t, rng.below(2) != 0);
+                add(t + 500, rng.below(2) != 0);
+                ++pairs;
+            }
+            eq.run(base + 2000 * Tick(10 + rng.below(10)));
+        }
+        EXPECT_TRUE(eq.run());
+        std::sort(recs.begin(), recs.end(), [](const Rec &a, const Rec &b) {
+            return std::tie(a.when, a.band, a.id) <
+                   std::tie(b.when, b.band, b.id);
+        });
+        ASSERT_EQ(log.size(), recs.size());
+        for (std::size_t i = 0; i < recs.size(); ++i)
+            ASSERT_EQ(log[i], recs[i].id)
+                << "seed " << seed << " position " << i;
     }
 }
 
