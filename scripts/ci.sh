@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification, as CI runs it: check that only PiranhaSystem
-# wires systems, configure with warnings promoted to errors on every
-# target, build everything, run the full test suite.
+# wires systems and that every src/ path the docs cite exists,
+# configure with warnings promoted to errors on every target, build
+# everything, run the full test suite.
 #
 # Usage:
 #   scripts/ci.sh [build-dir]         tier-1 build + tests
@@ -19,13 +20,15 @@
 #                                     against the digests pinned below,
 #                                     then a profiler-breakdown artifact
 #                                     (PROFILE_breakdown.json)
-#   scripts/ci.sh faults [build-dir]  build + tests, then a pinned-seed
-#                                     fault-injection campaign
-#                                     (DESIGN.md §9) whose outcome
-#                                     histogram and fired-fault
-#                                     records must match exactly;
-#                                     writes CAMPAIGN_ci.json as an
-#                                     artifact
+#   scripts/ci.sh faults [build-dir]  build + tests, then two pinned-
+#                                     seed fault-injection campaigns
+#                                     (DESIGN.md §9), one chip and two
+#                                     chips, whose outcome histograms
+#                                     and fired-fault records must
+#                                     match exactly; writes
+#                                     CAMPAIGN_ci.json and
+#                                     CAMPAIGN_ci_2chip.json as
+#                                     artifacts
 #   scripts/ci.sh trace [build-dir]   build + tests, then record the
 #                                     quick sweep (--record), replay it
 #                                     (--replay) and assert the stat
@@ -89,6 +92,18 @@ if [[ -n "$wiring" ]]; then
     exit 1
 fi
 
+# Every src/ path that DESIGN.md, README.md or EXPERIMENTS.md cites
+# (globs like src/mem/ecc.* included) must match a file or directory.
+stale="$(cd "$(dirname "$0")/.." &&
+    grep -ohE 'src/[A-Za-z0-9_./*-]+' DESIGN.md README.md EXPERIMENTS.md |
+    sed -E 's/\.+$//' | sort -u |
+    while read -r p; do compgen -G "$p" > /dev/null || echo "$p"; done)"
+if [[ -n "$stale" ]]; then
+    echo "FAIL: the docs cite src/ paths that match no file:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+
 BUILD_TYPE=RelWithDebInfo
 EXTRA=()
 [[ "$MODE" == "asan" ]] && EXTRA+=(-DPIRANHA_SANITIZE=ON)
@@ -138,48 +153,61 @@ if [[ "$MODE" == "asan" ]]; then
 fi
 
 if [[ "$MODE" == "faults" ]]; then
-    # Deterministic campaign with pinned seeds: the planner is a pure
+    # Deterministic campaigns with pinned seeds: the planner is a pure
     # function of (config, seed), so the outcome histogram — and the
     # per-run records — must reproduce exactly on any host at any
     # thread count. Drift means injection, recovery, or classification
     # changed behaviour and the expectations here (and in
     # tests/fault_test.cc) need a deliberate update.
+    #
+    # One chip, the ECC/parity/ICS/memory kinds:
     "$BUILD_DIR"/bench/campaign_main --injections 12 --seed 1 --count 2 \
         --work 1024 \
         --kinds mem_data_flip,mem_data_double_flip,mem_check_flip,l1_data_flip,l2_data_flip,ics_drop,ics_delay,mem_stall \
         --json CAMPAIGN_ci.json
+    # Two chips, every fault kind: the node ids the components record,
+    # the directory bits and the inter-chip transport.
+    "$BUILD_DIR"/bench/campaign_main --injections 12 --seed 1 --count 2 \
+        --work 1024 --nodes 2 --json CAMPAIGN_ci_2chip.json
+    # Digest: each run's seed, outcome and fired faults (kind, time,
+    # node, site), so a change that moves which line or cache a fault
+    # lands on fails even when every outcome holds.
     python3 - <<'PYEOF'
 import hashlib, json, sys
-rep = json.load(open("CAMPAIGN_ci.json"))
-# Re-pinned when the serial multichip schedule changed with the
-# canonical fabric ordering (parallel-engine PR); the planner side
-# is unchanged, only which faults land on in-flight state.
-expect = {"corrected": 2, "detected": 1, "hang": 1, "masked": 3,
-          "recovered": 5}
-got = rep["histogram"]
-print(f"campaign histogram: {got}")
-if got != expect:
-    print(f"FAIL: expected {expect}", file=sys.stderr)
+pins = {
+    "CAMPAIGN_ci.json": ({"corrected": 2, "detected": 1, "hang": 1,
+                          "masked": 3, "recovered": 5},
+                         "6149fc732fef9d6a"),
+    "CAMPAIGN_ci_2chip.json": ({"corrected": 2, "detected": 3, "hang": 4,
+                                "masked": 2, "recovered": 1},
+                               "bafab9e6822a2e56"),
+}
+bad = False
+for path, (expect, expect_digest) in pins.items():
+    rep = json.load(open(path))
+    got = rep["histogram"]
+    records = [[r["seed"], r["outcome"],
+                [[f["kind"], int(f["at_ps"]), f["node"], f["site"]]
+                 for f in r.get("fired", [])]]
+               for r in sorted(rep["runs"], key=lambda r: r["seed"])]
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16]
+    print(f"{path}: histogram {got}, fired-record digest {digest}")
+    if got != expect:
+        print(f"FAIL: {path}: expected histogram {expect}", file=sys.stderr)
+        bad = True
+    if digest != expect_digest:
+        print(f"FAIL: {path}: expected fired-record digest {expect_digest}",
+              file=sys.stderr)
+        bad = True
+    hangs = [r for r in rep["runs"] if r["outcome"] == "hang"]
+    if not all("diagnostic dump" in r.get("watchdog_dump", "")
+               for r in hangs):
+        print(f"FAIL: {path}: hang outcome without a watchdog dump",
+              file=sys.stderr)
+        bad = True
+if bad:
     sys.exit(1)
-# The per-run records too: a digest over each run's seed, outcome and
-# fired faults (kind, time, node, site), so a change that moves which
-# line or cache a fault lands on fails even when every outcome holds.
-records = [[r["seed"], r["outcome"],
-            [[f["kind"], int(f["at_ps"]), f["node"], f["site"]]
-             for f in r.get("fired", [])]]
-           for r in sorted(rep["runs"], key=lambda r: r["seed"])]
-digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16]
-expect_digest = "d1e1620514a54544"
-print(f"fired-record digest: {digest}")
-if digest != expect_digest:
-    print(f"FAIL: expected fired-record digest {expect_digest}",
-          file=sys.stderr)
-    sys.exit(1)
-hangs = [r for r in rep["runs"] if r["outcome"] == "hang"]
-if not all("diagnostic dump" in r.get("watchdog_dump", "") for r in hangs):
-    print("FAIL: hang outcome without a watchdog dump", file=sys.stderr)
-    sys.exit(1)
-print("campaign histogram and fired records match the pinned expectation")
+print("campaign histograms and fired records match the pinned expectation")
 PYEOF
 fi
 

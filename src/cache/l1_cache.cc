@@ -5,20 +5,22 @@
 #include "check/trace.h"
 #include "fault/injector.h"
 #include "sim/profiler.h"
+#include "system/chip_ports.h"
 
 namespace piranha {
 
-L1Cache::L1Cache(EventQueue &eq, std::string name, const L1Params &params,
-                 const Clock &clk, IntraChipSwitch &ics, int my_port,
-                 int l1_id, std::function<int(Addr)> bank_port)
-    : SimObject(eq, std::move(name)), _p(params), _clk(clk), _ics(ics),
-      _myPort(my_port), _l1Id(l1_id), _bankPort(std::move(bank_port)),
+L1Cache::L1Cache(EventQueue &eq, std::string name, const ChipContext &ctx,
+                 const L1Params &params, const Clock &clk,
+                 IntraChipSwitch &ics, int l1_id,
+                 std::function<int(Addr)> bank_port)
+    : SimObject(eq, std::move(name)), _ctx(ctx), _clk(clk), _ics(ics),
+      _l1Id(l1_id), _bankPort(std::move(bank_port)),
       _tags(params.sizeBytes, params.assoc, ReplPolicy::Lru),
       _stats(this->name())
 {
     // The store buffer has a hard depth bound; size it once so the
     // hot push/pop never regrows.
-    _sb.reserve(_p.storeBufferDepth);
+    _sb.reserve(storeBufferDepth);
 }
 
 void
@@ -85,7 +87,7 @@ L1Cache::respond(RspHandler &rsp, std::uint64_t value, FillSource src,
     RespondEvent *ev = _respondEvents.acquire(this);
     ev->handler = std::move(rsp);
     ev->rsp = MemRsp{value, src};
-    scheduleIn(*ev, _clk.cycles(_p.hitCycles + extra_cycles));
+    scheduleIn(*ev, _clk.cycles(hitCycles + extra_cycles));
 }
 
 void
@@ -120,10 +122,10 @@ L1Cache::accessFast(const MemReq &req, MemRsp &out)
             return false;
         if (l->parityBad)
             return false; // slow path runs the parity recovery
-        PIR_TRACE(_p.tracer,
+        PIR_TRACE(_ctx.tracer,
                   TraceEvent{.tick = curTick(),
                              .kind = TraceKind::StoreIssue,
-                             .node = _p.node,
+                             .node = _ctx.node,
                              .l1 = _l1Id,
                              .size = req.size,
                              .addr = req.addr,
@@ -136,13 +138,13 @@ L1Cache::accessFast(const MemReq &req, MemRsp &out)
     }
 
     if (req.op == MemOp::Store) {
-        if (_sb.size() >= _p.storeBufferDepth)
+        if (_sb.size() >= storeBufferDepth)
             return false; // must queue behind the drain
         _sb.push_back(SbEntry{req.addr, req.size, req.value});
-        PIR_TRACE(_p.tracer,
+        PIR_TRACE(_ctx.tracer,
                   TraceEvent{.tick = curTick(),
                              .kind = TraceKind::StoreIssue,
-                             .node = _p.node,
+                             .node = _ctx.node,
                              .l1 = _l1Id,
                              .size = req.size,
                              .addr = req.addr,
@@ -175,14 +177,14 @@ L1Cache::accessFast(const MemReq &req, MemRsp &out)
 
     // Load / Ifetch.
     std::uint64_t sb_value = 0;
-    if (!_p.isInstr && sbCovers(req.addr, req.size, sb_value)) {
+    if (!isInstrL1(_l1Id) && sbCovers(req.addr, req.size, sb_value)) {
         ++statHits;
         ++statSbForwards;
         ++fastHits;
-        PIR_TRACE(_p.tracer,
+        PIR_TRACE(_ctx.tracer,
                   TraceEvent{.tick = curTick(),
                              .kind = TraceKind::LoadCommit,
-                             .node = _p.node,
+                             .node = _ctx.node,
                              .l1 = _l1Id,
                              .size = req.size,
                              .src = FillSource::StoreBuffer,
@@ -200,10 +202,10 @@ L1Cache::accessFast(const MemReq &req, MemRsp &out)
     ++statHits;
     ++fastHits;
     std::uint64_t v = composeLoad(*l, req.addr, req.size);
-    PIR_TRACE(_p.tracer,
+    PIR_TRACE(_ctx.tracer,
               TraceEvent{.tick = curTick(),
                          .kind = TraceKind::LoadCommit,
-                         .node = _p.node,
+                         .node = _ctx.node,
                          .l1 = _l1Id,
                          .size = req.size,
                          .src = FillSource::L1,
@@ -217,9 +219,9 @@ void
 L1Cache::startAccess(const MemReq &req, RspHandler rsp)
 {
     PIR_PROF(L1);
-    if (_p.isInstr && req.op != MemOp::Ifetch)
+    if (isInstrL1(_l1Id) && req.op != MemOp::Ifetch)
         panic("%s: non-ifetch op to instruction cache", name().c_str());
-    if (!_p.isInstr && req.op == MemOp::Ifetch)
+    if (!isInstrL1(_l1Id) && req.op == MemOp::Ifetch)
         panic("%s: ifetch op to data cache", name().c_str());
     _cpuQueue.push_back(PendingCpu{req, std::move(rsp)});
     tryStart();
@@ -248,10 +250,10 @@ L1Cache::tryStart()
             }
             if (l && (l->state == L1State::M ||
                       l->state == L1State::E)) {
-                PIR_TRACE(_p.tracer,
+                PIR_TRACE(_ctx.tracer,
                           TraceEvent{.tick = curTick(),
                                      .kind = TraceKind::StoreIssue,
-                                     .node = _p.node,
+                                     .node = _ctx.node,
                                      .l1 = _l1Id,
                                      .size = req.size,
                                      .addr = req.addr,
@@ -264,10 +266,10 @@ L1Cache::tryStart()
             }
             if (_mshr.valid)
                 return;
-            PIR_TRACE(_p.tracer,
+            PIR_TRACE(_ctx.tracer,
                       TraceEvent{.tick = curTick(),
                                  .kind = TraceKind::StoreIssue,
-                                 .node = _p.node,
+                                 .node = _ctx.node,
                                  .l1 = _l1Id,
                                  .size = req.size,
                                  .addr = req.addr,
@@ -279,13 +281,13 @@ L1Cache::tryStart()
         }
 
         if (req.op == MemOp::Store) {
-            if (_sb.size() >= _p.storeBufferDepth)
+            if (_sb.size() >= storeBufferDepth)
                 return; // wait for drain to free a slot
             _sb.push_back(SbEntry{req.addr, req.size, req.value});
-            PIR_TRACE(_p.tracer,
+            PIR_TRACE(_ctx.tracer,
                       TraceEvent{.tick = curTick(),
                                  .kind = TraceKind::StoreIssue,
-                                 .node = _p.node,
+                                 .node = _ctx.node,
                                  .l1 = _l1Id,
                                  .size = req.size,
                                  .addr = req.addr,
@@ -307,8 +309,8 @@ L1Cache::tryStart()
                 // its contents architecturally undefined — the parity
                 // error is masked by the overwrite.
                 l->parityBad = false;
-                if (_p.injector)
-                    ++_p.injector->counters.parityMaskedByOverwrite;
+                if (_ctx.injector)
+                    ++_ctx.injector->counters.parityMaskedByOverwrite;
             }
             if (l && (l->state == L1State::M || l->state == L1State::E)) {
                 l->state = L1State::M;
@@ -328,13 +330,13 @@ L1Cache::tryStart()
 
         // Load / Ifetch.
         std::uint64_t sb_value = 0;
-        if (!_p.isInstr && sbCovers(req.addr, req.size, sb_value)) {
+        if (!isInstrL1(_l1Id) && sbCovers(req.addr, req.size, sb_value)) {
             ++statHits;
             ++statSbForwards;
-            PIR_TRACE(_p.tracer,
+            PIR_TRACE(_ctx.tracer,
                       TraceEvent{.tick = curTick(),
                                  .kind = TraceKind::LoadCommit,
-                                 .node = _p.node,
+                                 .node = _ctx.node,
                                  .l1 = _l1Id,
                                  .size = req.size,
                                  .src = FillSource::StoreBuffer,
@@ -355,10 +357,10 @@ L1Cache::tryStart()
             _tags.touch(*l);
             ++statHits;
             std::uint64_t v = composeLoad(*l, req.addr, req.size);
-            PIR_TRACE(_p.tracer,
+            PIR_TRACE(_ctx.tracer,
                       TraceEvent{.tick = curTick(),
                                  .kind = TraceKind::LoadCommit,
-                                 .node = _p.node,
+                                 .node = _ctx.node,
                                  .l1 = _l1Id,
                                  .size = req.size,
                                  .src = FillSource::L1,
@@ -436,8 +438,8 @@ L1Cache::startParityRecovery(const MemReq &req, RspHandler &rsp,
         // Dirty data with bad parity: the only up-to-date copy is
         // untrustworthy. Unrecoverable — raise a machine check; the
         // run loop tears the simulation down.
-        if (_p.injector)
-            _p.injector->raiseMachineCheck(strFormat(
+        if (_ctx.injector)
+            _ctx.injector->raiseMachineCheck(strFormat(
                 "%s: parity error on dirty line %#llx", name().c_str(),
                 static_cast<unsigned long long>(bad.addr)));
         return false;
@@ -445,8 +447,8 @@ L1Cache::startParityRecovery(const MemReq &req, RspHandler &rsp,
     if (_mshr.valid)
         return false; // blocking cache: retried when the MSHR frees
 
-    if (_p.injector)
-        ++_p.injector->counters.l1ParityRefetch;
+    if (_ctx.injector)
+        ++_ctx.injector->counters.l1ParityRefetch;
     ++statMisses;
     _mshr.valid = true;
     _mshr.req = req;
@@ -481,7 +483,7 @@ L1Cache::startParityRecovery(const MemReq &req, RspHandler &rsp,
 void
 L1Cache::sendToBank(IcsMsg msg, Addr addr)
 {
-    msg.srcPort = _myPort;
+    msg.srcPort = _l1Id;
     msg.dstPort = _bankPort(addr);
     msg.l1Id = _l1Id;
     _ics.send(std::move(msg));
@@ -502,14 +504,13 @@ L1Cache::icsDeliver(const IcsMsg &msg)
 
       case IcsMsgType::Inval: {
         ++statInvalsReceived;
-        PIR_TRACE(_p.tracer, TraceEvent{.tick = curTick(),
-                                        .kind = TraceKind::InvalRecv,
-                                        .node = _p.node,
-                                        .l1 = _l1Id,
-                                        .addr = msg.addr});
+        PIR_TRACE(_ctx.tracer, TraceEvent{.tick = curTick(),
+                                          .kind = TraceKind::InvalRecv,
+                                          .node = _ctx.node,
+                                          .l1 = _l1Id,
+                                          .addr = msg.addr});
         L1Line *l = _tags.find(msg.addr);
         if (l) {
-            notifyEviction(l->addr);
             l->state = L1State::I;
             _tags.invalidate(*l);
         }
@@ -538,7 +539,7 @@ L1Cache::icsDeliver(const IcsMsg &msg)
         fill.exclusive = msg.type == IcsMsgType::FwdGetX;
         fill.writeBackVictim = msg.writeBackVictim;
         fill.reqId = msg.reqId;
-        fill.srcPort = _myPort;
+        fill.srcPort = _l1Id;
         fill.dstPort = msg.l1Id; // L1 ports are their l1 ids
         fill.l1Id = msg.l1Id;
         _ics.send(std::move(fill));
@@ -546,19 +547,18 @@ L1Cache::icsDeliver(const IcsMsg &msg)
         if (msg.type == IcsMsgType::FwdGetX) {
             // Seeded fault: the owner supplies the line but illegally
             // keeps its modified copy instead of invalidating it.
-            if (!(_p.faults &&
-                  _p.faults->fire(ProtocolFault::FwdKeepOwner))) {
-                notifyEviction(l->addr);
+            if (!(_ctx.faults &&
+                  _ctx.faults->fire(ProtocolFault::FwdKeepOwner))) {
                 l->state = L1State::I;
                 _tags.invalidate(*l);
             }
         } else {
             l->state = L1State::S;
         }
-        PIR_TRACE(_p.tracer,
+        PIR_TRACE(_ctx.tracer,
                   TraceEvent{.tick = curTick(),
                              .kind = TraceKind::FwdService,
-                             .node = _p.node,
+                             .node = _ctx.node,
                              .l1 = _l1Id,
                              .aux = msg.l1Id,
                              .state = unsigned(lineState(msg.addr)),
@@ -569,7 +569,7 @@ L1Cache::icsDeliver(const IcsMsg &msg)
         done.addr = msg.addr;
         done.reqId = msg.reqId;
         done.victimDirty = was_dirty;
-        done.srcPort = _myPort;
+        done.srcPort = _l1Id;
         done.dstPort = msg.srcPort;
         done.l1Id = _l1Id;
         _ics.send(std::move(done));
@@ -597,10 +597,10 @@ L1Cache::completeMiss(const IcsMsg &msg)
         if (!slot)
             panic("%s: upgrade ack but line gone", name().c_str());
         slot->state = L1State::E;
-        PIR_TRACE(_p.tracer,
+        PIR_TRACE(_ctx.tracer,
                   TraceEvent{.tick = curTick(),
                              .kind = TraceKind::Fill,
-                             .node = _p.node,
+                             .node = _ctx.node,
                              .l1 = _l1Id,
                              .state = unsigned(L1State::E),
                              .src = msg.source,
@@ -620,10 +620,10 @@ L1Cache::completeMiss(const IcsMsg &msg)
         slot->state = L1State::E;
         slot->parityBad = false; // full fill: parity regenerated
         _tags.touch(*slot);
-        PIR_TRACE(_p.tracer,
+        PIR_TRACE(_ctx.tracer,
                   TraceEvent{.tick = curTick(),
                              .kind = TraceKind::Fill,
-                             .node = _p.node,
+                             .node = _ctx.node,
                              .l1 = _l1Id,
                              .state = unsigned(L1State::E),
                              .src = msg.source,
@@ -635,14 +635,13 @@ L1Cache::completeMiss(const IcsMsg &msg)
             L1Line *v = _tags.find(_mshr.victimAddr);
             if (v && v->valid) {
                 ++statWritebacks;
-                PIR_TRACE(_p.tracer,
+                PIR_TRACE(_ctx.tracer,
                           TraceEvent{.tick = curTick(),
                                      .kind = TraceKind::VictimDrop,
-                                     .node = _p.node,
+                                     .node = _ctx.node,
                                      .l1 = _l1Id,
                                      .state = unsigned(v->state),
                                      .addr = v->addr});
-                notifyEviction(v->addr);
                 v->state = L1State::I;
                 _tags.invalidate(*v);
                 slot = v;
@@ -663,10 +662,10 @@ L1Cache::completeMiss(const IcsMsg &msg)
                        msg.type == IcsMsgType::PeerFillS)
                           ? L1State::S
                           : L1State::E;
-        PIR_TRACE(_p.tracer,
+        PIR_TRACE(_ctx.tracer,
                   TraceEvent{.tick = curTick(),
                              .kind = TraceKind::Fill,
-                             .node = _p.node,
+                             .node = _ctx.node,
                              .l1 = _l1Id,
                              .state = unsigned(slot->state),
                              .src = msg.source,
@@ -683,14 +682,14 @@ L1Cache::completeMiss(const IcsMsg &msg)
       case MemOp::Load:
       case MemOp::Ifetch: {
         std::uint64_t v = composeLoad(*slot, req.addr, req.size);
-        PIR_TRACE(_p.tracer, TraceEvent{.tick = curTick(),
-                                        .kind = TraceKind::LoadCommit,
-                                        .node = _p.node,
-                                        .l1 = _l1Id,
-                                        .size = req.size,
-                                        .src = msg.source,
-                                        .addr = req.addr,
-                                        .value = v});
+        PIR_TRACE(_ctx.tracer, TraceEvent{.tick = curTick(),
+                                          .kind = TraceKind::LoadCommit,
+                                          .node = _ctx.node,
+                                          .l1 = _l1Id,
+                                          .size = req.size,
+                                          .src = msg.source,
+                                          .addr = req.addr,
+                                          .value = v});
         respond(rsp, v, msg.source);
         break;
       }
@@ -698,11 +697,11 @@ L1Cache::completeMiss(const IcsMsg &msg)
         slot->state = L1State::M;
         // Line contents are architecturally undefined after a write
         // hint; the checker treats the whole line as wildcard-written.
-        PIR_TRACE(_p.tracer, TraceEvent{.tick = curTick(),
-                                        .kind = TraceKind::Wh64,
-                                        .node = _p.node,
-                                        .l1 = _l1Id,
-                                        .addr = lineAlign(req.addr)});
+        PIR_TRACE(_ctx.tracer, TraceEvent{.tick = curTick(),
+                                          .kind = TraceKind::Wh64,
+                                          .node = _ctx.node,
+                                          .l1 = _l1Id,
+                                          .addr = lineAlign(req.addr)});
         respond(rsp, 0, msg.source);
         break;
       case MemOp::Store:
@@ -759,7 +758,7 @@ L1Cache::drainStoreBuffer()
         return; // retried when the MSHR frees
     // Seeded fault: the head entry is silently discarded instead of
     // issuing its miss — the store is lost before it globally performs.
-    if (_p.faults && _p.faults->fire(ProtocolFault::SbDropOnMiss)) {
+    if (_ctx.faults && _ctx.faults->fire(ProtocolFault::SbDropOnMiss)) {
         _sb.pop_front();
         tryStart();
         if (!_sb.empty()) {
@@ -783,13 +782,13 @@ L1Cache::applyStore(L1Line &line, const SbEntry &e)
                     e.size, e.value);
     line.state = L1State::M;
     _tags.touch(line);
-    PIR_TRACE(_p.tracer, TraceEvent{.tick = curTick(),
-                                    .kind = TraceKind::StoreCommit,
-                                    .node = _p.node,
-                                    .l1 = _l1Id,
-                                    .size = e.size,
-                                    .addr = e.addr,
-                                    .value = e.value});
+    PIR_TRACE(_ctx.tracer, TraceEvent{.tick = curTick(),
+                                      .kind = TraceKind::StoreCommit,
+                                      .node = _ctx.node,
+                                      .l1 = _l1Id,
+                                      .size = e.size,
+                                      .addr = e.addr,
+                                      .value = e.value});
 }
 
 std::uint64_t
@@ -808,16 +807,6 @@ L1Cache::composeLoad(const L1Line &line, Addr addr, unsigned size) const
         }
     }
     return v;
-}
-
-bool
-L1Cache::sbHasLine(Addr addr) const
-{
-    Addr base = lineAlign(addr);
-    for (const SbEntry &e : _sb)
-        if (lineAlign(e.addr) == base)
-            return true;
-    return false;
 }
 
 bool
@@ -846,13 +835,6 @@ L1Cache::sbCovers(Addr addr, unsigned size, std::uint64_t &value) const
         return true;
     }
     return false;
-}
-
-void
-L1Cache::notifyEviction(Addr addr)
-{
-    if (_evictionListener)
-        _evictionListener(addr);
 }
 
 L1State

@@ -37,6 +37,7 @@
 #include "sim/ring_buffer.h"
 #include "sim/sim_object.h"
 #include "stats/stats.h"
+#include "system/chip_context.h"
 
 namespace piranha {
 
@@ -96,32 +97,26 @@ struct L1Params
 {
     std::size_t sizeBytes = 64 * 1024;
     unsigned assoc = 2;
-    bool isInstr = false;
-    unsigned hitCycles = 1;
-    unsigned storeBufferDepth = 8;
-
-    /** Node id, coherence tracer and seeded fault shared by the
-     *  whole chip (src/check/); filled in by Chip. */
-    int node = 0;
-    CoherenceTracer *tracer = nullptr;
-    FaultState *faults = nullptr;
-    /** Fault injector (src/fault/); filled in by Chip. */
-    FaultInjector *injector = nullptr;
 };
 
 /** A first-level instruction or data cache. */
 class L1Cache : public SimObject, public IcsClient
 {
   public:
+    /** Hit latency in cycles (fast-path callers model the delay). */
+    static constexpr unsigned hitCycles = 1;
+
     /**
      * @param l1_id chip-wide L1 identifier (2*cpu for dL1, 2*cpu+1
-     *              for iL1); used by the L2 duplicate tags.
+     *              for iL1), which is also its ICS port; used by the
+     *              L2 duplicate tags.
      * @param bank_port maps a physical address to the ICS port of the
      *              L2 bank that owns it.
      */
-    L1Cache(EventQueue &eq, std::string name, const L1Params &params,
-            const Clock &clk, IntraChipSwitch &ics, int my_port,
-            int l1_id, std::function<int(Addr)> bank_port);
+    L1Cache(EventQueue &eq, std::string name, const ChipContext &ctx,
+            const L1Params &params, const Clock &clk,
+            IntraChipSwitch &ics, int l1_id,
+            std::function<int(Addr)> bank_port);
 
     /**
      * Present a CPU request. The callback fires when the access
@@ -164,9 +159,6 @@ class L1Cache : public SimObject, public IcsClient
         }
     }
 
-    /** Hit latency in cycles (fast-path callers model the delay). */
-    unsigned hitLatencyCycles() const { return _p.hitCycles; }
-
     /** Hits completed through accessFast (not a Scalar: host-side
      *  instrumentation must stay out of the bit-identical stat set). */
     std::uint64_t fastHits = 0;
@@ -177,15 +169,6 @@ class L1Cache : public SimObject, public IcsClient
 
     /** Current MESI state of the line containing @p addr. */
     L1State lineState(Addr addr) const;
-
-    /**
-     * Register a hook invoked whenever a line leaves this cache
-     * involuntarily or by replacement (LL/SC monitors, tests).
-     */
-    void setEvictionListener(std::function<void(Addr)> fn)
-    {
-        _evictionListener = std::move(fn);
-    }
 
     int l1Id() const { return _l1Id; }
 
@@ -211,6 +194,9 @@ class L1Cache : public SimObject, public IcsClient
     Scalar statUpgrades;
 
   private:
+    /** Store-buffer entries; a store finding it full waits. */
+    static constexpr unsigned storeBufferDepth = 8;
+
     struct Mshr
     {
         bool valid = false;
@@ -282,14 +268,11 @@ class L1Cache : public SimObject, public IcsClient
     std::uint64_t composeLoad(const L1Line &line, Addr addr,
                               unsigned size) const;
     bool sbCovers(Addr addr, unsigned size, std::uint64_t &value) const;
-    bool sbHasLine(Addr addr) const;
-    void notifyEviction(Addr addr);
     void sendToBank(IcsMsg msg, Addr addr);
 
-    L1Params _p;
+    const ChipContext _ctx;
     const Clock &_clk;
     IntraChipSwitch &_ics;
-    int _myPort;
     int _l1Id;
     std::function<int(Addr)> _bankPort;
 
@@ -306,7 +289,6 @@ class L1Cache : public SimObject, public IcsClient
     /** One respond in flight is the in-order-CPU steady state; test
      *  drivers that pipeline accesses overflow into pooled events. */
     EventPool<RespondEvent> _respondEvents;
-    std::function<void(Addr)> _evictionListener;
     StatGroup _stats;
 };
 

@@ -10,11 +10,12 @@
 
 namespace piranha {
 
-L2Bank::L2Bank(EventQueue &eq, std::string name, const L2Params &params,
-               const Clock &clk, IntraChipSwitch &ics, int my_port,
-               NodeId node, const AddressMap &amap, MemCtrl &mc)
-    : SimObject(eq, std::move(name)), _p(params), _clk(clk), _ics(ics),
-      _myPort(my_port), _node(node), _amap(amap), _mc(mc),
+L2Bank::L2Bank(EventQueue &eq, std::string name, const ChipContext &ctx,
+               const L2Params &params, const Clock &clk,
+               IntraChipSwitch &ics, int my_port, const AddressMap &amap,
+               MemCtrl &mc)
+    : SimObject(eq, std::move(name)), _ctx(ctx), _p(params), _clk(clk),
+      _ics(ics), _myPort(my_port), _amap(amap), _mc(mc),
       _tags(params.bankBytes, params.assoc, ReplPolicy::RoundRobin, 3),
       _stats(this->name())
 {
@@ -42,13 +43,6 @@ L2Bank::regStats(StatGroup &parent)
     _stats.addScalar("pdir_shortcut", &statPdirShortcut,
                      "exclusive grants via cached partial dir info");
     parent.addChild(&_stats);
-}
-
-std::uint32_t
-L2Bank::dupSharers(Addr addr) const
-{
-    const Info *i = _info.find(lineNum(addr));
-    return i ? i->sharers : 0;
 }
 
 void
@@ -186,12 +180,12 @@ L2Bank::findChecked(Addr addr)
     // interpretation dies with the data — it must be re-read from the
     // ECC bits, which also keeps the exclusive-grant shortcut from
     // firing with no data source on chip.
-    if (l->dirty && _p.injector)
-        _p.injector->raiseMachineCheck(strFormat(
+    if (l->dirty && _ctx.injector)
+        _ctx.injector->raiseMachineCheck(strFormat(
             "%s: parity error on dirty L2 line %#llx", name().c_str(),
             static_cast<unsigned long long>(addr)));
-    if (_p.injector)
-        ++_p.injector->counters.l2ParityRefetch;
+    if (_ctx.injector)
+        ++_ctx.injector->counters.l2ParityRefetch;
     // The eviction may erase the line's idle Info entry entirely
     // (callers must therefore call findChecked before taking an Info
     // reference). Re-find: a surviving entry needs its cached
@@ -348,8 +342,8 @@ L2Bank::handleVictim(const IcsMsg &msg)
             // The line was clean in the L1; memory is current unless
             // the chip as a whole held newer data (nodeDirty), in
             // which case the last good copy is gone.
-            if (v.nodeDirty && _p.injector)
-                _p.injector->raiseMachineCheck(strFormat(
+            if (v.nodeDirty && _ctx.injector)
+                _ctx.injector->raiseMachineCheck(strFormat(
                     "%s: parity loss of node-dirty line %#llx",
                     name().c_str(),
                     static_cast<unsigned long long>(msg.victimAddr)));
@@ -362,8 +356,8 @@ L2Bank::handleVictim(const IcsMsg &msg)
         // Seeded fault: the shipped victim data is dropped on the
         // floor instead of installed — the only up-to-date copy of a
         // (possibly dirty) line is lost.
-        if (!(_p.faults &&
-              _p.faults->fire(ProtocolFault::DropVictimWriteback)))
+        if (!(_ctx.faults &&
+              _ctx.faults->fire(ProtocolFault::DropVictimWriteback)))
             installL2(v, msg.victimAddr, msg.data, dirty);
         return false;
     }
@@ -397,15 +391,15 @@ L2Bank::dispatchL1Request(IcsMsg msg, bool wb_decision)
             // Seeded fault: the fill is sent but the duplicate tags
             // never record the new sharer — a later exclusive grant
             // will not invalidate this L1's copy.
-            if (!(_p.faults &&
-                  _p.faults->fire(ProtocolFault::SkipDupTagUpdate))) {
+            if (!(_ctx.faults &&
+                  _ctx.faults->fire(ProtocolFault::SkipDupTagUpdate))) {
                 info.sharers |= bit;
                 info.ownerL1 = msg.l1Id;
                 info.l1Excl = false;
-                PIR_TRACE(_p.tracer,
+                PIR_TRACE(_ctx.tracer,
                           TraceEvent{.tick = curTick(),
                                      .kind = TraceKind::OwnerChange,
-                                     .node = int(_node),
+                                     .node = _ctx.node,
                                      .aux = msg.l1Id,
                                      .addr = a,
                                      .mask = info.sharers});
@@ -430,10 +424,10 @@ L2Bank::dispatchL1Request(IcsMsg msg, bool wb_decision)
             info.sharers |= bit;
             info.ownerL1 = msg.l1Id;
             info.l1Excl = false;
-            PIR_TRACE(_p.tracer,
+            PIR_TRACE(_ctx.tracer,
                       TraceEvent{.tick = curTick(),
                                  .kind = TraceKind::OwnerChange,
-                                 .node = int(_node),
+                                 .node = _ctx.node,
                                  .aux = msg.l1Id,
                                  .addr = a,
                                  .mask = info.sharers});
@@ -482,10 +476,10 @@ L2Bank::dispatchL1Request(IcsMsg msg, bool wb_decision)
         info.sharers = bit;
         info.ownerL1 = msg.l1Id;
         info.l1Excl = true;
-        PIR_TRACE(_p.tracer,
+        PIR_TRACE(_ctx.tracer,
                   TraceEvent{.tick = curTick(),
                              .kind = TraceKind::OwnerChange,
-                             .node = int(_node),
+                             .node = _ctx.node,
                              .aux = msg.l1Id,
                              .addr = a,
                              .mask = info.sharers});
@@ -548,17 +542,17 @@ L2Bank::grantLocalExclusive(IcsMsg req, bool wb_decision,
         for (int l1 = 0; l1 < 16; ++l1) {
             if (l1 != owner && l1 != req.l1Id &&
                 (info.sharers & (1u << l1))) {
-                PIR_TRACE(_p.tracer,
+                PIR_TRACE(_ctx.tracer,
                           TraceEvent{.tick = curTick(),
                                      .kind = TraceKind::InvalSent,
-                                     .node = int(_node),
+                                     .node = _ctx.node,
                                      .aux = l1,
                                      .addr = a,
                                      .mask = info.sharers});
                 // Seeded fault: the invalidation is never sent — the
                 // targeted L1 keeps a stale copy the dup tags forgot.
-                if (_p.faults &&
-                    _p.faults->fire(ProtocolFault::DropInval))
+                if (_ctx.faults &&
+                    _ctx.faults->fire(ProtocolFault::DropInval))
                     continue;
                 IcsMsg inv;
                 inv.type = IcsMsgType::Inval;
@@ -805,11 +799,11 @@ L2Bank::installL2(Info &info, Addr addr, const LineData &data, bool dirty)
 {
     if (_tags.find(addr))
         panic("%s: double L2 install", name().c_str());
-    PIR_TRACE(_p.tracer, TraceEvent{.tick = curTick(),
-                                    .kind = TraceKind::WbInstall,
-                                    .node = int(_node),
-                                    .state = dirty ? 1u : 0u,
-                                    .addr = addr});
+    PIR_TRACE(_ctx.tracer, TraceEvent{.tick = curTick(),
+                                      .kind = TraceKind::WbInstall,
+                                      .node = _ctx.node,
+                                      .state = dirty ? 1u : 0u,
+                                      .addr = addr});
     // Choose a victim way whose line has no active transaction.
     L2Line *slot = nullptr;
     for (unsigned attempt = 0; attempt < _p.assoc; ++attempt) {
@@ -837,12 +831,12 @@ L2Bank::evictL2Line(L2Line &line)
     ++statL2Evictions;
     Addr a = line.addr;
     Info &info = infoFor(a);
-    PIR_TRACE(_p.tracer, TraceEvent{.tick = curTick(),
-                                    .kind = TraceKind::L2Evict,
-                                    .node = int(_node),
-                                    .state = line.dirty ? 1u : 0u,
-                                    .addr = a,
-                                    .mask = info.sharers});
+    PIR_TRACE(_ctx.tracer, TraceEvent{.tick = curTick(),
+                                      .kind = TraceKind::L2Evict,
+                                      .node = _ctx.node,
+                                      .state = line.dirty ? 1u : 0u,
+                                      .addr = a,
+                                      .mask = info.sharers});
     if (info.sharers) {
         // L1 copies remain: ownership stays with the last-requester
         // L1; remember dirtiness so its eventual write-back installs
@@ -1023,19 +1017,19 @@ L2Bank::onPeInvalLocal(IcsMsg msg)
         info.busy && pendingOf(info).txn.kind == Txn::L1Engine &&
         pendingOf(info).txn.req.type != IcsMsgType::GetS;
     bool apply = !info.l1Excl && !info.nodeExcl && !acquiring_excl;
-    PIR_TRACE(_p.tracer, TraceEvent{.tick = curTick(),
-                                    .kind = TraceKind::CmiInval,
-                                    .node = int(_node),
-                                    .state = apply ? 1u : 0u,
-                                    .addr = a,
-                                    .mask = info.sharers});
+    PIR_TRACE(_ctx.tracer, TraceEvent{.tick = curTick(),
+                                      .kind = TraceKind::CmiInval,
+                                      .node = _ctx.node,
+                                      .state = apply ? 1u : 0u,
+                                      .addr = a,
+                                      .mask = info.sharers});
     if (apply) {
         // Genuine invalidation of clean shared copies. Seeded fault:
         // the invalidation is acknowledged and the node-level state
         // cleared, but the L1 invalidations are skipped — stale L1
         // copies survive the epoch change and keep servicing hits.
-        if (!(info.sharers && _p.faults &&
-              _p.faults->fire(ProtocolFault::StaleCmiApply)))
+        if (!(info.sharers && _ctx.faults &&
+              _ctx.faults->fire(ProtocolFault::StaleCmiApply)))
             invalL1Sharers(info, a, -1);
         invalL2Copy(info, a);
         info.nodeDirty = false;
@@ -1098,16 +1092,16 @@ L2Bank::invalL1Sharers(Info &info, Addr addr, int except_l1)
     for (int l1 = 0; l1 < 16; ++l1) {
         if (l1 == except_l1 || !(info.sharers & (1u << l1)))
             continue;
-        PIR_TRACE(_p.tracer, TraceEvent{.tick = curTick(),
-                                        .kind = TraceKind::InvalSent,
-                                        .node = int(_node),
-                                        .aux = l1,
-                                        .addr = addr,
-                                        .mask = info.sharers});
+        PIR_TRACE(_ctx.tracer, TraceEvent{.tick = curTick(),
+                                          .kind = TraceKind::InvalSent,
+                                          .node = _ctx.node,
+                                          .aux = l1,
+                                          .addr = addr,
+                                          .mask = info.sharers});
         info.sharers &= ~(1u << l1);
         // Seeded fault: the dup-tag bit is cleared but the
         // invalidation message is never sent.
-        if (_p.faults && _p.faults->fire(ProtocolFault::DropInval))
+        if (_ctx.faults && _ctx.faults->fire(ProtocolFault::DropInval))
             continue;
         IcsMsg inv;
         inv.type = IcsMsgType::Inval;

@@ -42,6 +42,7 @@
 #include "sim/sim_object.h"
 #include "stats/stats.h"
 #include "system/address_map.h"
+#include "system/chip_context.h"
 #include "system/chip_ports.h"
 
 namespace piranha {
@@ -72,22 +73,15 @@ struct L2Params
      * majority of local L1 requests"). Disable for ablation.
      */
     bool pdirShortcut = true;
-
-    /** Coherence tracer and seeded fault shared by the whole chip
-     *  (src/check/); filled in by Chip. */
-    CoherenceTracer *tracer = nullptr;
-    FaultState *faults = nullptr;
-    /** Fault injector (src/fault/); filled in by Chip. */
-    FaultInjector *injector = nullptr;
 };
 
 /** A second-level cache bank with its duplicate-L1-tag directory. */
 class L2Bank : public SimObject, public IcsClient
 {
   public:
-    L2Bank(EventQueue &eq, std::string name, const L2Params &params,
-           const Clock &clk, IntraChipSwitch &ics, int my_port,
-           NodeId node, const AddressMap &amap, MemCtrl &mc);
+    L2Bank(EventQueue &eq, std::string name, const ChipContext &ctx,
+           const L2Params &params, const Clock &clk, IntraChipSwitch &ics,
+           int my_port, const AddressMap &amap, MemCtrl &mc);
 
     void icsDeliver(const IcsMsg &msg) override;
 
@@ -105,8 +99,8 @@ class L2Bank : public SimObject, public IcsClient
     Scalar statEngineTrips;
     Scalar statPdirShortcut;
 
-    /** Test support: current duplicate-tag view of a line. */
-    std::uint32_t dupSharers(Addr addr) const;
+    /** An L1 or engine transaction is in flight on the line (such
+     *  lines are never chosen as replacement victims). */
     bool lineBusy(Addr addr);
 
     /**
@@ -262,7 +256,7 @@ class L2Bank : public SimObject, public IcsClient
         bool drainRetry = false;
     };
 
-    bool isLocal(Addr addr) const { return _amap.home(addr) == _node; }
+    bool isLocal(Addr addr) const { return _amap.home(addr) == _ctx.node; }
 
     /** Per-line record lookup (find or create) with a one-entry
      *  cache: handler chains touch the same line several times per
@@ -366,11 +360,11 @@ class L2Bank : public SimObject, public IcsClient
     void grantLocalExclusive(IcsMsg req, bool wb_decision,
                              const LineData *mem_data);
 
+    const ChipContext _ctx;
     L2Params _p;
     const Clock &_clk;
     IntraChipSwitch &_ics;
     int _myPort;
-    NodeId _node;
     AddressMap _amap;
     MemCtrl &_mc;
 

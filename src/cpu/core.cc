@@ -110,7 +110,7 @@ Core::tryFastAccess(L1Cache &l1, const MemReq &req, MemRsp &rsp)
     if (!_fastEnabled || !l1.accessFast(req, rsp))
         return FastIssue::NotTaken;
     EventQueue &eq = eventQueue();
-    Tick delay = _clk.cycles(l1.hitLatencyCycles());
+    Tick delay = _clk.cycles(L1Cache::hitCycles);
     Tick when = curTick() + delay;
     if (eq.quietThrough(when)) {
         ++inlineHits;
@@ -136,7 +136,7 @@ Core::fetchThenExecute(StreamOp op)
     MemReq req;
     req.op = MemOp::Ifetch;
     req.addr = op.pc;
-    req.size = static_cast<std::uint8_t>(_p.ifetchBytes);
+    req.size = static_cast<std::uint8_t>(ifetchBytes);
     Tick issued = curTick();
     MemRsp rsp;
     switch (tryFastAccess(_il1, req, rsp)) {

@@ -38,7 +38,6 @@ struct CoreParams
     unsigned issueWidth = 1;
     unsigned windowSize = 0;     //!< 0: in-order (no overlap credit)
     WorkloadIlp ilp{};           //!< workload-dependent OOO behavior
-    unsigned ifetchBytes = 4;    //!< Alpha instruction size
 
     /**
      * Use the zero-event L1-hit fast path (see L1Cache::accessFast).
@@ -86,9 +85,6 @@ class Core : public SimObject, public MemRspClient
     }
     static bool defaultFastPathEnabled() { return defaultFastPathFlag(); }
 
-    /** True when this core actually uses the fast path. */
-    bool fastPathEnabled() const { return _fastEnabled; }
-
     // Host-side fast-path instrumentation. Deliberately NOT Scalars:
     // these differ between fast and slow modes by design and must not
     // enter the bit-identical StatGroup tree.
@@ -106,6 +102,9 @@ class Core : public SimObject, public MemRspClient
     Scalar statIfetches;
 
   private:
+    /** Bytes per instruction fetch (the Alpha instruction size). */
+    static constexpr unsigned ifetchBytes = 4;
+
     /** How tryFastAccess disposed of a request. */
     enum class FastIssue
     {

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "check/checker.h"
+#include "fault/injector.h"
 #include "sim/logging.h"
 
 namespace piranha {
@@ -240,14 +241,17 @@ runInjection(const CampaignSpec &spec, std::uint64_t seed)
     CustomResult cr;
     InjectionRecord rec;
     rec.seed = seed;
+    // Outlives the try: a run that ends in a panic still reports the
+    // faults that fired before it.
+    std::unique_ptr<PiranhaSystem> sys;
     try {
         std::unique_ptr<Workload> wl = spec.workload.make();
         if (!wl)
             throw std::runtime_error("workload factory returned null");
-        PiranhaSystem sys(cfg);
+        sys = std::make_unique<PiranhaSystem>(cfg);
         std::uint64_t per_cpu = std::max<std::uint64_t>(
-            1, spec.workload.totalWork / sys.totalCpus());
-        RunResult run = sys.run(*wl, per_cpu, spec.maxTime);
+            1, spec.workload.totalWork / sys->totalCpus());
+        RunResult run = sys->run(*wl, per_cpu, spec.maxTime);
 
         rec.counters = run.faults;
         rec.faults = run.firedFaults;
@@ -284,6 +288,10 @@ runInjection(const CampaignSpec &spec, std::uint64_t seed)
         // state it recognised as impossible — detected, not silent.
         rec.outcome = FaultOutcome::Detected;
         rec.detail = e.what();
+        if (sys && sys->injector()) {
+            rec.counters = sys->injector()->counters;
+            rec.faults = sys->injector()->fired();
+        }
     } catch (const std::exception &e) {
         rec.outcome = FaultOutcome::Failed;
         rec.detail = e.what();
@@ -307,8 +315,7 @@ CampaignRunner::run(const CampaignSpec &spec) const
         pt.label = strFormat("%s/seed%llu", spec.name.c_str(),
                              static_cast<unsigned long long>(seed));
         pt.maxTime = spec.maxTime;
-        // By value: a leaked thread-tier worker (or a forked process
-        // worker) must never chase references into this frame.
+        // By value, so each job owns everything it reads.
         pt.custom = [spec, seed] { return runInjection(spec, seed); };
         points.push_back(std::move(pt));
     }

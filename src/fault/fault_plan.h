@@ -174,24 +174,6 @@ struct FaultCounters
     }
 };
 
-/**
- * Forward-progress watchdog parameters. The watchdog is host-side
- * state polled by the PiranhaSystem::run loop — it schedules no
- * events, so enabling it cannot perturb simulated results.
- */
-struct WatchdogConfig
-{
-    bool enabled = true;
-
-    /**
-     * Trip when no instruction retires anywhere in the system for
-     * this much simulated time while cores still have work. Generous
-     * by default: the slowest legitimate gap is a few memory round
-     * trips, orders of magnitude under a millisecond.
-     */
-    Tick stallLimit = 2000 * ticksPerUs;
-};
-
 } // namespace piranha
 
 #endif // PIRANHA_FAULT_FAULT_PLAN_H

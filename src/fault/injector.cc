@@ -330,7 +330,7 @@ FaultInjector::fireMemStall(const PlannedFault &pf)
 }
 
 void
-FaultInjector::memReadHook(unsigned node, Addr lineAddr,
+FaultInjector::memReadHook(NodeId node, Addr lineAddr,
                            BackingStore::Line &snapshot)
 {
     if (_ecc.empty())
@@ -377,7 +377,7 @@ FaultInjector::memReadHook(unsigned node, Addr lineAddr,
 }
 
 void
-FaultInjector::memWriteHook(unsigned node, Addr lineAddr)
+FaultInjector::memWriteHook(NodeId node, Addr lineAddr)
 {
     if (_ecc.empty())
         return;
@@ -387,7 +387,7 @@ FaultInjector::memWriteHook(unsigned node, Addr lineAddr)
 }
 
 bool
-FaultInjector::icsSendHook(unsigned node, IntraChipSwitch &sw,
+FaultInjector::icsSendHook(NodeId node, IntraChipSwitch &sw,
                            IcsMsg &msg)
 {
     if (_bypass)

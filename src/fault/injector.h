@@ -88,16 +88,16 @@ class FaultInjector : public SimObject
      * Correctable errors are fixed in the snapshot and scrubbed back
      * to the store; uncorrectable ones raise a machine check.
      */
-    void memReadHook(unsigned node, Addr lineAddr,
+    void memReadHook(NodeId node, Addr lineAddr,
                      BackingStore::Line &snapshot);
 
     /** Full-line data write: pending corruption of the line is
      *  overwritten (check bits regenerate) — fault masked. */
-    void memWriteHook(unsigned node, Addr lineAddr);
+    void memWriteHook(NodeId node, Addr lineAddr);
 
     /** ICS send: returns false when the message is suppressed (drop
      *  or delay); may also emit a duplicate. */
-    bool icsSendHook(unsigned node, IntraChipSwitch &sw, IcsMsg &msg);
+    bool icsSendHook(NodeId node, IntraChipSwitch &sw, IcsMsg &msg);
 
     /** Network inject: returns false when the packet is suppressed
      *  (drop-with-retry or delay); may tag + duplicate. */

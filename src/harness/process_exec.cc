@@ -145,40 +145,6 @@ namespace {
 // ---------------------------------------------------------------------
 // Worker (forked child) side.
 
-/** Read "<magic> <len>\n" + payload; empty string on any violation. */
-std::string
-readSpecFrame(int fd)
-{
-    char head[48];
-    std::size_t hlen = 0;
-    while (hlen < sizeof(head) - 1) {
-        char c;
-        ssize_t n = ::read(fd, &c, 1);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            return {};
-        if (c == '\n')
-            break;
-        head[hlen++] = c;
-    }
-    head[hlen] = '\0';
-    std::size_t len = 0;
-    if (std::sscanf(head, "PJS1 %zu", &len) != 1 || len > (1u << 20))
-        return {};
-    std::string payload(len, '\0');
-    std::size_t off = 0;
-    while (off < len) {
-        ssize_t n = ::read(fd, &payload[off], len - off);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            return {};
-        off += static_cast<std::size_t>(n);
-    }
-    return payload;
-}
-
 [[noreturn]] void
 applyChaos(WorkerFault f, int result_fd)
 {
@@ -220,8 +186,7 @@ applyChaos(WorkerFault f, int result_fd)
 
 [[noreturn]] void
 workerMain(const SweepOptions &opts, const SweepPoint &pt,
-           std::size_t index, unsigned attempt, int spec_fd,
-           int result_fd)
+           std::size_t index, unsigned attempt, int result_fd)
 {
     // The supervisor owns SIGINT drain; a terminal Ctrl-C must not
     // kill in-flight workers out from under it.
@@ -235,22 +200,6 @@ workerMain(const SweepOptions &opts, const SweepPoint &pt,
         ::_exit(3); // supervisor died in the fork window
 #endif
     installWorkerCrashReporter(result_fd);
-
-    // Validate the spec frame against our forked copy of the point:
-    // a supervisor/worker disagreement means the pipe protocol broke.
-    std::string spec = readSpecFrame(spec_fd);
-    ::close(spec_fd);
-    bool spec_ok = false;
-    try {
-        JsonValue v = parseJson(spec);
-        spec_ok =
-            static_cast<std::size_t>(v.at("index").asNumber()) ==
-                index &&
-            v.at("label").asString() == pt.label;
-    } catch (const std::exception &) {
-    }
-    if (!spec_ok)
-        ::_exit(4);
 
     WorkerFault fault = WorkerFault::None;
     auto it = opts.chaos.byIndex.find(index);
@@ -416,16 +365,16 @@ struct Supervisor
             if (journal)
                 journal->recordStart(points[idx].label);
         }
-        int spec[2], res[2];
-        if (::pipe(spec) != 0 || ::pipe(res) != 0)
+        int res[2];
+        if (::pipe(res) != 0)
             fatal("pipe() failed: %s", std::strerror(errno));
         std::fflush(stdout);
         std::fflush(stderr);
         pid_t pid = ::fork();
         if (pid < 0) {
             // Treat like a crash-class failure of this attempt.
-            ::close(spec[0]); ::close(spec[1]);
-            ::close(res[0]); ::close(res[1]);
+            ::close(res[0]);
+            ::close(res[1]);
             lastError[idx] =
                 strFormat("fork failed: %s", std::strerror(errno));
             crashOutcome(idx, attempt, ExitClass::Exit,
@@ -433,18 +382,12 @@ struct Supervisor
             return;
         }
         if (pid == 0) {
-            ::close(spec[1]);
             ::close(res[0]);
-            workerMain(opts, points[idx], idx, attempt, spec[0],
-                       res[1]);
+            // The forked worker already holds the point vector: its
+            // index is the whole job spec.
+            workerMain(opts, points[idx], idx, attempt, res[1]);
         }
-        ::close(spec[0]);
         ::close(res[1]);
-        JsonValue sv = JsonValue::object();
-        sv.set("index", static_cast<double>(idx));
-        sv.set("label", points[idx].label);
-        writeFrame(spec[1], "PJS1", sv.dump(0));
-        ::close(spec[1]);
 
         Child c;
         c.pid = pid;
@@ -713,16 +656,10 @@ runProcessTier(const SweepOptions &opts,
                JobJournal *journal, SweepReport &report,
                std::size_t progress_base)
 {
-    // A worker dying between the spec-pipe fork and its first read
-    // must not SIGPIPE the supervisor.
-    auto prev_pipe = std::signal(SIGPIPE, SIG_IGN);
-
     Supervisor sup(opts, points, journal, report, progress_base);
     unsigned nslots =
         SweepRunner(opts).effectiveThreads(todo.size());
     sup.run(todo, nslots);
-
-    std::signal(SIGPIPE, prev_pipe);
     return sup.sawCancel;
 }
 

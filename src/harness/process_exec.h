@@ -2,16 +2,14 @@
  * @file
  * Process-isolated sweep execution tier (DESIGN.md §14).
  *
- * The supervisor forks one worker process per job. The job spec is
- * delivered over a spec pipe (a framed JSON descriptor the worker
- * validates against its forked copy of the point vector) and the
- * result comes back over a result pipe as the job's report JSON
- * fragment — the same schema the thread tier and the journal use, so
- * a result is bit-identical no matter which tier produced it.
+ * The supervisor forks one worker process per job. The worker's
+ * forked copy of the point vector and its index are the whole job
+ * spec; the result comes back over a result pipe as the job's report
+ * JSON fragment — the same schema the thread tier and the journal
+ * use, so a result is bit-identical no matter which tier produced it.
  *
- * Wire frames (both directions):
+ * Wire frames (worker -> supervisor):
  *
- *   PJS1 <len>\n<json>    supervisor -> worker: {"index":i,"label":l}
  *   PJR1 <len>\n<json>    worker -> supervisor: jobResultToJson(...)
  *   PJX1 <len>\n<text>    worker -> supervisor: best-effort crash
  *                         report from a dying worker's signal handler

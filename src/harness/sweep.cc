@@ -31,13 +31,6 @@ SweepSpec::addPoint(SweepPoint pt)
     return *this;
 }
 
-SweepSpec &
-SweepSpec::withMaxTime(Tick t)
-{
-    maxTime = t;
-    return *this;
-}
-
 std::vector<SweepPoint>
 SweepSpec::expand() const
 {

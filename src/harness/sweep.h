@@ -90,9 +90,6 @@ struct SweepSpec
                            std::uint64_t total_work);
     SweepSpec &addPoint(SweepPoint pt);
 
-    /** Simulated-time bound applied to every grid point. */
-    SweepSpec &withMaxTime(Tick t);
-
     /** Grid (configs x workloads, in declaration order) + extras. */
     std::vector<SweepPoint> expand() const;
 

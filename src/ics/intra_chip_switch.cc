@@ -26,9 +26,9 @@ icsLaneFor(IcsMsgType t)
 }
 
 IntraChipSwitch::IntraChipSwitch(EventQueue &eq, std::string name,
-                                 unsigned ports, const Clock &clk,
-                                 unsigned pipe_cycles)
-    : SimObject(eq, std::move(name)), _clk(clk),
+                                 const ChipContext &ctx, unsigned ports,
+                                 const Clock &clk, unsigned pipe_cycles)
+    : SimObject(eq, std::move(name)), _ctx(ctx), _clk(clk),
       _pipeCycles(pipe_cycles), _ports(ports)
 {
     for (std::size_t i = 0; i < _ports.size(); ++i) {
@@ -62,7 +62,7 @@ IntraChipSwitch::send(IcsMsg msg)
     // Armed transport faults consume the next message through this
     // switch: drop (suppressed entirely), delay (the injector re-sends
     // a copy later), or duplicate (a copy follows the original).
-    if (_faults && !_faults->icsSendHook(_faultNode, *this, msg))
+    if (_ctx.injector && !_ctx.injector->icsSendHook(_ctx.node, *this, msg))
         return;
 
     ++statTransfers;

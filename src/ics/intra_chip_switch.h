@@ -31,6 +31,7 @@
 #include "sim/ring_buffer.h"
 #include "sim/sim_object.h"
 #include "stats/stats.h"
+#include "system/chip_context.h"
 
 namespace piranha {
 
@@ -58,11 +59,15 @@ class IntraChipSwitch : public SimObject
 {
   public:
     /**
+     * @param ctx   the chip's context; when it carries a fault
+     *              injector (src/fault/), send() offers each message
+     *              to it, which may drop, duplicate or delay it
      * @param ports number of client ports (27 for a processing chip)
      * @param clk   chip clock domain
      * @param pipe_cycles fixed pipeline latency through the switch
      */
-    IntraChipSwitch(EventQueue &eq, std::string name, unsigned ports,
+    IntraChipSwitch(EventQueue &eq, std::string name,
+                    const ChipContext &ctx, unsigned ports,
                     const Clock &clk, unsigned pipe_cycles = 2);
 
     /** Attach @p client to @p port. */
@@ -81,17 +86,6 @@ class IntraChipSwitch : public SimObject
     {
         // Header word, plus 8 data words for line transfers.
         return msg.hasData ? 1 + lineBytes / 8 : 1;
-    }
-
-    /**
-     * Fault injection (src/fault/): send() offers each message to the
-     * injector, which may drop, duplicate or delay it.
-     */
-    void
-    setFaultInjector(FaultInjector *f, unsigned node)
-    {
-        _faults = f;
-        _faultNode = node;
     }
 
     /** Queue depths and busy ports (watchdog diagnostic dump). */
@@ -155,10 +149,9 @@ class IntraChipSwitch : public SimObject
 
     void pump(int port);
 
+    const ChipContext _ctx;
     const Clock &_clk;
     unsigned _pipeCycles;
-    FaultInjector *_faults = nullptr;
-    unsigned _faultNode = 0;
     std::vector<Port> _ports;
     StatGroup _stats{"ics"};
 };

@@ -118,12 +118,6 @@ enum class L1State : std::uint8_t
     M = 3,
 };
 
-inline bool
-l1StateValid(L1State s)
-{
-    return s != L1State::I;
-}
-
 /** Intra-chip switch message types. */
 enum class IcsMsgType : std::uint8_t
 {

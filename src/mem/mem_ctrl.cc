@@ -7,9 +7,9 @@
 
 namespace piranha {
 
-MemCtrl::MemCtrl(EventQueue &eq, std::string name, BackingStore &store,
-                 const RdramParams &rp)
-    : SimObject(eq, std::move(name)), _store(store), _chan(rp),
+MemCtrl::MemCtrl(EventQueue &eq, std::string name, const ChipContext &ctx,
+                 BackingStore &store, const RdramParams &rp)
+    : SimObject(eq, std::move(name)), _ctx(ctx), _store(store), _chan(rp),
       _stats(this->name())
 {
 }
@@ -42,8 +42,8 @@ MemCtrl::writeLine(Addr addr, const LineData *data,
     // Posted: apply functionally now; charge channel time via queue.
     // A full-line data write overwrites any injected corruption (the
     // rewrite regenerates the stored check bits): fault masked.
-    if (_faults && data)
-        _faults->memWriteHook(_faultNode, lineAlign(addr));
+    if (_ctx.injector && data)
+        _ctx.injector->memWriteHook(_ctx.node, lineAlign(addr));
     BackingStore::Line &l = _store.line(addr);
     if (data)
         l.data = *data;
@@ -113,8 +113,8 @@ MemCtrl::pump()
         // and scrubbed back to the array; uncorrectable ones raise a
         // machine check (the line still completes with what it has —
         // the run is torn down by the machine-check poll).
-        if (_faults)
-            _faults->memReadHook(_faultNode, op.addr, ev->snapshot);
+        if (_ctx.injector)
+            _ctx.injector->memReadHook(_ctx.node, op.addr, ev->snapshot);
         schedule(*ev, done_at);
     }
     _freeAt = now + occupancy;

@@ -25,6 +25,7 @@
 #include "sim/ring_buffer.h"
 #include "sim/sim_object.h"
 #include "stats/stats.h"
+#include "system/chip_context.h"
 
 namespace piranha {
 
@@ -81,8 +82,14 @@ class MemReadFn
 class MemCtrl : public SimObject
 {
   public:
-    MemCtrl(EventQueue &eq, std::string name, BackingStore &store,
-            const RdramParams &rp = RdramParams{});
+    /**
+     * With a fault injector in @p ctx (src/fault/), reads run their
+     * snapshot through the injector's ECC model (correct-and-scrub or
+     * machine check) and data writes mask any pending corruption of
+     * the line.
+     */
+    MemCtrl(EventQueue &eq, std::string name, const ChipContext &ctx,
+            BackingStore &store, const RdramParams &rp = RdramParams{});
 
     /** Read one line (data + directory); @p done fires on completion. */
     void readLine(Addr addr, MemReadFn done);
@@ -95,18 +102,6 @@ class MemCtrl : public SimObject
                    const std::uint64_t *dir_bits);
 
     RdramChannel &channel() { return _chan; }
-
-    /**
-     * Fault injection (src/fault/): reads run their snapshot through
-     * the injector's ECC model (correct-and-scrub or machine check),
-     * data writes mask any pending corruption of the line.
-     */
-    void
-    setFaultInjector(FaultInjector *f, unsigned node)
-    {
-        _faults = f;
-        _faultNode = node;
-    }
 
     /** Transient channel stall: channel busy for @p dur from now. */
     void stallChannel(Tick dur);
@@ -138,9 +133,8 @@ class MemCtrl : public SimObject
     void maybePump();
     void pump();
 
+    const ChipContext _ctx;
     BackingStore &_store;
-    FaultInjector *_faults = nullptr;
-    unsigned _faultNode = 0;
     RdramChannel _chan;
     RingBuffer<Op> _queue;
     Tick _freeAt = 0;          //!< channel busy until this tick

@@ -11,9 +11,11 @@
 namespace piranha {
 
 ProtocolEngine::ProtocolEngine(EventQueue &eq, std::string name,
+                               const ChipContext &ctx,
                                const EngineConfig &cfg, const Clock &clk,
                                IntraChipSwitch &ics, int my_port)
-    : SimObject(eq, std::move(name)), _cfg(cfg), _clk(clk), _ics(ics),
+    : SimObject(eq, std::move(name)), _ctx(ctx), _cfg(cfg), _clk(clk),
+      _ics(ics),
       _myPort(my_port), _tsrf(cfg.tsrfEntries), _stats(this->name())
 {
     if (cfg.tsrfEntries > 64)
@@ -241,7 +243,7 @@ ProtocolEngine::spawn(const QMsg &m)
         t->addr = m.local.addr;
         t->origLocal = m.local;
         t->local = m.local;
-        t->requester = _cfg.node;
+        t->requester = _ctx.node;
         t->reqId = m.local.reqId;
         auto it = _localEntries.find(m.local.peOp);
         if (it == _localEntries.end())
@@ -433,7 +435,7 @@ void
 ProtocolEngine::sendNet(NetPacket pkt)
 {
 
-    pkt.src = _cfg.node;
+    pkt.src = _ctx.node;
     pkt.addr = lineAlign(pkt.addr);
     if (!_cfg.netOut)
         panic("%s: no network attached", name().c_str());
@@ -523,10 +525,10 @@ ProtocolEngine::planCmi(TsrfEntry &t)
     // Deterministic round-robin assignment over sorted targets gives
     // each cruise missile a predetermined set of nodes to visit.
     std::sort(targets.begin(), targets.end());
-    PIR_TRACE(_cfg.tracer,
+    PIR_TRACE(_ctx.tracer,
               TraceEvent{.tick = curTick(),
                          .kind = TraceKind::CmiPlan,
-                         .node = int(_cfg.node),
+                         .node = _ctx.node,
                          .aux = int(nchains),
                          .addr = t.addr,
                          .value = std::uint64_t(targets.size())});

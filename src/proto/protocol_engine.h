@@ -35,13 +35,13 @@
 #include "sim/sim_object.h"
 #include "stats/stats.h"
 #include "system/address_map.h"
+#include "system/chip_context.h"
 
 namespace piranha {
 
 /** Engine configuration and environment bindings. */
 struct EngineConfig
 {
-    NodeId node = 0;
     unsigned tsrfEntries = 16; //!< at most 64
     AddressMap amap;
     unsigned cmiFanout = 4; //!< max CMI messages per invalidation set
@@ -50,11 +50,6 @@ struct EngineConfig
     std::function<void(NetPacket &&)> netOut;
     /** Memory controller owning @p addr (home-side dir/mem writes). */
     std::function<MemCtrl *(Addr)> mcFor;
-
-    /** Coherence tracer and seeded fault shared by the whole chip
-     *  (src/check/); filled in by Chip. */
-    CoherenceTracer *tracer = nullptr;
-    FaultState *faults = nullptr;
 };
 
 /** A home or remote protocol engine. */
@@ -62,8 +57,8 @@ class ProtocolEngine : public SimObject, public IcsClient
 {
   public:
     ProtocolEngine(EventQueue &eq, std::string name,
-                   const EngineConfig &cfg, const Clock &clk,
-                   IntraChipSwitch &ics, int my_port);
+                   const ChipContext &ctx, const EngineConfig &cfg,
+                   const Clock &clk, IntraChipSwitch &ics, int my_port);
 
     /**
      * Install the microcode image plus the dispatch tables mapping
@@ -101,10 +96,9 @@ class ProtocolEngine : public SimObject, public IcsClient
     /** Emit the next planned CMI chain; true if one was sent. */
     bool sendNextChain(TsrfEntry &t);
 
-    NodeId node() const { return _cfg.node; }
+    NodeId node() const { return _ctx.node; }
     const AddressMap &amap() const { return _cfg.amap; }
-    CoherenceTracer *tracer() const { return _cfg.tracer; }
-    FaultState *faults() const { return _cfg.faults; }
+    FaultState *faults() const { return _ctx.faults; }
 
     /** Write-back buffer: data held until the home acknowledges.
      *  Keyed by line number; do not hold a WbBuf reference across an
@@ -182,6 +176,7 @@ class ProtocolEngine : public SimObject, public IcsClient
         return std::uint64_t{1} << (&t - _tsrf.data());
     }
 
+    const ChipContext _ctx;
     EngineConfig _cfg;
     const Clock &_clk;
     IntraChipSwitch &_ics;

@@ -231,7 +231,6 @@ class EventQueue
      * the current epoch). ~Tick(0) (the default) removes the bound.
      */
     void setHorizon(Tick t) { _horizon = t; }
-    Tick horizon() const { return _horizon; }
 
     /**
      * Advance curTick to @p t without executing anything. Only legal
@@ -527,13 +526,6 @@ class Clock
 
     /** Frequency in MHz. */
     double mhz() const { return _mhz; }
-
-    /** Number of whole cycles elapsed at tick @p t. */
-    Cycle
-    ticksToCycles(Tick t) const
-    {
-        return static_cast<Cycle>(static_cast<double>(t) / _periodPs);
-    }
 
   private:
     double _periodPs;

@@ -42,12 +42,6 @@ setPanicThrows(bool enabled)
     return prev;
 }
 
-bool
-panicThrows()
-{
-    return panic_throws;
-}
-
 void
 panic(const char *fmt, ...)
 {

@@ -40,9 +40,6 @@ class SimError : public std::runtime_error
  */
 bool setPanicThrows(bool enabled);
 
-/** Current panic-throws setting for this thread. */
-bool panicThrows();
-
 /** RAII guard enabling panic-throws for a scope. */
 class PanicThrowsGuard
 {

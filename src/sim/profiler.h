@@ -46,17 +46,6 @@ enum class Zone : unsigned
 
 const char *zoneName(Zone z);
 
-/** True when zones are compiled in (PIRANHA_PROFILE). */
-constexpr bool
-compiledIn()
-{
-#if PIRANHA_HOST_PROFILE
-    return true;
-#else
-    return false;
-#endif
-}
-
 /** Zero this thread's accumulators and restart the clock. */
 void reset();
 

@@ -4,9 +4,10 @@ namespace piranha {
 
 PiranhaChip::PiranhaChip(EventQueue &eq, std::string name, NodeId node,
                          const AddressMap &amap, const ChipParams &params,
-                         Network *net)
-    : SimObject(eq, std::move(name)), _p(params), _node(node),
-      _amap(amap), _clock(params.clockMhz), _stats(this->name())
+                         Network *net, FaultInjector *injector)
+    : SimObject(eq, std::move(name)), _p(params),
+      _ctx{node, params.tracer, params.faults, injector}, _amap(amap),
+      _clock(params.clockMhz), _stats(this->name())
 {
     if (_p.cpus == 0 || _p.cpus > cpusPerChipMax)
         fatal("chip supports 1..8 CPUs (got %u)", _p.cpus);
@@ -14,21 +15,12 @@ PiranhaChip::PiranhaChip(EventQueue &eq, std::string name, NodeId node,
         fatal("Piranha chips have 8 L2 banks");
 
     _ics = std::make_unique<IntraChipSwitch>(
-        eq, this->name() + ".ics", icsPortCount, _clock,
+        eq, this->name() + ".ics", _ctx, icsPortCount, _clock,
         _p.icsPipeCycles);
 
     auto bank_port = [amap = _amap](Addr a) {
         return l2Port(amap.bank(a));
     };
-
-    // Propagate the chip-wide tracer / seeded fault into every
-    // memory-system component (src/check/).
-    _p.l1d.node = _p.l1i.node = int(_node);
-    _p.l1d.tracer = _p.l1i.tracer = _p.l2.tracer = _p.tracer;
-    _p.l1d.faults = _p.l1i.faults = _p.l2.faults = _p.faults;
-    _p.l1d.injector = _p.l1i.injector = _p.l2.injector = _p.injector;
-    if (_p.injector)
-        _ics->setFaultInjector(_p.injector, _node);
 
     _l1s.resize(2 * _p.cpus);
     for (unsigned cpu = 0; cpu < _p.cpus; ++cpu) {
@@ -36,42 +28,39 @@ PiranhaChip::PiranhaChip(EventQueue &eq, std::string name, NodeId node,
         int ip = il1Port(cpu);
         _l1s[static_cast<size_t>(dp)] = std::make_unique<L1Cache>(
             eq, strFormat("%s.cpu%u.dl1", this->name().c_str(), cpu),
-            _p.l1d, _clock, *_ics, dp, dp, bank_port);
+            _ctx, _p.l1d, _clock, *_ics, dp, bank_port);
         _l1s[static_cast<size_t>(ip)] = std::make_unique<L1Cache>(
             eq, strFormat("%s.cpu%u.il1", this->name().c_str(), cpu),
-            _p.l1i, _clock, *_ics, ip, ip, bank_port);
+            _ctx, _p.l1i, _clock, *_ics, ip, bank_port);
         _ics->connect(dp, _l1s[static_cast<size_t>(dp)].get());
         _ics->connect(ip, _l1s[static_cast<size_t>(ip)].get());
     }
 
     for (unsigned b = 0; b < 8; ++b) {
         _mcs.push_back(std::make_unique<MemCtrl>(
-            eq, strFormat("%s.mc%u", this->name().c_str(), b), _store,
-            _p.rdram));
-        if (_p.injector)
-            _mcs.back()->setFaultInjector(_p.injector, _node);
+            eq, strFormat("%s.mc%u", this->name().c_str(), b), _ctx,
+            _store, _p.rdram));
         _banks.push_back(std::make_unique<L2Bank>(
-            eq, strFormat("%s.l2b%u", this->name().c_str(), b), _p.l2,
-            _clock, *_ics, l2Port(b), _node, _amap, *_mcs.back()));
+            eq, strFormat("%s.l2b%u", this->name().c_str(), b), _ctx,
+            _p.l2, _clock, *_ics, l2Port(b), _amap, *_mcs.back()));
         _ics->connect(l2Port(b), _banks.back().get());
     }
 
     EngineConfig ecfg;
-    ecfg.node = _node;
     ecfg.tsrfEntries = _p.tsrfEntries;
     ecfg.amap = _amap;
     ecfg.cmiFanout = _p.cmiFanout;
     ecfg.mcFor = [this](Addr a) { return _mcs[_amap.bank(a)].get(); };
-    ecfg.tracer = _p.tracer;
-    ecfg.faults = _p.faults;
     if (net) {
         ecfg.netOut = [net](NetPacket &&p) { net->inject(std::move(p)); };
     }
 
     _he = std::make_unique<ProtocolEngine>(
-        eq, this->name() + ".he", ecfg, _clock, *_ics, homeEnginePort);
+        eq, this->name() + ".he", _ctx, ecfg, _clock, *_ics,
+        homeEnginePort);
     _re = std::make_unique<ProtocolEngine>(
-        eq, this->name() + ".re", ecfg, _clock, *_ics, remoteEnginePort);
+        eq, this->name() + ".re", _ctx, ecfg, _clock, *_ics,
+        remoteEnginePort);
     _ics->connect(homeEnginePort, _he.get());
     _ics->connect(remoteEnginePort, _re.get());
     installHomeProgram(*_he);
@@ -80,7 +69,7 @@ PiranhaChip::PiranhaChip(EventQueue &eq, std::string name, NodeId node,
     // Node-exclusive evictions populate the remote engine's
     // write-back buffer synchronously (no-NAK guarantee).
     ProtocolEngine *re = _re.get();
-    FaultState *faults = _p.faults;
+    FaultState *faults = _ctx.faults;
     for (auto &bank : _banks) {
         bank->setWbBufferHook(
             [re, faults](Addr a, const LineData &d, bool dirty) {

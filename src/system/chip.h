@@ -25,6 +25,7 @@
 #include "proto/protocol_engine.h"
 #include "sim/sim_object.h"
 #include "system/address_map.h"
+#include "system/chip_context.h"
 #include "system/chip_ports.h"
 
 namespace piranha {
@@ -43,26 +44,13 @@ struct ChipParams
     unsigned cmiFanout = 4;
 
     /**
-     * Optional coherence tracer and seeded protocol fault (src/check/).
-     * Shared by every L1, L2 bank and protocol engine of the chip;
-     * multi-chip harnesses pass the same pointers to every chip so one
-     * trace covers the whole system. Null = disabled.
+     * Optional coherence tracer and seeded protocol fault (src/check/),
+     * carried into the chip's ChipContext. Multi-chip harnesses pass
+     * the same pointers to every chip so one trace covers the whole
+     * system. Null = disabled.
      */
     CoherenceTracer *tracer = nullptr;
     FaultState *faults = nullptr;
-
-    /**
-     * Optional fault injector (src/fault/), owned by the system.
-     * Propagated into every L1, L2 bank, memory controller and the
-     * ICS. Null = no injection (the hooks cost one predictable
-     * branch).
-     */
-    FaultInjector *injector = nullptr;
-
-    ChipParams()
-    {
-        l1i.isInstr = true;
-    }
 };
 
 /** One Piranha processing chip. */
@@ -70,13 +58,19 @@ class PiranhaChip : public SimObject
 {
   public:
     /**
+     * Builds the chip's ChipContext from @p node, the params' tracer
+     * and seeded fault, and @p injector, and hands it to every
+     * component.
+     *
      * @param net optional system interconnect; single-chip systems
      *        pass nullptr. The caller must addNode/connect/finalize
      *        the network separately.
+     * @param injector the run's fault injector (src/fault/), owned by
+     *        the system; null = no injection.
      */
     PiranhaChip(EventQueue &eq, std::string name, NodeId node,
                 const AddressMap &amap, const ChipParams &params,
-                Network *net);
+                Network *net, FaultInjector *injector = nullptr);
 
     L1Cache &dl1(unsigned cpu) { return *_l1s[dl1Port(cpu)]; }
     L1Cache &il1(unsigned cpu) { return *_l1s[il1Port(cpu)]; }
@@ -87,7 +81,7 @@ class PiranhaChip : public SimObject
     ProtocolEngine &homeEngine() { return *_he; }
     ProtocolEngine &remoteEngine() { return *_re; }
     const Clock &clock() const { return _clock; }
-    NodeId node() const { return _node; }
+    NodeId node() const { return _ctx.node; }
     unsigned cpus() const { return _p.cpus; }
 
     /** Terminal packet delivery from the interconnect (IQ side). */
@@ -112,7 +106,7 @@ class PiranhaChip : public SimObject
 
   private:
     ChipParams _p;
-    NodeId _node;
+    const ChipContext _ctx;
     AddressMap _amap;
     Clock _clock;
     BackingStore _store;

@@ -82,9 +82,6 @@ struct SystemConfig
      * one without an injector.
      */
     FaultPlanConfig faults{};
-
-    /** Forward-progress watchdog polled by PiranhaSystem::run. */
-    WatchdogConfig watchdog{};
 };
 
 /** The Piranha prototype: 8 simple 500 MHz cores per chip (P8). */

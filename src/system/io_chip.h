@@ -140,8 +140,6 @@ class PiranhaIoChip
 
     PiranhaChip &chip() { return _chip; }
     IoDevice &device() { return _device; }
-    /** The I/O chip's own CPU (driver execution). */
-    L1Cache &cpuDl1() { return _chip.dl1(0); }
 
     /** I/O nodes connect with two links (paper: redundancy). */
     static constexpr unsigned channels = 2;

@@ -9,8 +9,25 @@
 
 namespace piranha {
 
+namespace {
+
+/**
+ * The forward-progress watchdog trips when no instruction retires
+ * anywhere in the system for this much simulated time while cores
+ * still have work. Generous: the slowest legitimate gap is a few
+ * memory round trips, orders of magnitude under a millisecond.
+ */
+constexpr Tick watchdogStallLimit = 2000 * ticksPerUs;
+
+} // namespace
+
 PiranhaSystem::PiranhaSystem(const SystemConfig &cfg) : _cfg(cfg)
 {
+    // Cores attach to L1 slots 0..cpusPerChip-1, and a chip builds
+    // chip.cpus of them.
+    if (cfg.cpusPerChip != cfg.chip.cpus)
+        fatal("config %s: cpusPerChip (%u) differs from chip.cpus (%u)",
+              cfg.name.c_str(), cfg.cpusPerChip, cfg.chip.cpus);
     _amap.numNodes = cfg.nodes;
     _parallel = _cfg.engine == EngineKind::Parallel;
     if (_parallel && _cfg.faults.any()) {
@@ -28,12 +45,10 @@ PiranhaSystem::PiranhaSystem(const SystemConfig &cfg) : _cfg(cfg)
     }
     // The injector must exist before the chips: every L1/L2/MC/ICS
     // captures the pointer at construction.
-    if (_cfg.faults.any()) {
+    if (_cfg.faults.any())
         _injector = std::make_unique<FaultInjector>(_eq, "faults",
                                                     _cfg.faults,
                                                     _cfg.nodes);
-        _cfg.chip.injector = _injector.get();
-    }
     _shardOf.assign(cfg.nodes, 0);
     if (_parallel) {
         _shards = _cfg.shards ? std::min(_cfg.shards, cfg.nodes)
@@ -51,7 +66,8 @@ PiranhaSystem::PiranhaSystem(const SystemConfig &cfg) : _cfg(cfg)
             chipP.tracer = _cfg.chipTracers[n];
         _chips.push_back(std::make_unique<PiranhaChip>(
             chipQueue(n), strFormat("node%u", n),
-            static_cast<NodeId>(n), _amap, chipP, _net.get()));
+            static_cast<NodeId>(n), _amap, chipP, _net.get(),
+            _injector.get()));
     }
     if (_net) {
         for (unsigned n = 0; n < cfg.nodes; ++n) {
@@ -239,12 +255,11 @@ PiranhaSystem::run(Workload &wl, std::uint64_t work_per_cpu,
     prof::reset();
     bool aborted = false;
     std::uint64_t iter = 0;
-    // Forward-progress watchdog (host-side: schedules nothing, reads
-    // no simulated state until it trips, so enabling it cannot
-    // perturb results). Progress = any instruction retiring anywhere;
-    // the slowest legitimate gap is a few memory round trips, orders
-    // of magnitude under the stall limit.
-    const WatchdogConfig wd = _cfg.watchdog;
+    // Forward-progress watchdog (host-side: schedules nothing and
+    // reads no simulated state until it trips, so it cannot perturb
+    // results). Progress = any instruction retiring anywhere; the
+    // slowest legitimate gap is a few memory round trips, orders of
+    // magnitude under watchdogStallLimit.
     bool wd_tripped = false;
     std::string wd_reason;
     std::string wd_dump;
@@ -275,7 +290,7 @@ PiranhaSystem::run(Workload &wl, std::uint64_t work_per_cpu,
                     all_done = false;
                     break;
                 }
-            if (!all_done && wd.enabled) {
+            if (!all_done) {
                 wd_tripped = true;
                 wd_reason =
                     "event queue drained with unfinished cores";
@@ -328,7 +343,7 @@ PiranhaSystem::run(Workload &wl, std::uint64_t work_per_cpu,
                 aborted = true;
                 break;
             }
-            if (wd.enabled && (iter & 0xFFF) == 0) {
+            if ((iter & 0xFFF) == 0) {
                 double instrs = 0;
                 for (const auto &core : _cores)
                     instrs += core->statInstrs.value();
@@ -336,7 +351,7 @@ PiranhaSystem::run(Workload &wl, std::uint64_t work_per_cpu,
                     wd_last_instrs = instrs;
                     wd_last_tick = _eq.curTick();
                 } else if (_eq.curTick() - wd_last_tick >=
-                           wd.stallLimit) {
+                           watchdogStallLimit) {
                     wd_tripped = true;
                     wd_reason = strFormat(
                         "no instruction retired for %llu ps",
@@ -350,11 +365,8 @@ PiranhaSystem::run(Workload &wl, std::uint64_t work_per_cpu,
                 // ever advance architectural state again. A lost
                 // message (fault injection or protocol bug) wedged the
                 // system.
-                if (wd.enabled) {
-                    wd_tripped = true;
-                    wd_reason =
-                        "event queue drained with unfinished cores";
-                }
+                wd_tripped = true;
+                wd_reason = "event queue drained with unfinished cores";
                 break;
             }
         }

@@ -111,8 +111,8 @@ struct RunResult
 
     /**
      * The forward-progress watchdog stopped the run: no instruction
-     * retired for WatchdogConfig::stallLimit of simulated time (or
-     * the event queue drained) while cores still had work.
+     * retired for 2 ms of simulated time (or the event queue drained)
+     * while cores still had work.
      */
     bool watchdogTripped = false;
     std::string watchdogReason;

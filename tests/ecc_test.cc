@@ -158,18 +158,17 @@ TEST(FaultScrub, FlipThenScrubRoundTripThroughMemCtrl)
 {
     EventQueue eq;
     BackingStore store;
-    MemCtrl mc(eq, "mc", store);
 
     FaultPlanConfig plan;
     plan.enabled = true;
     plan.planned = {PlannedFault{FaultKind::MemDataFlip,
                                  100 * ticksPerNs, 0}};
     FaultInjector inj(eq, "inj", plan, 1);
+    MemCtrl mc(eq, "mc", ChipContext{.injector = &inj}, store);
     FaultInjector::NodeSites sites;
     sites.store = &store;
     sites.mcs = {&mc};
     inj.attachNode(0, sites);
-    mc.setFaultInjector(&inj, 0);
 
     const Addr a = 0x1000;
     LineData orig;

@@ -217,6 +217,34 @@ TEST(FaultOutcomes, DroppedIcsMessageHangsAndWatchdogDumps)
     EXPECT_GE(r.counters.icsDropped, 1u);
 }
 
+// Seed 10 of the pinned scripts/ci.sh faults campaign: a dropped ICS
+// message leaves an L1 and its L2 bank disagreeing, and a later
+// forward panics. A panic is a legitimate Detected outcome, and its
+// record must still name every fault that fired before it.
+TEST(FaultOutcomes, PanicDetectedRunKeepsFiredFaults)
+{
+    CampaignSpec spec = smallCampaign(FaultKind::IcsDrop, 2, 1024);
+    spec.planTemplate.kinds = {
+        FaultKind::MemDataFlip, FaultKind::MemDataDoubleFlip,
+        FaultKind::MemCheckFlip, FaultKind::L1DataFlip,
+        FaultKind::L2DataFlip,   FaultKind::IcsDrop,
+        FaultKind::IcsDelay,     FaultKind::MemStall};
+    spec.baseSeed = 10;
+    CampaignReport rep = CampaignRunner(serialOpts()).run(spec);
+    ASSERT_EQ(rep.runs.size(), 1u);
+    const InjectionRecord &r = rep.runs[0];
+    EXPECT_EQ(r.outcome, FaultOutcome::Detected)
+        << faultOutcomeName(r.outcome) << ": " << r.detail;
+    EXPECT_EQ(r.detail.rfind("panic: ", 0), 0u) << r.detail;
+    ASSERT_EQ(r.faults.size(), 2u);
+    EXPECT_EQ(r.faults[0].kind, FaultKind::IcsDrop);
+    EXPECT_EQ(r.faults[0].at, Tick{31'208'082});
+    EXPECT_EQ(r.faults[1].kind, FaultKind::MemDataDoubleFlip);
+    EXPECT_EQ(r.faults[1].at, Tick{47'663'288});
+    EXPECT_EQ(r.counters.fired, 2u);
+    EXPECT_EQ(r.counters.icsDropped, 1u);
+}
+
 // Same wedge driven directly through PiranhaSystem::run, proving the
 // watchdog is wired into the entry point itself (not just campaigns).
 TEST(Watchdog, WedgedRunTripsInsteadOfSpinning)

@@ -69,7 +69,7 @@ TEST(MemCtrl, ReadReturnsDataAndDirectory)
     BackingStore store;
     store.poke64(0x4000, 0x1234);
     store.line(0x4000).dirBits = 0x5555;
-    MemCtrl mc(eq, "mc", store);
+    MemCtrl mc(eq, "mc", ChipContext{}, store);
     bool done = false;
     mc.readLine(0x4000, [&](const LineData &d, std::uint64_t dir) {
         EXPECT_EQ(d.read(0, 8), 0x1234u);
@@ -85,7 +85,7 @@ TEST(MemCtrl, PostedWriteVisibleToLaterRead)
 {
     EventQueue eq;
     BackingStore store;
-    MemCtrl mc(eq, "mc", store);
+    MemCtrl mc(eq, "mc", ChipContext{}, store);
     LineData d;
     d.write(8, 8, 0xabc);
     std::uint64_t dir = 7;
@@ -106,7 +106,7 @@ TEST(MemCtrl, PartialWritePreservesOtherFields)
     BackingStore store;
     store.poke64(0xC000, 0x77);
     store.line(0xC000).dirBits = 9;
-    MemCtrl mc(eq, "mc", store);
+    MemCtrl mc(eq, "mc", ChipContext{}, store);
     std::uint64_t dir = 42;
     mc.writeLine(0xC000, nullptr, &dir); // directory-only update
     eq.run();
@@ -118,7 +118,7 @@ TEST(MemCtrl, ChannelSerializesRequests)
 {
     EventQueue eq;
     BackingStore store;
-    MemCtrl mc(eq, "mc", store);
+    MemCtrl mc(eq, "mc", ChipContext{}, store);
     std::vector<Tick> completions;
     for (int i = 0; i < 4; ++i) {
         mc.readLine(0x10000 + i * 0x4000,
@@ -246,7 +246,7 @@ TEST(MemCtrl, ReadOfUnwrittenLineStoresNothing)
 {
     EventQueue eq;
     BackingStore store;
-    MemCtrl mc(eq, "mc", store);
+    MemCtrl mc(eq, "mc", ChipContext{}, store);
     bool done = false;
     mc.readLine(0x8040, [&](const LineData &d, std::uint64_t dir) {
         EXPECT_EQ(d, LineData{});

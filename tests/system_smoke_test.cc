@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "check/trace.h"
 #include "core/piranha.h"
 
 namespace piranha {
@@ -110,6 +114,49 @@ TEST(SystemSmoke, StatsReportProducesOutput)
     EXPECT_NE(out.find("l2_hit"), std::string::npos);
     EXPECT_NE(out.find("transfers"), std::string::npos);
     EXPECT_NE(out.find("page_hits"), std::string::npos);
+}
+
+TEST(SystemSmoke, EachChipTracesUnderItsOwnNode)
+{
+    // Every L1, L2 bank and engine of chip n takes its node id from
+    // the chip's ChipContext, so chip n's ring holds only node n.
+    SystemConfig cfg = configPn(2, 3);
+    std::vector<std::unique_ptr<CoherenceTracer>> tracers;
+    for (unsigned n = 0; n < cfg.nodes; ++n) {
+        tracers.push_back(std::make_unique<CoherenceTracer>());
+        cfg.chipTracers.push_back(tracers.back().get());
+    }
+    OltpWorkload wl;
+    PiranhaSystem sys(cfg);
+    sys.run(wl, 20);
+    for (unsigned n = 0; n < cfg.nodes; ++n) {
+        bool l1_side = false, l2_side = false;
+        for (const TraceEvent &e : tracers[n]->events()) {
+            ASSERT_EQ(e.node, static_cast<int>(n))
+                << "chip " << n << "'s ring: " << renderTraceEvent(0, e);
+            l1_side |= e.l1 >= 0;
+            l2_side |= e.kind == TraceKind::InvalSent ||
+                       e.kind == TraceKind::OwnerChange ||
+                       e.kind == TraceKind::WbInstall ||
+                       e.kind == TraceKind::L2Evict;
+        }
+        EXPECT_TRUE(l1_side) << "no L1-side event on chip " << n;
+        EXPECT_TRUE(l2_side) << "no L2-side event on chip " << n;
+    }
+}
+
+TEST(SystemConfigDeathTest, CpusPerChipMustEqualChipCpus)
+{
+    // Cores attach to L1 slots 0..cpusPerChip-1; a chip builds
+    // chip.cpus of them.
+    SystemConfig too_many_cores = configP8();
+    too_many_cores.chip.cpus = 4;
+    EXPECT_DEATH(PiranhaSystem{too_many_cores},
+                 "cpusPerChip \\(8\\) differs from chip.cpus \\(4\\)");
+    SystemConfig too_few_cores = configP8();
+    too_few_cores.cpusPerChip = 2;
+    EXPECT_DEATH(PiranhaSystem{too_few_cores},
+                 "cpusPerChip \\(2\\) differs from chip.cpus \\(8\\)");
 }
 
 } // namespace

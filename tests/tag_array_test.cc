@@ -104,7 +104,7 @@ TEST(Ics, DeliversWithPipelineLatency)
 {
     EventQueue eq;
     Clock clk(500.0);
-    IntraChipSwitch ics(eq, "ics", 4, clk, 2);
+    IntraChipSwitch ics(eq, "ics", ChipContext{}, 4, clk, 2);
     Sink sink;
     ics.connect(1, &sink);
     IcsMsg m;
@@ -123,7 +123,7 @@ TEST(Ics, HighLaneBypassesLowLane)
 {
     EventQueue eq;
     Clock clk(500.0);
-    IntraChipSwitch ics(eq, "ics", 4, clk, 1);
+    IntraChipSwitch ics(eq, "ics", ChipContext{}, 4, clk, 1);
     Sink sink;
     ics.connect(1, &sink);
     // Queue a burst of low-priority data transfers, then one
@@ -155,7 +155,7 @@ TEST(Ics, FifoWithinLane)
 {
     EventQueue eq;
     Clock clk(500.0);
-    IntraChipSwitch ics(eq, "ics", 4, clk, 1);
+    IntraChipSwitch ics(eq, "ics", ChipContext{}, 4, clk, 1);
     Sink sink;
     ics.connect(2, &sink);
     for (int i = 0; i < 8; ++i) {
@@ -178,7 +178,7 @@ TEST(Ics, DataTransfersOccupyLonger)
     // Back-to-back data transfers: each occupies header + 8 words.
     EventQueue eq;
     Clock clk(500.0);
-    IntraChipSwitch ics(eq, "ics", 4, clk, 1);
+    IntraChipSwitch ics(eq, "ics", ChipContext{}, 4, clk, 1);
     Sink sink;
     ics.connect(1, &sink);
     for (int i = 0; i < 3; ++i) {
@@ -200,7 +200,7 @@ TEST(Ics, UnconnectedPortDies)
 {
     EventQueue eq;
     Clock clk(500.0);
-    IntraChipSwitch ics(eq, "ics", 4, clk, 1);
+    IntraChipSwitch ics(eq, "ics", ChipContext{}, 4, clk, 1);
     IcsMsg m;
     m.srcPort = 0;
     m.dstPort = 3;
