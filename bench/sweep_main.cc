@@ -189,7 +189,7 @@ sweepLitmus(unsigned seeds)
             SweepPoint pt;
             pt.label = prog.name + "/s" + std::to_string(seed);
             const LitmusProgram *pp = &prog; // static registry
-            pt.custom = [pp, seed]() -> CustomResult {
+            pt.custom = [pp, seed](const AbortCheck &) -> CustomResult {
                 LitmusRunOptions opt;
                 opt.seed = seed;
                 LitmusResult res = runLitmus(*pp, opt);

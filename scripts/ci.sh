@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification, as CI runs it: check that only PiranhaSystem
-# wires systems and that every src/ path the docs cite exists,
-# configure with warnings promoted to errors on every target, build
-# everything, run the full test suite.
+# Tier-1 verification, as CI runs it: check that there is one build
+# (no code path behind a PIRANHA_ macro or a CMake option), that only
+# PiranhaSystem wires systems and that every src/ path the docs cite
+# exists, configure with warnings promoted to errors on every target,
+# build everything, run the full test suite.
 #
 # Usage:
 #   scripts/ci.sh [build-dir]         tier-1 build + tests
@@ -18,8 +19,12 @@
 #                                     timings are not gated), the same
 #                                     digest gate at validation seed 101
 #                                     against the digests pinned below,
-#                                     then a profiler-breakdown artifact
-#                                     (PROFILE_breakdown.json)
+#                                     then the fig5 sweep on one thread
+#                                     of the same build as the host-
+#                                     profiler artifact
+#                                     (PROFILE_breakdown.json): a job of
+#                                     0.2 s or more without zone shares
+#                                     fails
 #   scripts/ci.sh faults [build-dir]  build + tests, then two pinned-
 #                                     seed fault-injection campaigns
 #                                     (DESIGN.md §9), one chip and two
@@ -74,6 +79,28 @@ DEFAULT_DIR=build-ci
 [[ "$MODE" == "crashsafe" ]] && DEFAULT_DIR=build-crashsafe
 BUILD_DIR="${1:-$DEFAULT_DIR}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 2)"
+
+# One build: no source selects a code path with a PIRANHA_ macro
+# (include guards use #ifndef and do not match), and CMake offers
+# only the warning, LTO and sanitizer switches.
+macros="$(cd "$(dirname "$0")/.." &&
+    grep -rnE '^[[:space:]]*#[[:space:]]*(if|ifdef|elif)\b.*PIRANHA_' \
+        src tests bench examples || [[ $? -eq 1 ]])"
+if [[ -n "$macros" ]]; then
+    echo "FAIL: code paths selected by a PIRANHA_ macro:" >&2
+    echo "$macros" >&2
+    exit 1
+fi
+options="$(cd "$(dirname "$0")/.." &&
+    grep -rnE --include=CMakeLists.txt 'option\([[:space:]]*PIRANHA_' \
+        CMakeLists.txt src tests bench examples perfbench |
+    grep -vE 'option\([[:space:]]*PIRANHA_(WERROR|LTO|SANITIZE|TSAN)[[:space:]]' ||
+    true)"
+if [[ -n "$options" ]]; then
+    echo "FAIL: CMake options beyond WERROR, LTO, SANITIZE and TSAN:" >&2
+    echo "$options" >&2
+    exit 1
+fi
 
 # Chips, network, event queues and shards are wired only by the
 # network, the sharded engine and PiranhaSystem (DESIGN.md §13).
@@ -204,6 +231,13 @@ for path, (expect, expect_digest) in pins.items():
                for r in hangs):
         print(f"FAIL: {path}: hang outcome without a watchdog dump",
               file=sys.stderr)
+        bad = True
+    panics = [r for r in rep["runs"] if r["outcome"] == "detected" and
+              r.get("detail", "").startswith("panic:")]
+    if not all("diagnostic dump" in r.get("watchdog_dump", "")
+               for r in panics):
+        print(f"FAIL: {path}: panic-detected run without a diagnostic "
+              f"dump", file=sys.stderr)
         bad = True
 if bad:
     sys.exit(1)
@@ -384,12 +418,22 @@ if bad:
 print("seed-101 digests match on all four workloads")
 PYEOF
 
-    # Host-time profiler breakdown artifact: a separate small build
-    # with PIRANHA_PROFILE=ON (zones cost two clock reads each, so the
-    # Release+LTO tree above stays uninstrumented).
-    cmake -B "$BUILD_DIR-prof" -S "$(dirname "$0")/.." \
-        -DCMAKE_BUILD_TYPE=Release -DPIRANHA_PROFILE=ON
-    cmake --build "$BUILD_DIR-prof" -j "$JOBS" --target sweep_main
-    "$BUILD_DIR-prof"/bench/sweep_main quick --threads 1 \
-        --json PROFILE_breakdown.json
+    # Host-time profiler artifact from this same build: the sampler
+    # is always on. The fig5 jobs run long enough for it (one sample
+    # per tick of CPU time; the quick sweep's jobs are too short).
+    "$BUILD_DIR"/bench/sweep_main fig5 --threads 1 \
+        --json PROFILE_breakdown.json > /dev/null
+    python3 - <<'PYEOF'
+import json, sys
+jobs = json.load(open("PROFILE_breakdown.json"))["jobs"]
+long_jobs = [j for j in jobs if j["host_seconds"] >= 0.2]
+bad = [j["label"] for j in long_jobs if not j.get("host_profile")]
+for label in bad:
+    print(f"FAIL: {label}: a job of 0.2 s or more without a host "
+          f"profile", file=sys.stderr)
+if bad:
+    sys.exit(1)
+print(f"host profile present on all {len(long_jobs)} fig5 jobs of "
+      f"0.2 s or more")
+PYEOF
 fi

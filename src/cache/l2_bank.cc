@@ -625,7 +625,8 @@ L2Bank::onMemData(Addr addr, const LineData &data, std::uint64_t dir_bits)
         panic("%s: stray memory data for %#llx", name().c_str(),
               static_cast<unsigned long long>(addr));
     Txn &txn = pendingOf(info).txn;
-    DirEntry dir = DirEntry::unpack(dir_bits, _amap.numNodes);
+    DirEntry dir = decodeDirEntry(_ctx.injector, _ctx.node, addr,
+                                  dir_bits, _amap.numNodes);
     IcsMsg req = txn.req;
     std::uint32_t bit = 1u << req.l1Id;
     bool ifetch = isInstrL1(req.l1Id);

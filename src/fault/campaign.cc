@@ -222,11 +222,11 @@ namespace {
 /** Body of one injected run: a self-contained CustomResult whose
  *  payload carries the full InjectionRecord. */
 CustomResult
-runInjection(const CampaignSpec &spec, std::uint64_t seed)
+runInjection(const CampaignSpec &spec, std::uint64_t seed,
+             const AbortCheck &should_abort)
 {
     SystemConfig cfg = spec.config;
     cfg.faults = spec.planTemplate;
-    cfg.faults.enabled = true;
     cfg.faults.seed = seed;
 
     CoherenceTracer tracer;
@@ -251,13 +251,18 @@ runInjection(const CampaignSpec &spec, std::uint64_t seed)
         sys = std::make_unique<PiranhaSystem>(cfg);
         std::uint64_t per_cpu = std::max<std::uint64_t>(
             1, spec.workload.totalWork / sys->totalCpus());
-        RunResult run = sys->run(*wl, per_cpu, spec.maxTime);
+        RunResult run =
+            sys->run(*wl, per_cpu, spec.maxTime, should_abort);
 
         rec.counters = run.faults;
         rec.faults = run.firedFaults;
         rec.watchdogDump = run.watchdogDump;
         rec.stats = flattenRunResult(run);
         rec.engineFallback = run.engineFallback;
+        // The host stopped the run: a failed injection, not a
+        // modelled outcome, and the runner records a timed-out job.
+        if (run.aborted && should_abort && should_abort())
+            throw std::runtime_error("host wall-clock timeout");
 
         bool checker_ran = false, checker_ok = true;
         if (spec.checkTrace) {
@@ -288,9 +293,12 @@ runInjection(const CampaignSpec &spec, std::uint64_t seed)
         // state it recognised as impossible — detected, not silent.
         rec.outcome = FaultOutcome::Detected;
         rec.detail = e.what();
-        if (sys && sys->injector()) {
-            rec.counters = sys->injector()->counters;
-            rec.faults = sys->injector()->fired();
+        if (sys) {
+            rec.watchdogDump = sys->diagnosticDump(rec.detail);
+            if (sys->injector()) {
+                rec.counters = sys->injector()->counters;
+                rec.faults = sys->injector()->fired();
+            }
         }
     } catch (const std::exception &e) {
         rec.outcome = FaultOutcome::Failed;
@@ -316,7 +324,9 @@ CampaignRunner::run(const CampaignSpec &spec) const
                              static_cast<unsigned long long>(seed));
         pt.maxTime = spec.maxTime;
         // By value, so each job owns everything it reads.
-        pt.custom = [spec, seed] { return runInjection(spec, seed); };
+        pt.custom = [spec, seed](const AbortCheck &should_abort) {
+            return runInjection(spec, seed, should_abort);
+        };
         points.push_back(std::move(pt));
     }
 

@@ -19,8 +19,8 @@
  *              violations in the trace (silent data corruption)
  *   Hang       forward progress stopped; the watchdog tripped and
  *              produced a diagnostic dump
- *   Failed     host-side failure of the run itself (not a modelled
- *              fault outcome)
+ *   Failed     host-side failure of the run itself, a host timeout
+ *              included (not a modelled fault outcome)
  *
  * Campaigns layer on SweepRunner: each injection is a custom sweep
  * job, so they inherit its thread pool, isolation, timeout, retry,
@@ -73,8 +73,8 @@ struct CampaignSpec
 
     /**
      * Plan template: every injection copies this (kinds, window,
-     * count, delays) and substitutes its own seed. enabled is forced
-     * on; count == 0 makes a zero-fault campaign (identity check).
+     * count) and substitutes its own seed; count == 0 makes a
+     * zero-fault campaign (identity check).
      */
     FaultPlanConfig planTemplate;
 
@@ -95,7 +95,8 @@ struct InjectionRecord
     std::vector<FiredFault> faults;     //!< what fired, where, when
     std::string detail;                 //!< machine-check / watchdog /
                                         //!< checker / error text
-    std::string watchdogDump;           //!< non-empty when Hang
+    std::string watchdogDump;           //!< diagnostic dump of a
+                                        //!< hang or a panic
     std::map<std::string, double> stats; //!< flattened RunResult
 
     /** The run asked for the parallel intra-run engine but was forced

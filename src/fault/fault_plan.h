@@ -51,11 +51,11 @@ enum class FaultKind : std::uint8_t
     L2DataFlip,        ///< L2 data parity error on a valid clean line
     IcsDrop,           ///< lose one intra-chip switch message
     IcsDup,            ///< deliver one ICS message twice
-    IcsDelay,          ///< hold one ICS message for icsDelay ticks
-    NetDrop,           ///< lose one inter-chip packet (timeout + retry)
+    IcsDelay,          ///< hold one ICS message for 200 ns
+    NetDrop,           ///< lose one inter-chip packet (4 us retry)
     NetDup,            ///< deliver one inter-chip packet twice
-    NetDelay,          ///< hold one inter-chip packet for netDelay ticks
-    MemStall,          ///< memory channel busy for memStallTicks
+    NetDelay,          ///< hold one inter-chip packet for 2 us
+    MemStall,          ///< memory channel busy for 1 us
     kNumKinds,
 };
 
@@ -85,8 +85,6 @@ struct FiredFault
 /** A complete, deterministic injection plan for one run. */
 struct FaultPlanConfig
 {
-    bool enabled = false;
-
     /** Seed for site selection (and fire times of drawn faults). */
     std::uint64_t seed = 1;
 
@@ -100,25 +98,8 @@ struct FaultPlanConfig
     Tick windowStart = 1 * ticksPerUs;
     Tick windowEnd = 50 * ticksPerUs;
 
-    /** Extra latency applied by IcsDelay / NetDelay faults. */
-    Tick icsDelayTicks = 200 * ticksPerNs;
-    Tick netDelayTicks = 2 * ticksPerUs;
-
-    /**
-     * Retransmit timeout for NetDrop: the injector re-injects the
-     * lost packet this long after the drop, modeling the protocol's
-     * timeout-and-retry on inter-chip links.
-     */
-    Tick netRetryTicks = 4 * ticksPerUs;
-
-    /** Channel-busy duration for MemStall faults. */
-    Tick memStallTicks = 1 * ticksPerUs;
-
     /** True when the plan will fire at least one fault. */
-    bool any() const
-    {
-        return enabled && (count > 0 || !planned.empty());
-    }
+    bool any() const { return count > 0 || !planned.empty(); }
 };
 
 /**

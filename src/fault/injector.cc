@@ -17,6 +17,18 @@ namespace {
 
 constexpr unsigned kBlocksPerLine = lineBytes / 32; // 256-bit blocks
 
+/** Extra latency of an IcsDelay / NetDelay fault. */
+constexpr Tick kIcsDelay = 200 * ticksPerNs;
+constexpr Tick kNetDelay = 2 * ticksPerUs;
+
+/** Retransmit timeout for NetDrop: the injector re-injects the lost
+ *  packet this long after the drop, modeling the protocol's
+ *  timeout-and-retry on inter-chip links. */
+constexpr Tick kNetRetry = 4 * ticksPerUs;
+
+/** Channel-busy duration of a MemStall fault. */
+constexpr Tick kMemStall = 1 * ticksPerUs;
+
 EccBlock
 blockOf(const LineData &d, unsigned block)
 {
@@ -324,7 +336,7 @@ FaultInjector::fireMemStall(const PlannedFault &pf)
     }
     MemCtrl *mc = s.mcs[_rng.below(
         static_cast<std::uint32_t>(s.mcs.size()))];
-    mc->stallChannel(_plan.memStallTicks);
+    mc->stallChannel(kMemStall);
     ++counters.memStalls;
     record(pf, strFormat("%s stalled", mc->name().c_str()));
 }
@@ -417,7 +429,7 @@ FaultInjector::icsSendHook(NodeId node, IntraChipSwitch &sw,
       case Transport::Delay: {
         ++counters.icsDelayed;
         IntraChipSwitch *swp = &sw;
-        scheduleIn(_plan.icsDelayTicks,
+        scheduleIn(kIcsDelay,
                    [this, swp, copy = msg]() mutable {
                        _bypass = true;
                        swp->send(std::move(copy));
@@ -446,7 +458,7 @@ FaultInjector::netInjectHook(Network &net, NetPacket &pkt)
         // Lost on the wire; the injector models the protocol's
         // timeout-and-retry by re-injecting after the retry timeout.
         ++counters.netDropped;
-        scheduleIn(_plan.netRetryTicks,
+        scheduleIn(kNetRetry,
                    [this, np, copy = pkt]() mutable {
                        ++counters.netRetransmits;
                        _bypass = true;
@@ -469,7 +481,7 @@ FaultInjector::netInjectHook(Network &net, NetPacket &pkt)
       }
       case Transport::Delay: {
         ++counters.netDelayed;
-        scheduleIn(_plan.netDelayTicks,
+        scheduleIn(kNetDelay,
                    [this, np, copy = pkt]() mutable {
                        _bypass = true;
                        np->inject(std::move(copy));
@@ -499,6 +511,25 @@ FaultInjector::raiseMachineCheck(std::string why)
         return; // keep the first cause
     _machineCheck = true;
     _mcReason = std::move(why);
+}
+
+DirEntry
+decodeDirEntry(FaultInjector *inj, NodeId node, Addr line,
+               std::uint64_t bits, unsigned num_nodes)
+{
+    unsigned bad = 0;
+    DirEntry dir = DirEntry::unpack(bits, num_nodes, &bad);
+    if (bad) {
+        std::string why = strFormat(
+            "directory pointer %u out of range (%u nodes): node%u line "
+            "%#llx",
+            bad, num_nodes, static_cast<unsigned>(node),
+            static_cast<unsigned long long>(line));
+        if (!inj)
+            panic("%s", why.c_str());
+        inj->raiseMachineCheck(std::move(why));
+    }
+    return dir;
 }
 
 } // namespace piranha

@@ -43,6 +43,7 @@
 #include "fault/fault_plan.h"
 #include "mem/backing_store.h"
 #include "mem/coherence_types.h"
+#include "mem/directory.h"
 #include "noc/packet.h"
 #include "sim/rng.h"
 #include "sim/sim_object.h"
@@ -188,6 +189,17 @@ class FaultInjector : public SimObject
 
     std::vector<FiredFault> _fired;
 };
+
+/**
+ * Decode the directory entry that @p node read from memory with
+ * @p line. A pointer naming no node of the system is dropped
+ * (DirEntry::unpack) and raises a machine check through @p inj, so the
+ * run stops at the next event boundary instead of routing to a node
+ * that does not exist. Without an injector only a model bug can have
+ * written such a pointer, and this panics.
+ */
+DirEntry decodeDirEntry(FaultInjector *inj, NodeId node, Addr line,
+                        std::uint64_t bits, unsigned num_nodes);
 
 } // namespace piranha
 

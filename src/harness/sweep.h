@@ -42,6 +42,10 @@ struct WorkloadDecl
     std::uint64_t totalWork = 0; //!< split across the system's CPUs
 };
 
+/** The runner's host-timeout check, polled by a job while it runs;
+ *  empty when the sweep sets no timeout. */
+using AbortCheck = std::function<bool()>;
+
 /** Outcome of a custom (non-simulation) job body. */
 struct CustomResult
 {
@@ -68,9 +72,12 @@ struct SweepPoint
     Tick maxTime = 100 * 1000 * ticksPerUs; //!< simulated-time bound
 
     /** When set, the job runs this body instead of building a
-     *  PiranhaSystem (litmus sweep); it must be self-contained and
-     *  deterministic like any other point. */
-    std::function<CustomResult()> custom;
+     *  PiranhaSystem (litmus sweep, fault campaign); it must be
+     *  self-contained and deterministic like any other point. A body
+     *  that runs a system passes the abort check on to
+     *  PiranhaSystem::run; one that fails after the check fires is
+     *  recorded as timed out. */
+    std::function<CustomResult(const AbortCheck &)> custom;
 };
 
 /**

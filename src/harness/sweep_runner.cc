@@ -88,7 +88,7 @@ SweepRunner::runJobOnce(const SweepPoint &pt, bool &transient) const
     jr.label = pt.label;
     HostClock::time_point t0 = HostClock::now();
 
-    std::function<bool()> abort_check;
+    AbortCheck abort_check;
     if (_opts.jobTimeoutSec > 0) {
         HostClock::time_point deadline =
             t0 + std::chrono::duration_cast<HostClock::duration>(
@@ -98,8 +98,11 @@ SweepRunner::runJobOnce(const SweepPoint &pt, bool &transient) const
 
     try {
         if (pt.custom) {
-            CustomResult cr = pt.custom();
-            if (!cr.ok) {
+            CustomResult cr = pt.custom(abort_check);
+            if (!cr.ok && abort_check && abort_check()) {
+                jr.status = JobStatus::TimedOut;
+                jr.error = "host wall-clock timeout";
+            } else if (!cr.ok) {
                 jr.status = JobStatus::Failed;
                 jr.error = cr.error.empty() ? "custom job failed"
                                             : cr.error;

@@ -14,8 +14,11 @@ DirEntry::DirEntry(unsigned num_nodes)
 }
 
 DirEntry
-DirEntry::unpack(std::uint64_t bits, unsigned num_nodes)
+DirEntry::unpack(std::uint64_t bits, unsigned num_nodes,
+                 unsigned *bad_ptr)
 {
+    if (bad_ptr)
+        *bad_ptr = 0;
     DirEntry e(num_nodes);
     e._state = static_cast<DirState>((bits >> sharerBits) & 0x3);
     std::uint64_t body = bits & ((1ULL << sharerBits) - 1);
@@ -31,10 +34,15 @@ DirEntry::unpack(std::uint64_t bits, unsigned num_nodes)
         if (e._state == DirState::Exclusive)
             count = 1;
         for (unsigned i = 0; i < count; ++i) {
-            e._ptrs[i] = static_cast<NodeId>((body >> (i * ptrBits)) &
-                                             ((1u << ptrBits) - 1));
+            unsigned p = static_cast<unsigned>(body >> (i * ptrBits)) &
+                         ((1u << ptrBits) - 1);
+            if (p < num_nodes)
+                e._ptrs[e._numPtrs++] = static_cast<NodeId>(p);
+            else if (bad_ptr && *bad_ptr == 0)
+                *bad_ptr = p;
         }
-        e._numPtrs = count;
+        if (e._numPtrs == 0)
+            e.clear();
         break;
       }
       case DirState::SharedCv:

@@ -55,8 +55,15 @@ class DirEntry
     /** Create an empty (Uncached) entry for a system of @p num_nodes. */
     explicit DirEntry(unsigned num_nodes = 2);
 
-    /** Decode from the packed 44-bit memory representation. */
-    static DirEntry unpack(std::uint64_t bits, unsigned num_nodes);
+    /**
+     * Decode from the packed 44-bit memory representation. A pointer
+     * naming no node of the system (>= @p num_nodes: only a corrupted
+     * entry holds one) is dropped, so the entry never routes to it;
+     * @p bad_ptr, when given, receives the first one dropped, or 0 if
+     * none was (a dropped pointer is at least num_nodes >= 1).
+     */
+    static DirEntry unpack(std::uint64_t bits, unsigned num_nodes,
+                           unsigned *bad_ptr = nullptr);
 
     /** Encode to the packed 44-bit memory representation. */
     std::uint64_t pack() const;

@@ -28,6 +28,7 @@
  * is why local grants need no directory update.
  */
 
+#include "fault/injector.h"
 #include "proto/protocol_engine.h"
 
 namespace piranha {
@@ -35,9 +36,10 @@ namespace piranha {
 namespace {
 
 DirEntry
-unpackDir(const ProtocolEngine &pe, std::uint64_t bits)
+unpackDir(const ProtocolEngine &pe, const TsrfEntry &t)
 {
-    return DirEntry::unpack(bits, pe.amap().numNodes);
+    return decodeDirEntry(pe.injector(), pe.node(), t.addr,
+                          t.local.dirBits, pe.amap().numNodes);
 }
 
 } // namespace
@@ -65,7 +67,7 @@ installHomeProgram(ProtocolEngine &pe)
 
     a.label("hReq_local");
     a.op(MicroOp::SET, [&pe](TsrfEntry &t) {
-        t.dir = unpackDir(pe, t.local.dirBits);
+        t.dir = unpackDir(pe, t);
         t.data = t.local.data;
         t.hasData = t.local.hasData;
         t.dirty = t.local.localDirty;
@@ -259,7 +261,7 @@ installHomeProgram(ProtocolEngine &pe)
     a.lreceive({{ccLocalReadRsp, "hWb_dir"}});
     a.label("hWb_dir");
     a.op(MicroOp::SET, [&pe](TsrfEntry &t) {
-        t.dir = unpackDir(pe, t.local.dirBits);
+        t.dir = unpackDir(pe, t);
     });
     a.test(
         [](TsrfEntry &t) {
@@ -311,7 +313,7 @@ installHomeProgram(ProtocolEngine &pe)
     a.lreceive({{ccLocalReadRsp, "hLocalS_dir"}});
     a.label("hLocalS_dir");
     a.op(MicroOp::SET, [&pe](TsrfEntry &t) {
-        t.dir = unpackDir(pe, t.local.dirBits);
+        t.dir = unpackDir(pe, t);
         t.data = t.local.data;
         t.hasData = t.local.hasData;
         t.flagA = false; // data-sent flag for the fwd path
@@ -390,7 +392,7 @@ installHomeProgram(ProtocolEngine &pe)
     a.lreceive({{ccLocalReadRsp, "hLocalX_dir"}});
     a.label("hLocalX_dir");
     a.op(MicroOp::SET, [&pe](TsrfEntry &t) {
-        t.dir = unpackDir(pe, t.local.dirBits);
+        t.dir = unpackDir(pe, t);
         t.data = t.local.data;
         t.hasData = t.local.hasData;
     });

@@ -99,6 +99,7 @@ class ProtocolEngine : public SimObject, public IcsClient
     NodeId node() const { return _ctx.node; }
     const AddressMap &amap() const { return _cfg.amap; }
     FaultState *faults() const { return _ctx.faults; }
+    FaultInjector *injector() const { return _ctx.injector; }
 
     /** Write-back buffer: data held until the home acknowledges.
      *  Keyed by line number; do not hold a WbBuf reference across an

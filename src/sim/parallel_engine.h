@@ -66,7 +66,8 @@ struct ParallelRunOutcome
     std::uint64_t epochs = 0;    //!< barrier windows executed
     /** Host seconds each worker spent, indexed by shard. */
     std::vector<double> shardSeconds;
-    /** Per-worker profiler snapshots (empty maps unless PIRANHA_PROFILE). */
+    /** Per-worker profiler snapshots (empty for a worker that took
+     *  no sample). */
     std::vector<std::map<std::string, double>> shardProfiles;
 };
 

@@ -1,20 +1,25 @@
 /**
  * @file
- * Scoped host-time profiler for attributing simulator wall-clock.
+ * Sampling host-time profiler for attributing simulator CPU time.
  *
- * PIR_PROF(zone) opens an RAII zone that charges host time to one
- * simulator component class (core, l1, l2, ics, engine, mem, kernel)
- * until scope exit, with *exclusive* attribution: entering a nested
- * zone pauses the enclosing one, so the per-zone seconds sum to the
- * measured interval and "kernel" ends up meaning "event loop minus
- * the components it dispatched into".
+ * PIR_PROF(zone) marks the rest of its scope as belonging to one
+ * simulator component class (core, l1, l2, ics, engine, mem, kernel).
+ * The marker is one store to the calling thread's current-zone
+ * variable on entry and one on exit (restoring the enclosing zone), so
+ * it is cheap enough to leave in every build. A SIGPROF interval timer
+ * that counts process CPU time interrupts whichever thread is running;
+ * the handler adds one sample to that thread's counter for its current
+ * zone. Attribution is exclusive: a nested zone takes the samples until
+ * its scope ends, so "kernel" means "event loop minus the components
+ * it dispatched into" and "other" means "on this thread, in no zone".
  *
- * Compiled out by default (PIR_PROF expands to nothing); configure
- * with -DPIRANHA_PROFILE=ON to compile the zones in. Accounting is
- * thread_local, matching the sweep harness's one-universe-per-thread
- * model: PiranhaSystem::run snapshots the delta around the run on its
- * own thread and threads it into RunResult::profile, so per-component
- * breakdowns appear per job in the sweep JSON.
+ * reset() arms the timer (idempotently: a forked worker inherits the
+ * handler but not the timer, so every run start checks) and zeroes
+ * this thread's counters; snapshot() splits the thread's CPU time since
+ * then across zones by sample share. PiranhaSystem::run brackets each
+ * run with them on its own thread and puts the result in
+ * RunResult::profile, so per-component breakdowns appear per job in
+ * the sweep JSON (DESIGN.md §8).
  *
  * The profiler never feeds the StatGroup tree or flattenRunResult:
  * host-time attribution varies run to run and must not participate in
@@ -24,7 +29,7 @@
 #ifndef PIRANHA_SIM_PROFILER_H
 #define PIRANHA_SIM_PROFILER_H
 
-#include <chrono>
+#include <atomic>
 #include <map>
 #include <string>
 
@@ -46,29 +51,27 @@ enum class Zone : unsigned
 
 const char *zoneName(Zone z);
 
-/** Zero this thread's accumulators and restart the clock. */
+/**
+ * Arm the sampling timer if it is not running and zero this thread's
+ * samples and CPU-time origin. Call at the start of each run.
+ */
 void reset();
 
 /**
- * This thread's accumulated seconds per zone since reset(), flushing
- * the currently open zone. Zones with zero time are omitted; the
- * result is empty when profiling is compiled out.
+ * This thread's CPU seconds since reset(), split across zones by
+ * their share of the samples taken since then. Zones without samples
+ * are omitted; the result is empty until the first sample arrives.
  */
 std::map<std::string, double> snapshot();
 
-#if PIRANHA_HOST_PROFILE
-
 namespace detail {
 
-struct State
-{
-    double acc[static_cast<unsigned>(Zone::Count)] = {};
-    Zone cur = Zone::Other;
-    std::chrono::steady_clock::time_point last =
-        std::chrono::steady_clock::now();
-};
-
-State &state();
+// Only this thread and the SIGPROF handler that interrupts it touch
+// the current zone, so relaxed order suffices. A lock-free atomic with
+// constant initialization: each access is one plain load or store of
+// static TLS.
+static_assert(std::atomic<Zone>::is_always_lock_free);
+inline constinit thread_local std::atomic<Zone> currentZone{Zone::Other};
 
 } // namespace detail
 
@@ -77,24 +80,14 @@ class ScopedZone
 {
   public:
     explicit ScopedZone(Zone z)
+        : _prev(detail::currentZone.load(std::memory_order_relaxed))
     {
-        detail::State &s = detail::state();
-        auto now = std::chrono::steady_clock::now();
-        s.acc[static_cast<unsigned>(s.cur)] +=
-            std::chrono::duration<double>(now - s.last).count();
-        s.last = now;
-        _prev = s.cur;
-        s.cur = z;
+        detail::currentZone.store(z, std::memory_order_relaxed);
     }
 
     ~ScopedZone()
     {
-        detail::State &s = detail::state();
-        auto now = std::chrono::steady_clock::now();
-        s.acc[static_cast<unsigned>(s.cur)] +=
-            std::chrono::duration<double>(now - s.last).count();
-        s.last = now;
-        s.cur = _prev;
+        detail::currentZone.store(_prev, std::memory_order_relaxed);
     }
 
     ScopedZone(const ScopedZone &) = delete;
@@ -109,14 +102,6 @@ class ScopedZone
 #define PIR_PROF(zone)                                                 \
     ::piranha::prof::ScopedZone PIR_PROF_CAT(_pir_prof_, __LINE__)(    \
         ::piranha::prof::Zone::zone)
-
-#else
-
-#define PIR_PROF(zone)                                                 \
-    do {                                                               \
-    } while (0)
-
-#endif // PIRANHA_HOST_PROFILE
 
 } // namespace prof
 } // namespace piranha

@@ -69,9 +69,10 @@ struct RunResult
     std::uint64_t l1RespondEvents = 0; //!< slow-path respond events
 
     /**
-     * Host-time breakdown by component zone (seconds), captured when
-     * the build has PIRANHA_PROFILE=ON; empty otherwise. Host-side
-     * measurement: excluded from identity comparisons.
+     * Host CPU seconds of this run by component zone, from the
+     * sampling profiler (src/sim/profiler.h); empty for a run too
+     * short to take one sample. Host-side measurement: excluded from
+     * identity comparisons.
      */
     std::map<std::string, double> profile;
 

@@ -171,6 +171,33 @@ TEST(DirEntry, SetExclusiveAfterSharersPinsOwner)
     EXPECT_EQ(e.pack(), packedPtrs(DirState::Exclusive, {2}));
 }
 
+// A flipped directory bit can leave a pointer naming no node (seeds 11
+// and 12 of the two-chip campaign: pointers 512 and 128 with 2 nodes).
+// The decode drops it and says which one, so no message is ever
+// routed there.
+TEST(DirEntry, OutOfRangePointerIsDroppedAndReported)
+{
+    unsigned bad = 7;
+    DirEntry e = DirEntry::unpack(
+        packedPtrs(DirState::SharedPtr, {1, 512, 0}), 2, &bad);
+    EXPECT_EQ(bad, 512u);
+    std::vector<NodeId> list;
+    e.sharerList(list);
+    EXPECT_EQ(list, (std::vector<NodeId>{1, 0}));
+    EXPECT_FALSE(e.mayBeSharer(512));
+
+    // A lost exclusive owner leaves no remote copy on record.
+    e = DirEntry::unpack(packedPtrs(DirState::Exclusive, {128}), 2, &bad);
+    EXPECT_EQ(bad, 128u);
+    EXPECT_TRUE(e.empty());
+    EXPECT_EQ(e.pack(), 0u);
+
+    // In range: nothing dropped, and bad is cleared.
+    e = DirEntry::unpack(packedPtrs(DirState::Exclusive, {1}), 2, &bad);
+    EXPECT_EQ(bad, 0u);
+    EXPECT_EQ(e.owner(), 1);
+}
+
 TEST(DirEntry, FifthSharerPacksCoarseVector)
 {
     // 64 nodes: two nodes per coarse-vector bit.

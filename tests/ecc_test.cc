@@ -160,7 +160,6 @@ TEST(FaultScrub, FlipThenScrubRoundTripThroughMemCtrl)
     BackingStore store;
 
     FaultPlanConfig plan;
-    plan.enabled = true;
     plan.planned = {PlannedFault{FaultKind::MemDataFlip,
                                  100 * ticksPerNs, 0}};
     FaultInjector inj(eq, "inj", plan, 1);

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -68,9 +69,8 @@ TEST(FaultIdentity, DormantPlanIsStatTreeIdentical)
 
     auto plain = run_one(configPn(2));
 
-    // Enabled plan, zero faults drawn: no injector is even built.
+    // A plan that draws zero faults: no injector is even built.
     SystemConfig zero = configPn(2);
-    zero.faults.enabled = true;
     zero.faults.count = 0;
     auto dormant = run_one(zero);
     EXPECT_EQ(plain.first, dormant.first);
@@ -80,7 +80,6 @@ TEST(FaultIdentity, DormantPlanIsStatTreeIdentical)
     // injector and every hook are live, but nothing fires — the hooks
     // themselves must be non-perturbing.
     SystemConfig armed = configPn(2);
-    armed.faults.enabled = true;
     armed.faults.count = 1;
     armed.faults.windowStart = 1000ull * 1000 * 1000 * ticksPerUs;
     armed.faults.windowEnd = armed.faults.windowStart + ticksPerUs;
@@ -243,6 +242,56 @@ TEST(FaultOutcomes, PanicDetectedRunKeepsFiredFaults)
     EXPECT_EQ(r.faults[1].at, Tick{47'663'288});
     EXPECT_EQ(r.counters.fired, 2u);
     EXPECT_EQ(r.counters.icsDropped, 1u);
+    // The record shows the state the panic left, as a hang's does.
+    EXPECT_EQ(r.watchdogDump.rfind("=== diagnostic dump", 0), 0u);
+    EXPECT_NE(r.watchdogDump.find("busy L2 lines"), std::string::npos);
+}
+
+// Seed 11 of the pinned two-chip scripts/ci.sh campaign: a directory
+// bit flip leaves a pointer to node 512 in a two-node system. The
+// decode drops it and raises a machine check naming the line, where
+// the run used to panic in the network on the route to node 512.
+TEST(FaultOutcomes, OutOfRangeDirectoryPointerMachineChecks)
+{
+    CampaignSpec spec = smallCampaign(FaultKind::MemDirFlip, 2, 1024, 2);
+    spec.planTemplate.kinds.clear(); // drawn from every kind
+    spec.baseSeed = 11;
+    CampaignReport rep = CampaignRunner(serialOpts()).run(spec);
+    ASSERT_EQ(rep.runs.size(), 1u);
+    const InjectionRecord &r = rep.runs[0];
+    EXPECT_EQ(r.outcome, FaultOutcome::Detected)
+        << faultOutcomeName(r.outcome) << ": " << r.detail;
+    EXPECT_EQ(r.detail.rfind("directory pointer 512 out of range", 0), 0u)
+        << r.detail;
+    EXPECT_GE(r.counters.machineChecks, 1u);
+}
+
+// campaign_main --timeout stops an injection on either tier: the run
+// polls the runner's abort check, and the record is a failed
+// injection with the timeout in its detail, never a modelled hang.
+TEST(Campaign, HostTimeoutFailsTheInjectionOnBothTiers)
+{
+    CampaignSpec spec = smallCampaign(FaultKind::MemStall, 1, 8000);
+    spec.maxTime = 10'000 * 1000 * ticksPerUs; // far past the work
+    for (ExecTier tier : {ExecTier::Thread, ExecTier::Process}) {
+        SCOPED_TRACE(tier == ExecTier::Thread ? "thread" : "process");
+        SweepOptions opts = serialOpts();
+        opts.exec = tier;
+        opts.jobTimeoutSec = 0.05;
+        auto t0 = std::chrono::steady_clock::now();
+        CampaignReport rep = CampaignRunner(opts).run(spec);
+        double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+        ASSERT_EQ(rep.runs.size(), 1u);
+        const InjectionRecord &r = rep.runs[0];
+        EXPECT_EQ(r.outcome, FaultOutcome::Failed)
+            << faultOutcomeName(r.outcome) << ": " << r.detail;
+        EXPECT_EQ(r.detail, "host wall-clock timeout");
+        // The whole run takes seconds; the abort comes within a few
+        // thousand events of the deadline.
+        EXPECT_LT(secs, 1.0);
+    }
 }
 
 // Same wedge driven directly through PiranhaSystem::run, proving the
@@ -250,7 +299,6 @@ TEST(FaultOutcomes, PanicDetectedRunKeepsFiredFaults)
 TEST(Watchdog, WedgedRunTripsInsteadOfSpinning)
 {
     SystemConfig cfg = configP8();
-    cfg.faults.enabled = true;
     cfg.faults.seed = 3;
     cfg.faults.count = 1;
     cfg.faults.kinds = {FaultKind::IcsDrop};
@@ -322,7 +370,7 @@ TEST(SweepRetry, TransientFailuresRetryUpToMaxAttempts)
     auto attempts_seen = std::make_shared<std::atomic<int>>(0);
     SweepPoint pt;
     pt.label = "flaky";
-    pt.custom = [attempts_seen]() -> CustomResult {
+    pt.custom = [attempts_seen](const AbortCheck &) -> CustomResult {
         if (attempts_seen->fetch_add(1) < 2)
             throw TransientError("flaky host resource");
         CustomResult cr;
@@ -346,7 +394,7 @@ TEST(SweepRetry, ExhaustedAttemptsFail)
 {
     SweepPoint pt;
     pt.label = "always-flaky";
-    pt.custom = []() -> CustomResult {
+    pt.custom = [](const AbortCheck &) -> CustomResult {
         throw TransientError("never recovers");
     };
     SweepOptions opts = serialOpts();
@@ -364,7 +412,7 @@ TEST(SweepRetry, DeterministicFailuresAreNeverRetried)
     auto calls = std::make_shared<std::atomic<int>>(0);
     SweepPoint pt;
     pt.label = "deterministic";
-    pt.custom = [calls]() -> CustomResult {
+    pt.custom = [calls](const AbortCheck &) -> CustomResult {
         calls->fetch_add(1);
         throw std::runtime_error("same universe, same bug");
     };
@@ -402,12 +450,12 @@ TEST(SweepCancel, GracefulDrainMarksQueuedJobsCancelled)
     // worker thread the remaining queued jobs must drain as
     // Cancelled without executing.
     auto ran = std::make_shared<std::atomic<int>>(0);
-    pts[0].custom = [cancel, ran]() -> CustomResult {
+    pts[0].custom = [cancel, ran](const AbortCheck &) -> CustomResult {
         ran->fetch_add(1);
         cancel->store(true);
         return CustomResult{};
     };
-    pts[1].custom = pts[2].custom = [ran]() -> CustomResult {
+    pts[1].custom = pts[2].custom = [ran](const AbortCheck &) -> CustomResult {
         ran->fetch_add(1);
         return CustomResult{};
     };

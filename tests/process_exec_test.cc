@@ -217,7 +217,7 @@ TEST(ProcessChaos, TransientErrorIsRetriedAcrossWorkerProcesses)
     std::string marker = tmp.file("attempted");
     SweepPoint pt;
     pt.label = "flaky";
-    pt.custom = [marker]() -> CustomResult {
+    pt.custom = [marker](const AbortCheck &) -> CustomResult {
         if (!fs::exists(marker)) {
             std::ofstream(marker) << "1";
             throw TransientError("flaky host resource");
@@ -245,7 +245,7 @@ TEST(ProcessChaos, DeterministicFailureIsNotRetried)
 {
     SweepPoint pt;
     pt.label = "always_fails";
-    pt.custom = []() -> CustomResult {
+    pt.custom = [](const AbortCheck &) -> CustomResult {
         throw std::runtime_error("deterministic bug");
     };
 

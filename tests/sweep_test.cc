@@ -242,7 +242,6 @@ TEST(SweepRunner, ProgressLineFormat)
 TEST(SweepReport, EngineFallbackIsRecordedInJson)
 {
     SweepPoint faulted = smallPoint("faulted", 2, 16);
-    faulted.config.faults.enabled = true;
     faulted.config.faults.count = 1;
     std::vector<SweepPoint> pts = {smallPoint("plain", 2, 16),
                                    faulted};
