@@ -51,9 +51,6 @@ usage()
         << "  --work W        total work units (default 256)\n"
         << "  --threads N     worker threads (default: all cores)\n"
         << "  --serial        same as --threads 1\n"
-        << "  --engine E      intra-run engine: serial|parallel\n"
-        << "                  (fault-seeded runs fall back to serial)\n"
-        << "  --shards N      parallel-engine workers per run\n"
         << "  --json FILE     write the campaign report to FILE\n"
         << "  --max-time-us U simulated-time bound per run\n"
         << "  --check-trace   attach the coherence checker to every\n"
@@ -134,17 +131,6 @@ main(int argc, char **argv)
                 return usage();
         } else if (arg == "--serial") {
             opts.threads = 1;
-        } else if (arg == "--engine" && i + 1 < argc) {
-            std::string e = argv[++i];
-            if (e == "parallel")
-                opts.engine = EngineKind::Parallel;
-            else if (e == "serial")
-                opts.engine = EngineKind::Serial;
-            else
-                return usage();
-        } else if (arg == "--shards" && i + 1 < argc) {
-            if (!parseNumber(argv[++i], opts.engineShards))
-                return usage();
         } else if (arg == "--json" && i + 1 < argc) {
             json_path = argv[++i];
         } else if (arg == "--max-time-us" && i + 1 < argc) {

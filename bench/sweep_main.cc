@@ -11,8 +11,6 @@
  *   sweep_main --list
  *   sweep_main <sweep> [--threads N] [--serial] [--json FILE]
  *              [--timeout SEC] [--no-stat-tree] [--verify]
- *              [--record DIR]
- *   sweep_main --replay DIR|FILE [options]
  *
  * --verify runs the sweep twice — serial, then on the thread pool —
  * and checks that every job's stats (including the full StatGroup
@@ -20,21 +18,11 @@
  * the determinism guarantee the harness is built on: each job is its
  * own EventQueue universe, so host-thread scheduling cannot perturb
  * simulated results.
- *
- * --record DIR captures every simulation job's instruction streams to
- * DIR/<label>.ptrace (DESIGN.md §10) without perturbing the run; the
- * SIGINT drain finalizes in-flight recordings so partial sweeps still
- * leave valid trace files. --replay runs trace files as first-class
- * jobs on the recorded topology — the replayed stat trees are
- * bit-identical to the live runs' (tests/trace_test.cc, ci.sh trace).
  */
 
-#include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <csignal>
-#include <cstring>
-#include <filesystem>
+#include <cstdio>
 #include <iostream>
 #include <stdexcept>
 #include <string>
@@ -218,85 +206,6 @@ sweepLitmus(unsigned seeds)
         }
     }
     return s;
-}
-
-/** File-name-safe form of a job label ("P4/OLTP" -> "P4_OLTP"). */
-std::string
-sanitizeLabel(const std::string &label)
-{
-    std::string s = label;
-    for (char &c : s)
-        if (!std::isalnum(static_cast<unsigned char>(c)) &&
-            c != '.' && c != '-' && c != '_')
-            c = '_';
-    return s;
-}
-
-/**
- * Rewrite every simulation point's workload factory to wrap the
- * workload in a RecordingWorkload targeting DIR/<label>.ptrace. The
- * shim is transparent (a recorded job's stats are identical to an
- * unrecorded run's); custom points have no instruction streams and
- * are left alone.
- */
-std::vector<SweepPoint>
-wrapForRecording(std::vector<SweepPoint> pts, const std::string &dir)
-{
-    std::filesystem::create_directories(dir);
-    for (SweepPoint &pt : pts) {
-        if (pt.custom)
-            continue;
-        std::string file =
-            dir + "/" + sanitizeLabel(pt.label) + ".ptrace";
-        WorkloadFactory inner = pt.workload.make;
-        std::string cfg_name = pt.config.name;
-        std::string label = pt.label;
-        unsigned nodes = pt.config.nodes;
-        unsigned cpc = pt.config.cpusPerChip;
-        pt.workload.make = [inner, file, cfg_name, label, nodes,
-                            cpc]() -> std::unique_ptr<Workload> {
-            return std::make_unique<RecordingWorkload>(
-                inner(), file, cfg_name, label, nodes, cpc);
-        };
-    }
-    return pts;
-}
-
-/** One replay point per trace file under @p path (or the single
- *  file), on the recorded topology. Throws on invalid traces. */
-SweepSpec
-replaySpec(const std::string &path)
-{
-    namespace fs = std::filesystem;
-    std::vector<std::string> files;
-    if (fs::is_directory(path)) {
-        for (const auto &e : fs::directory_iterator(path))
-            if (e.path().extension() == ".ptrace")
-                files.push_back(e.path().string());
-        std::sort(files.begin(), files.end());
-    } else {
-        files.push_back(path);
-    }
-    if (files.empty())
-        throw std::runtime_error("no .ptrace files under " + path);
-    SweepSpec spec("replay");
-    for (const std::string &f : files) {
-        // Probe once for the header; each job re-maps its own copy.
-        TraceWorkload probe(f);
-        SweepPoint pt;
-        pt.label = probe.reader().label();
-        if (pt.label.empty())
-            pt.label = fs::path(f).stem().string();
-        pt.config = probe.config();
-        pt.workload.name = probe.name();
-        pt.workload.totalWork =
-            probe.workPerCpu() * probe.reader().nCpus();
-        pt.workload.make = [f]() -> std::unique_ptr<Workload> {
-            return std::make_unique<TraceWorkload>(f);
-        };
-        spec.addPoint(std::move(pt));
-    }
-    return spec;
 }
 
 /**
@@ -535,8 +444,6 @@ usage()
            "(0 = one per chip)\n"
         << "  --no-fastpath   force the evented L1-hit slow path\n"
         << "  --seeds N       seeds per litmus program (default 8)\n"
-        << "  --record DIR    capture each job to DIR/<label>.ptrace\n"
-        << "  --replay PATH   run trace file(s) as replay jobs\n"
         << "  --exec TIER     execution tier: thread|process\n"
         << "  --journal DIR   write-ahead job journal for --resume\n"
         << "  --resume        skip journal-completed jobs "
@@ -620,10 +527,12 @@ comparableKey(const JobResult &j, bool cross_engine)
  * the same spec on 1 thread vs N, bit-identical. With --engine
  * parallel the reference pass ALSO drops to the serial intra-run
  * engine (run to quiescence), so the gate proves the sharded engine
- * reproduces the serial engine's simulation exactly.
+ * reproduces the serial engine's simulation exactly. A non-empty
+ * @p json_path receives the second pass's report.
  */
 int
-runVerify(const SweepSpec &spec, SweepOptions opts)
+runVerify(const SweepSpec &spec, SweepOptions opts,
+          const std::string &json_path)
 {
     const bool cross_engine = opts.engine == EngineKind::Parallel;
     const bool cross_tier = opts.exec == ExecTier::Process;
@@ -667,6 +576,11 @@ runVerify(const SweepSpec &spec, SweepOptions opts)
                 "(%.2fx), results %s\n",
                 a.jobs.size(), a.hostSeconds, b.hostSeconds, speedup,
                 identical ? "bit-identical" : "DIFFER");
+    if (!json_path.empty()) {
+        if (!b.writeJsonFile(json_path))
+            return 1;
+        std::cout << "report written to " << json_path << "\n";
+    }
     return identical ? 0 : 1;
 }
 
@@ -675,10 +589,10 @@ runVerify(const SweepSpec &spec, SweepOptions opts)
 int
 main(int argc, char **argv)
 {
-    std::string sweep_name, json_path, record_dir, replay_path;
+    std::string sweep_name, json_path;
     SweepOptions opts;
     opts.progress = &std::cerr;
-    bool verify = false;
+    bool verify = false, no_fastpath = false;
     unsigned litmus_seeds = 8;
 
     for (int i = 1; i < argc; ++i) {
@@ -720,10 +634,6 @@ main(int argc, char **argv)
         } else if (arg == "--shards" && i + 1 < argc) {
             if (!parseNumber(argv[++i], opts.engineShards))
                 return usage();
-        } else if (arg == "--record" && i + 1 < argc) {
-            record_dir = argv[++i];
-        } else if (arg == "--replay" && i + 1 < argc) {
-            replay_path = argv[++i];
         } else if (arg == "--exec" && i + 1 < argc) {
             std::string e = argv[++i];
             if (e == "process")
@@ -751,27 +661,15 @@ main(int argc, char **argv)
             if (!parseNumber(argv[++i], opts.chaos.supervisorExitAfter))
                 return usage();
         } else if (arg == "--no-fastpath") {
-            // Run every job through the evented L1-hit path; with
-            // --verify this doubles as a fastpath-off determinism
-            // check (results must match a fastpath-on run
-            // bit-for-bit except events_executed).
-            Core::setDefaultFastPathEnabled(false);
+            no_fastpath = true;
         } else if (!arg.empty() && arg[0] != '-' && sweep_name.empty()) {
             sweep_name = arg;
         } else {
             return usage();
         }
     }
-    if (sweep_name.empty() == replay_path.empty())
+    if (sweep_name.empty())
         return usage();
-    if (!replay_path.empty() && !record_dir.empty())
-        return usage();
-    if (!record_dir.empty() && verify) {
-        // The verify double-run would record each job twice into the
-        // same files; the second pass would (correctly) refuse.
-        std::cerr << "--record cannot be combined with --verify\n";
-        return 2;
-    }
     if (opts.resume && opts.journalDir.empty()) {
         std::cerr << "--resume requires --journal DIR\n";
         return 2;
@@ -785,21 +683,9 @@ main(int argc, char **argv)
 
     SweepSpec spec;
     const SweepEntry *entry = nullptr;
-    if (!replay_path.empty()) {
-        try {
-            spec = replaySpec(replay_path);
-        } catch (const std::exception &e) {
-            std::cerr << "replay: " << e.what() << "\n";
-            return 2;
-        }
-    } else if (sweep_name == "litmus") {
+    if (sweep_name == "litmus") {
         if (litmus_seeds == 0)
             return usage();
-        if (!record_dir.empty()) {
-            std::cerr << "--record: litmus jobs have no instruction "
-                         "streams to record\n";
-            return 2;
-        }
         spec = sweepLitmus(litmus_seeds);
     } else {
         for (const SweepEntry &e : kSweeps)
@@ -812,15 +698,21 @@ main(int argc, char **argv)
         }
         spec = entry->make();
     }
-    if (!record_dir.empty()) {
-        SweepSpec recorded(spec.name);
-        for (SweepPoint &pt :
-             wrapForRecording(spec.expand(), record_dir))
-            recorded.addPoint(std::move(pt));
-        spec = std::move(recorded);
+    if (no_fastpath) {
+        // Every job through the evented L1-hit path; with --verify
+        // this doubles as a fastpath-off determinism check (results
+        // must match a fastpath-on run bit-for-bit except
+        // events_executed). Litmus points drive no core, so the
+        // setting does not matter there.
+        SweepSpec slow(spec.name);
+        for (SweepPoint &pt : spec.expand()) {
+            pt.config.core.fastPath = false;
+            slow.addPoint(std::move(pt));
+        }
+        spec = std::move(slow);
     }
     if (verify)
-        return runVerify(spec, opts);
+        return runVerify(spec, opts, json_path);
 
     // Ctrl-C drains gracefully: in-flight jobs finish, queued ones
     // are marked cancelled, and the partial JSON report still lands.

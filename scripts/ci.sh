@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification, as CI runs it: check that there is one build
 # (no code path behind a PIRANHA_ macro or a CMake option), that only
-# PiranhaSystem wires systems and that every src/ path the docs cite
-# exists, configure with warnings promoted to errors on every target,
-# build everything, run the full test suite.
+# PiranhaSystem wires systems and that every src/, tests/, bench/ and
+# examples/ path the docs cite exists, configure with warnings promoted
+# to errors on every target, build everything, run the full test suite.
 #
 # Usage:
 #   scripts/ci.sh [build-dir]         tier-1 build + tests
@@ -34,21 +34,12 @@
 #                                     CAMPAIGN_ci.json and
 #                                     CAMPAIGN_ci_2chip.json as
 #                                     artifacts
-#   scripts/ci.sh trace [build-dir]   build + tests, then record the
-#                                     quick sweep (--record), replay it
-#                                     (--replay) and assert the stat
-#                                     maps and stat trees are
-#                                     bit-identical per job (DESIGN.md
-#                                     §10); validate every trace file
-#                                     and prove a deliberately cut file
-#                                     is rejected
 #   scripts/ci.sh tsan [build-dir]    ThreadSanitizer build, then the
 #                                     suites that drive the parallel
 #                                     engine's shard workers (DESIGN.md
 #                                     §13): identity + mutation tests,
 #                                     the parallel litmus/random-
-#                                     coherence halves, cross-engine
-#                                     trace interop, and a sharded
+#                                     coherence halves, and a sharded
 #                                     sweep --verify
 #   scripts/ci.sh crashsafe [build-dir]
 #                                     build + tests, then the crash-safe
@@ -64,7 +55,7 @@ set -euo pipefail
 
 MODE=tier1
 case "${1:-}" in
-  asan|perf|faults|trace|tsan|crashsafe)
+  asan|perf|faults|tsan|crashsafe)
     MODE=$1
     shift
     ;;
@@ -74,7 +65,6 @@ DEFAULT_DIR=build-ci
 [[ "$MODE" == "asan" ]] && DEFAULT_DIR=build-asan
 [[ "$MODE" == "perf" ]] && DEFAULT_DIR=build-perf
 [[ "$MODE" == "faults" ]] && DEFAULT_DIR=build-faults
-[[ "$MODE" == "trace" ]] && DEFAULT_DIR=build-trace
 [[ "$MODE" == "tsan" ]] && DEFAULT_DIR=build-tsan
 [[ "$MODE" == "crashsafe" ]] && DEFAULT_DIR=build-crashsafe
 BUILD_DIR="${1:-$DEFAULT_DIR}"
@@ -119,14 +109,22 @@ if [[ -n "$wiring" ]]; then
     exit 1
 fi
 
-# Every src/ path that DESIGN.md, README.md or EXPERIMENTS.md cites
-# (globs like src/mem/ecc.* included) must match a file or directory.
-stale="$(cd "$(dirname "$0")/.." &&
-    grep -ohE 'src/[A-Za-z0-9_./*-]+' DESIGN.md README.md EXPERIMENTS.md |
-    sed -E 's/\.+$//' | sort -u |
-    while read -r p; do compgen -G "$p" > /dev/null || echo "$p"; done)"
+# Every src/, tests/, bench/ and examples/ path that DESIGN.md,
+# README.md or EXPERIMENTS.md cites (globs like src/mem/ecc.* included)
+# must match a file or directory, or name the binary built from
+# <path>.cc (bench/sweep_main). Only whole path tokens count, so
+# perfbench/run.py and build/bench/sweep_main are not read as bench/
+# paths.
+stale="$(cd "$(dirname "$0")/.." && export LC_ALL=C &&
+    grep -ohE '(^|[^A-Za-z0-9_./-])(src|tests|bench|examples)/[A-Za-z0-9_./*-]+' \
+        DESIGN.md README.md EXPERIMENTS.md |
+    sed -E 's/^[^a-z]//; s/\.+$//' | sort -u |
+    while read -r p; do
+        compgen -G "$p" > /dev/null || compgen -G "$p.cc" > /dev/null ||
+            echo "$p"
+    done)"
 if [[ -n "$stale" ]]; then
-    echo "FAIL: the docs cite src/ paths that match no file:" >&2
+    echo "FAIL: the docs cite paths that match no file:" >&2
     echo "$stale" >&2
     exit 1
 fi
@@ -157,7 +155,6 @@ if [[ "$MODE" == "tsan" ]]; then
         --gtest_filter='*_parallel*'
     "$BUILD_DIR"/tests/coherence_random_test \
         --gtest_filter='*_parallel*'
-    "$BUILD_DIR"/tests/trace_test --gtest_filter='TraceEngineInterop.*'
     # Shard workers under the sweep's own host-thread pool, with the
     # serial-vs-parallel verify gate on.
     "$BUILD_DIR"/bench/sweep_main quick --verify --threads 2 \
@@ -167,11 +164,6 @@ if [[ "$MODE" == "tsan" ]]; then
 fi
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
-
-# Trace files are run artifacts, not build products: sweep aborts and
-# bench crashes can strand them in the build tree, and they must not
-# accumulate or leak into uploaded artifacts.
-find "$BUILD_DIR" -name '*.ptrace' -delete
 
 if [[ "$MODE" == "asan" ]]; then
     # Drive the protocol+tracer under the sanitizers from outside the
@@ -243,60 +235,6 @@ if bad:
     sys.exit(1)
 print("campaign histograms and fired records match the pinned expectation")
 PYEOF
-fi
-
-if [[ "$MODE" == "trace" ]]; then
-    # Record → replay round trip through the sweep harness. The quick
-    # sweep covers P1..P8 on both OLTP and DSS, so the short P8/OLTP
-    # run the gate cares about is captured along with seven siblings.
-    TRACE_DIR="$BUILD_DIR/traces"
-    rm -rf "$TRACE_DIR"
-    "$BUILD_DIR"/bench/sweep_main quick --threads 4 \
-        --record "$TRACE_DIR" --json TRACE_live.json
-    "$BUILD_DIR"/bench/sweep_main --replay "$TRACE_DIR" --threads 4 \
-        --json TRACE_replay.json
-
-    # Gating: per-label stats AND the full stat tree bit-identical.
-    python3 - <<'PYEOF'
-import json, sys
-live = {j["label"]: j
-        for j in json.load(open("TRACE_live.json"))["jobs"]}
-rep = {j["label"]: j
-       for j in json.load(open("TRACE_replay.json"))["jobs"]}
-if set(live) != set(rep):
-    print(f"FAIL: job labels differ: {sorted(set(live) ^ set(rep))}",
-          file=sys.stderr)
-    sys.exit(1)
-bad = 0
-for label in sorted(live):
-    lj, rj = live[label], rep[label]
-    if lj["stats"] != rj["stats"]:
-        print(f"FAIL: {label}: replayed stats diverge from the live "
-              f"run", file=sys.stderr)
-        bad += 1
-    elif lj.get("stat_tree") != rj.get("stat_tree"):
-        print(f"FAIL: {label}: replayed stat tree diverges from the "
-              f"live run", file=sys.stderr)
-        bad += 1
-if bad:
-    sys.exit(1)
-print(f"{len(live)} jobs replayed bit-identically")
-PYEOF
-
-    # Every recorded file must pass the deep validator...
-    "$BUILD_DIR"/bench/trace_main validate "$TRACE_DIR"/*.ptrace
-
-    # ...and a deliberately cut recording must be rejected: a trace
-    # without its finalize trailer can never be mistaken for complete.
-    first="$(ls "$TRACE_DIR"/*.ptrace | head -n 1)"
-    head -c 1000 "$first" > "$TRACE_DIR/cut.ptrace"
-    if "$BUILD_DIR"/bench/trace_main validate "$TRACE_DIR/cut.ptrace"
-    then
-        echo "FAIL: validate accepted a truncated trace" >&2
-        exit 1
-    fi
-    echo "truncated trace correctly rejected"
-    rm -f "$TRACE_DIR/cut.ptrace"
 fi
 
 if [[ "$MODE" == "crashsafe" ]]; then

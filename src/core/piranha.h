@@ -25,7 +25,6 @@
  *  - system/ chip & system assembly, Table-1 configurations
  *  - harness/ parallel experiment sweeps with JSON result export
  *  - fault/  seeded fault-injection plans and outcome campaigns
- *  - trace/  binary memory-trace capture and bit-identical replay
  */
 
 #ifndef PIRANHA_CORE_PIRANHA_H
@@ -37,9 +36,6 @@
 #include "stats/json_writer.h"
 #include "system/config.h"
 #include "system/sim_system.h"
-#include "trace/trace_reader.h"
-#include "trace/trace_stream.h"
-#include "trace/trace_writer.h"
 #include "workload/dss.h"
 #include "workload/oltp.h"
 

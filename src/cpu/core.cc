@@ -18,7 +18,6 @@ Core::Core(EventQueue &eq, std::string name, const Clock &clk,
         // the bound is the window depth in cycles.
         _creditCap = static_cast<double>(_clk.cycles(_p.windowSize));
     }
-    _fastEnabled = _p.fastPath && defaultFastPathEnabled();
 }
 
 void
@@ -107,7 +106,7 @@ Core::nextOp()
 Core::FastIssue
 Core::tryFastAccess(L1Cache &l1, const MemReq &req, MemRsp &rsp)
 {
-    if (!_fastEnabled || !l1.accessFast(req, rsp))
+    if (!_p.fastPath || !l1.accessFast(req, rsp))
         return FastIssue::NotTaken;
     EventQueue &eq = eventQueue();
     Tick delay = _clk.cycles(L1Cache::hitCycles);

@@ -41,9 +41,8 @@ struct CoreParams
 
     /**
      * Use the zero-event L1-hit fast path (see L1Cache::accessFast).
-     * Timing and stats are bit-identical either way — the knob (plus
-     * Core::setDefaultFastPathEnabled) exists so that identity can be
-     * verified.
+     * Timing and stats are bit-identical either way — the knob exists
+     * so that identity can be verified.
      */
     bool fastPath = true;
 };
@@ -74,17 +73,6 @@ class Core : public SimObject, public MemRspClient
     /** Detach this core's stat group before the core is destroyed. */
     void unregStats(StatGroup &parent) { parent.removeChild(&_stats); }
 
-    /**
-     * Process-wide default for CoreParams::fastPath, sampled at core
-     * construction: one binary can run fast and slow modes back to
-     * back and compare.
-     */
-    static void setDefaultFastPathEnabled(bool on)
-    {
-        defaultFastPathFlag() = on;
-    }
-    static bool defaultFastPathEnabled() { return defaultFastPathFlag(); }
-
     // Host-side fast-path instrumentation. Deliberately NOT Scalars:
     // these differ between fast and slow modes by design and must not
     // enter the bit-identical StatGroup tree.
@@ -112,13 +100,6 @@ class Core : public SimObject, public MemRspClient
         Evented,  //!< hit; completion scheduled on _fastRspEvent
         Inline,   //!< hit; clock advanced, completion already done
     };
-
-    static bool &
-    defaultFastPathFlag()
-    {
-        static bool flag = true;
-        return flag;
-    }
 
     // fetchThenExecute/execute return true when the op completed
     // inline (zero-event fast hit) and the caller's op loop should
@@ -154,7 +135,6 @@ class Core : public SimObject, public MemRspClient
     StreamOp _pendingOp{};
     Tick _pendingIssued = 0;
     bool _pendingIfetch = false;
-    bool _fastEnabled = false;
     MemRsp _fastRsp{};
     MemberEvent<Core, &Core::nextOp> _nextOpEvent{this, "core.nextOp"};
     /** Completion pipeline stage of an Evented fast hit: replaces the

@@ -10,10 +10,11 @@
  * generator can react to simulated time (spin locks, I/O waits,
  * process switches) with real timing feedback.
  *
- * Three families of streams exist: workload generators (OLTP / DSS /
- * TPC-C synthetics in workload/), the Alpha-subset ISA interpreter
- * (isa/), and recorded-trace replay (trace/), which all feed the same
- * timing cores.
+ * Two families of streams exist, and both feed the same timing cores:
+ * the seeded workload generators (OLTP / DSS / TPC-C synthetics in
+ * workload/) and the Alpha-subset ISA interpreter (isa/). The
+ * simulation is deterministic, so the system configuration and a
+ * generator's seed and work target fix every op it produces.
  */
 
 #ifndef PIRANHA_CPU_INSTR_STREAM_H

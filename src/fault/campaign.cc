@@ -114,8 +114,6 @@ injectionRecordToJson(const InjectionRecord &r, bool include_dumps)
     JsonValue jo = JsonValue::object();
     jo.set("seed", static_cast<double>(r.seed));
     jo.set("outcome", faultOutcomeName(r.outcome));
-    if (r.engineFallback)
-        jo.set("engine_fallback", true);
     if (!r.detail.empty())
         jo.set("detail", r.detail);
     if (!r.faults.empty()) {
@@ -152,8 +150,6 @@ injectionRecordFromJson(const JsonValue &v)
     InjectionRecord r;
     r.seed = static_cast<std::uint64_t>(v.at("seed").asNumber());
     r.outcome = faultOutcomeFromName(v.at("outcome").asString());
-    if (const JsonValue *f = v.find("engine_fallback"))
-        r.engineFallback = f->asBool();
     if (const JsonValue *d = v.find("detail"))
         r.detail = d->asString();
     if (const JsonValue *fa = v.find("fired")) {
@@ -258,7 +254,6 @@ runInjection(const CampaignSpec &spec, std::uint64_t seed,
         rec.faults = run.firedFaults;
         rec.watchdogDump = run.watchdogDump;
         rec.stats = flattenRunResult(run);
-        rec.engineFallback = run.engineFallback;
         // The host stopped the run: a failed injection, not a
         // modelled outcome, and the runner records a timed-out job.
         if (run.aborted && should_abort && should_abort())

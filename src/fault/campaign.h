@@ -98,11 +98,6 @@ struct InjectionRecord
     std::string watchdogDump;           //!< diagnostic dump of a
                                         //!< hang or a panic
     std::map<std::string, double> stats; //!< flattened RunResult
-
-    /** The run asked for the parallel intra-run engine but was forced
-     *  back to the serial engine (fault plans pin the event schedule).
-     *  Recorded in the report instead of only warned on stderr. */
-    bool engineFallback = false;
 };
 
 /** Parse faultOutcomeName output; throws std::runtime_error on

@@ -94,6 +94,9 @@ ParallelEngine::run()
     auto worker = [this, &dec, &out, &postEpoch, &postDrain](unsigned s) {
         auto t0 = std::chrono::steady_clock::now();
         prof::reset();
+        // The epoch loop (barriers, mailbox drains, queue dispatch) is
+        // kernel time, as the serial run loop's is.
+        PIR_PROF(Kernel);
         for (;;) {
             // Phase 1: every worker finished the previous epoch, so
             // all mailbox writes are complete and visible.

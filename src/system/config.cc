@@ -1,7 +1,5 @@
 #include "system/config.h"
 
-#include <stdexcept>
-
 namespace piranha {
 
 SystemConfig
@@ -82,43 +80,6 @@ configP8F()
     c.chip.icsPipeCycles = 3;
     c.chip.l2.lookupCycles = 6;
     return c;
-}
-
-SystemConfig
-configByName(const std::string &name, unsigned nodes)
-{
-    if (name == "OOO")
-        return configOOO(nodes);
-    if (name == "INO") {
-        SystemConfig c = configINO();
-        c.nodes = nodes;
-        return c;
-    }
-    if (name == "P8F") {
-        SystemConfig c = configP8F();
-        c.nodes = nodes;
-        return c;
-    }
-    if (name == "P8-pess") {
-        SystemConfig c = configP8Pessimistic();
-        c.nodes = nodes;
-        return c;
-    }
-    if (name.size() >= 2 && name[0] == 'P') {
-        unsigned cpus = 0;
-        bool digits = true;
-        for (std::size_t i = 1; i < name.size(); ++i) {
-            if (name[i] < '0' || name[i] > '9') {
-                digits = false;
-                break;
-            }
-            cpus = cpus * 10 + static_cast<unsigned>(name[i] - '0');
-        }
-        if (digits && cpus >= 1 && cpus <= 64)
-            return configPn(cpus, nodes);
-    }
-    throw std::invalid_argument("unknown configuration name \"" +
-                                name + "\"");
 }
 
 SystemConfig

@@ -108,15 +108,6 @@ SystemConfig configP8F();
  */
 SystemConfig configP8Pessimistic();
 
-/**
- * Resolve a configuration by its SystemConfig::name ("P1".."P8",
- * "OOO", "INO", "P8F", "P8-pess") at @p nodes chips. Trace replay
- * (src/trace) uses this to rebuild the recorded run's system from the
- * name stored in the trace header. Throws std::invalid_argument for
- * unknown names.
- */
-SystemConfig configByName(const std::string &name, unsigned nodes = 1);
-
 } // namespace piranha
 
 #endif // PIRANHA_SYSTEM_CONFIG_H

@@ -85,9 +85,9 @@ struct RunResult
     /**
      * The config asked for the parallel engine but the system forced
      * the serial fallback (fault plan or shared tracer attached).
-     * Recorded here — and as `engine_fallback` in the sweep/campaign
-     * JSON reports — so report consumers can detect it instead of
-     * having to scrape the stderr warning.
+     * Recorded here — and as `engine_fallback` in the sweep JSON
+     * report — so report consumers can detect it instead of having to
+     * scrape the stderr warning.
      */
     bool engineFallback = false;
 

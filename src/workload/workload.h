@@ -38,9 +38,9 @@ class Workload
     /** ILP/overlap the OOO baseline extracts from this workload. */
     virtual WorkloadIlp ilp() const = 0;
 
-    /** RNG seed the workload was built with (0 when seedless). The
-     *  trace recorder (src/trace) stores it in the trace header so a
-     *  replayed run documents the generator state it came from. */
+    /** RNG seed the workload was built with (0 when seedless). With
+     *  the configuration and the work target it fixes every op the
+     *  workload's streams produce. */
     virtual std::uint64_t seed() const { return 0; }
 
     /**

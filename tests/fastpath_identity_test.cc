@@ -19,16 +19,6 @@
 namespace piranha {
 namespace {
 
-/** Restore the process-wide fast-path default on scope exit. */
-struct FastPathGuard
-{
-    explicit FastPathGuard(bool on)
-    {
-        Core::setDefaultFastPathEnabled(on);
-    }
-    ~FastPathGuard() { Core::setDefaultFastPathEnabled(true); }
-};
-
 struct ModeResult
 {
     RunResult run;
@@ -41,7 +31,7 @@ ModeResult
 runMode(bool fast, SystemConfig cfg, MakeWl make_wl,
         std::uint64_t work_per_cpu)
 {
-    FastPathGuard guard(fast);
+    cfg.core.fastPath = fast;
     CoherenceTracer tracer;
     cfg.chip.tracer = &tracer;
     auto wl = make_wl();
@@ -148,9 +138,7 @@ TEST(FastPathIdentity, OltpOooBaseline)
 
 TEST(FastPathIdentity, CoreParamKnobDisablesFastPath)
 {
-    // CoreParams::fastPath=false must force the slow path even when
-    // the process default is on.
-    FastPathGuard guard(true);
+    // CoreParams::fastPath=false must force the slow path.
     SystemConfig cfg = configP1();
     cfg.core.fastPath = false;
     OltpWorkload wl;
@@ -164,7 +152,6 @@ TEST(FastPathIdentity, InlineHitsEngageSomewhere)
 {
     // On a single-CPU system long hit streaks leave the event queue
     // quiet, so the zero-event tier must actually engage.
-    FastPathGuard guard(true);
     OltpWorkload wl;
     PiranhaSystem sys(configP1());
     RunResult r = sys.run(wl, 20);

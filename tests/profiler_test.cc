@@ -2,9 +2,10 @@
  * @file
  * Tests for the sampling host profiler (src/sim/profiler.h): a zone
  * takes the SIGPROF samples of its scope, nested zones hand the
- * samples back when they end, each thread sees only its own zones, and
- * a job run in a forked worker still carries a host profile, and the
- * process-tier supervisor rides out the signal in its blocking calls.
+ * samples back when they end, each thread sees only its own zones, a
+ * sharded run's epoch loop counts as kernel time, a job run in a
+ * forked worker still carries a host profile, and the process-tier
+ * supervisor rides out the signal in its blocking calls.
  *
  * Spins are measured in the calling thread's own CPU time, so the
  * sample counts do not depend on how busy the host is.
@@ -115,6 +116,26 @@ TEST(HostProfiler, ThreadsSeeOnlyTheirOwnZones)
     EXPECT_EQ(snaps[0].count("ics"), 0u);
     EXPECT_GE(share(snaps[1], "ics"), 0.9);
     EXPECT_EQ(snaps[1].count("mem"), 0u);
+}
+
+// Shard workers run the epoch loop (barriers, mailbox drains, queue
+// dispatch) in the kernel zone, as the serial run loop does, so a
+// sharded run's CPU time does not fall into "other".
+TEST(HostProfiler, ShardedRunCountsItsEpochLoopAsKernel)
+{
+    SystemConfig cfg = configPn(4, 2);
+    cfg.engine = EngineKind::Parallel;
+    cfg.shards = 2;
+    OltpWorkload wl;
+    PiranhaSystem sys(cfg);
+    RunResult r = sys.run(wl, 100); // ~0.5 s of CPU on a 4-CPU host
+    ASSERT_EQ(r.shardsUsed, 2u);
+    double total = 0;
+    for (const auto &[zone, secs] : r.profile)
+        total += secs;
+    ASSERT_GE(total, 0.1);
+    EXPECT_GT(share(r.profile, "kernel"), 0);
+    EXPECT_LT(share(r.profile, "other"), 0.25);
 }
 
 // A forked worker inherits the SIGPROF handler but not the interval
