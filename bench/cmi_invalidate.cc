@@ -5,64 +5,88 @@
  * only the final node acknowledges, bounding both the packets
  * injected per transaction and the requester-side acknowledgement
  * gathering. This bench measures, for a widely shared line, the
- * write (invalidation) latency and the messages injected per
- * invalidation event as the CMI fanout varies — fanout 1 is a single
- * serial chain; a large fanout degenerates to one message per sharer
- * (the conventional scheme the paper compares against).
+ * write (invalidation) latency, the invalidation chains the home
+ * engine injects per write (counted from its CmiPlan trace records)
+ * and the network packets the whole write costs, as the CMI fanout
+ * varies — fanout 1 is a single serial chain; a large fanout
+ * degenerates to one message per sharer (the conventional scheme the
+ * paper compares against).
  */
 
 #include "bench_util.h"
+#include "check/trace.h"
 
 using namespace piranha;
 
 namespace {
 
-/** Share a line among all nodes, then time one writer's upgrade. */
-double
-invalLatencyNs(unsigned nodes, unsigned fanout, double *msgs_per_inval)
+/** Per-write averages of one system's invalidating writes. */
+struct InvalCost
 {
+    double ns = 0;      //!< write issue to settled
+    double chains = 0;  //!< CMI chains injected
+    double packets = 0; //!< network packets, chains and acks included
+};
+
+/** Packets the network injected so far (drain() folds them in). */
+double
+netPackets(PiranhaSystem &sys)
+{
+    for (const StatGroup *g : sys.stats().children())
+        if (g->name() == "network")
+            return g->scalar("packets")->value();
+    return 0;
+}
+
+/** Share a line among all nodes, then time one writer's upgrade. */
+InvalCost
+invalCost(unsigned nodes, unsigned fanout)
+{
+    CoherenceTracer tracer(std::size_t(1) << 16);
     SystemConfig cfg = configPn(1, nodes);
     cfg.chip.cmiFanout = fanout;
+    cfg.chip.tracer = &tracer;
     PiranhaSystem sys(cfg);
     EventQueue &eq = sys.eventQueue();
 
     Addr a = 0x7000000;
-    auto sync_op = [&](unsigned node, MemOp op, Addr addr) {
+    auto sync_op = [&](unsigned node, MemOp op) {
         bool done = false;
         MemReq req;
         req.op = op;
-        req.addr = addr;
+        req.addr = a;
         req.size = 8;
         sys.chip(node).dl1(0).access(
             req, [&](const MemRsp &) { done = true; });
         while (!done && eq.step()) {
         }
     };
+    auto settle = [&] { sys.drain(eq.curTick() + 100 * ticksPerUs); };
 
-    double total_ns = 0;
-    double total_msgs = 0;
+    InvalCost c;
     const int iters = 40;
     for (int i = 0; i < iters; ++i) {
         for (unsigned n = 0; n < nodes; ++n)
-            sync_op(n, MemOp::Load, a);
-        eq.run(eq.curTick() + 100 * ticksPerUs);
-        double pk0 = 0;
-        for (unsigned n = 0; n < nodes; ++n)
-            (void)n;
+            sync_op(n, MemOp::Load);
+        settle();
+        tracer.clear();
+        double packets = netPackets(sys);
         Tick start = eq.curTick();
         // Writer at the last node invalidates every other sharer and
         // completes when all CMI acks arrive (we settle to capture
         // the full transaction, not just the eager grant).
-        sync_op(nodes - 1, MemOp::Store, a);
-        eq.run(eq.curTick() + 100 * ticksPerUs);
-        total_ns += double(eq.curTick() - start) / ticksPerNs;
-        (void)pk0;
-        total_msgs += 1; // one invalidation event per iteration
+        sync_op(nodes - 1, MemOp::Store);
+        settle();
+        c.ns += double(eq.curTick() - start) / ticksPerNs;
+        c.packets += netPackets(sys) - packets;
+        for (const TraceEvent &e : tracer.events())
+            if (e.kind == TraceKind::CmiPlan)
+                c.chains += e.aux;
     }
-    (void)total_msgs;
-    if (msgs_per_inval)
-        *msgs_per_inval = std::min<double>(fanout, nodes - 2);
-    return total_ns / iters;
+    c.ns /= iters;
+    c.chains /= iters;
+    c.packets /= iters;
+    return c;
 }
 
 } // namespace
@@ -71,13 +95,15 @@ int
 main()
 {
     std::cout << "=== §2.5.3: cruise-missile invalidations ===\n\n";
-    TextTable t({"Nodes", "CMI fanout", "inject msgs", "inval+settle ns"});
+    TextTable t({"Nodes", "CMI fanout", "inject msgs", "net pkts/write",
+                 "inval+settle ns"});
     for (unsigned nodes : {4u, 5u}) {
         for (unsigned fanout : {1u, 2u, 4u, 16u}) {
-            double msgs = 0;
-            double ns = invalLatencyNs(nodes, fanout, &msgs);
+            InvalCost c = invalCost(nodes, fanout);
             t.addRow({strFormat("%u", nodes), strFormat("%u", fanout),
-                      TextTable::fmt(msgs, 0), TextTable::fmt(ns, 0)});
+                      TextTable::fmt(c.chains, 0),
+                      TextTable::fmt(c.packets, 0),
+                      TextTable::fmt(c.ns, 0)});
         }
     }
     t.print(std::cout);

@@ -442,6 +442,9 @@ usage()
         << "  --engine E      intra-run engine: serial|parallel\n"
         << "  --shards N      parallel-engine workers per job "
            "(0 = one per chip)\n"
+        << "                  (litmus jobs run the serial engine: "
+           "neither\n"
+        << "                  flag goes with --litmus)\n"
         << "  --no-fastpath   force the evented L1-hit slow path\n"
         << "  --seeds N       seeds per litmus program (default 8)\n"
         << "  --exec TIER     execution tier: thread|process\n"
@@ -592,7 +595,7 @@ main(int argc, char **argv)
     std::string sweep_name, json_path;
     SweepOptions opts;
     opts.progress = &std::cerr;
-    bool verify = false, no_fastpath = false;
+    bool verify = false, no_fastpath = false, engine_set = false;
     unsigned litmus_seeds = 8;
 
     for (int i = 1; i < argc; ++i) {
@@ -624,6 +627,7 @@ main(int argc, char **argv)
         } else if (arg == "--verify") {
             verify = true;
         } else if (arg == "--engine" && i + 1 < argc) {
+            engine_set = true;
             std::string e = argv[++i];
             if (e == "parallel")
                 opts.engine = EngineKind::Parallel;
@@ -632,6 +636,7 @@ main(int argc, char **argv)
             else
                 return usage();
         } else if (arg == "--shards" && i + 1 < argc) {
+            engine_set = true;
             if (!parseNumber(argv[++i], opts.engineShards))
                 return usage();
         } else if (arg == "--exec" && i + 1 < argc) {
@@ -668,7 +673,7 @@ main(int argc, char **argv)
             return usage();
         }
     }
-    if (sweep_name.empty())
+    if (sweep_name.empty() || (sweep_name == "litmus" && engine_set))
         return usage();
     if (opts.resume && opts.journalDir.empty()) {
         std::cerr << "--resume requires --journal DIR\n";

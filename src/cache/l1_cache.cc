@@ -9,6 +9,17 @@
 
 namespace piranha {
 
+namespace {
+
+/** A line a store-conditional or write hint may complete on. */
+bool
+modifiable(const L1Line *l)
+{
+    return l && (l->state == L1State::M || l->state == L1State::E);
+}
+
+} // namespace
+
 L1Cache::L1Cache(EventQueue &eq, std::string name, const ChipContext &ctx,
                  const L1Params &params, const Clock &clk,
                  IntraChipSwitch &ics, int l1_id,
@@ -105,42 +116,33 @@ L1Cache::access(const MemReq &req, MemRspClient *client)
 bool
 L1Cache::accessFast(const MemReq &req, MemRsp &out)
 {
-    // Each arm below mirrors the corresponding tryStart() hit arm
-    // exactly — same gating, same stats, same trace records at the
-    // same tick — minus the respond() event. Anything tryStart would
-    // queue, block, or miss on is refused with no side effects; the
-    // caller falls back to access(), which behaves identically, so
-    // refusal is always safe. Hits deliberately do NOT check the
-    // MSHR: the slow path completes hits while a store-buffer drain
-    // miss is outstanding, and this path must too.
     if (!_cpuQueue.empty())
         return false; // queued work must keep its FIFO order
+    bool arm_drain = false;
+    if (!hit(req, out, arm_drain))
+        return false;
+    // Deferred: the drain must file after the caller's completion
+    // position (see commitFastDrain).
+    if (arm_drain)
+        _fastDrainPending = true;
+    return true;
+}
 
-    if (req.op == MemOp::Store && req.atomic) {
-        L1Line *l = _tags.find(req.addr);
-        if (!(l && (l->state == L1State::M || l->state == L1State::E)))
-            return false;
-        if (l->parityBad)
-            return false; // slow path runs the parity recovery
-        PIR_TRACE(_ctx.tracer,
-                  TraceEvent{.tick = curTick(),
-                             .kind = TraceKind::StoreIssue,
-                             .node = _ctx.node,
-                             .l1 = _l1Id,
-                             .size = req.size,
-                             .addr = req.addr,
-                             .value = req.value});
-        applyStore(*l, SbEntry{req.addr, req.size, req.value});
-        ++statHits;
-        ++fastHits;
-        out = MemRsp{0, FillSource::L1};
-        return true;
-    }
-
+bool
+L1Cache::hit(const MemReq &req, MemRsp &out, bool &arm_drain)
+{
     if (req.op == MemOp::Store) {
-        if (_sb.size() >= storeBufferDepth)
-            return false; // must queue behind the drain
-        _sb.push_back(SbEntry{req.addr, req.size, req.value});
+        // A plain store completes when it enters the store buffer; a
+        // store-conditional bypasses it and completes only once the
+        // line is modifiable and the data applied (globally ordered).
+        L1Line *l = nullptr;
+        if (req.atomic) {
+            l = _tags.find(req.addr);
+            if (!modifiable(l) || l->parityBad)
+                return false;
+        } else if (_sb.size() >= storeBufferDepth) {
+            return false; // waits for the drain to free a slot
+        }
         PIR_TRACE(_ctx.tracer,
                   TraceEvent{.tick = curTick(),
                              .kind = TraceKind::StoreIssue,
@@ -150,68 +152,52 @@ L1Cache::accessFast(const MemReq &req, MemRsp &out)
                              .addr = req.addr,
                              .value = req.value});
         ++statHits;
-        ++fastHits;
-        out = MemRsp{0, FillSource::StoreBuffer};
-        if (!_drainScheduled) {
-            // Deferred: the drain must file after the caller's
-            // completion position (see commitFastDrain).
+        if (l) {
+            applyStore(*l, SbEntry{req.addr, req.size, req.value});
+            out = MemRsp{0, FillSource::L1};
+        } else {
+            _sb.push_back(SbEntry{req.addr, req.size, req.value});
+            out = MemRsp{0, FillSource::StoreBuffer};
+            arm_drain = !_drainScheduled;
             _drainScheduled = true;
-            _fastDrainPending = true;
         }
         return true;
     }
 
     if (req.op == MemOp::Wh64) {
         L1Line *l = _tags.find(req.addr);
-        if (!(l && (l->state == L1State::M || l->state == L1State::E)))
+        if (!modifiable(l) || l->parityBad)
             return false;
-        if (l->parityBad)
-            return false; // slow path runs the parity recovery
         l->state = L1State::M;
         _tags.touch(*l);
         ++statHits;
-        ++fastHits;
         out = MemRsp{0, FillSource::L1};
         return true;
     }
 
-    // Load / Ifetch.
-    std::uint64_t sb_value = 0;
-    if (!isInstrL1(_l1Id) && sbCovers(req.addr, req.size, sb_value)) {
-        ++statHits;
+    // Load / Ifetch: a data load whose bytes the store buffer holds
+    // is forwarded from it; anything else needs a good tag hit.
+    MemRsp r{0, FillSource::StoreBuffer};
+    if (isInstrL1(_l1Id) || !sbCovers(req.addr, req.size, r.value)) {
+        L1Line *l = _tags.find(req.addr);
+        if (!l || l->parityBad)
+            return false;
+        _tags.touch(*l);
+        r = MemRsp{composeLoad(*l, req.addr, req.size), FillSource::L1};
+    } else {
         ++statSbForwards;
-        ++fastHits;
-        PIR_TRACE(_ctx.tracer,
-                  TraceEvent{.tick = curTick(),
-                             .kind = TraceKind::LoadCommit,
-                             .node = _ctx.node,
-                             .l1 = _l1Id,
-                             .size = req.size,
-                             .src = FillSource::StoreBuffer,
-                             .addr = req.addr,
-                             .value = sb_value});
-        out = MemRsp{sb_value, FillSource::StoreBuffer};
-        return true;
     }
-    L1Line *l = _tags.find(req.addr);
-    if (!l)
-        return false;
-    if (l->parityBad)
-        return false; // slow path runs the parity recovery
-    _tags.touch(*l);
     ++statHits;
-    ++fastHits;
-    std::uint64_t v = composeLoad(*l, req.addr, req.size);
     PIR_TRACE(_ctx.tracer,
               TraceEvent{.tick = curTick(),
                          .kind = TraceKind::LoadCommit,
                          .node = _ctx.node,
                          .l1 = _l1Id,
                          .size = req.size,
-                         .src = FillSource::L1,
+                         .src = r.source,
                          .addr = req.addr,
-                         .value = v});
-    out = MemRsp{v, FillSource::L1};
+                         .value = r.value});
+    out = r;
     return true;
 }
 
@@ -233,166 +219,79 @@ L1Cache::tryStart()
     while (!_cpuQueue.empty()) {
         PendingCpu &pc = _cpuQueue.front();
         const MemReq &req = pc.req;
-
-        if (req.op == MemOp::Store && req.atomic) {
-            // Store-conditional: bypass the store buffer; complete
-            // only when the line is modifiable and the data applied
-            // (globally ordered).
-            L1Line *l = _tags.find(req.addr);
-            if (l && l->parityBad) {
-                // Detected at use: refetch exclusively (an S-state
-                // upgrade would keep the corrupt data), or machine
-                // check when the only good copy was here.
-                if (!startParityRecovery(req, pc.rsp, *l))
-                    return;
-                _cpuQueue.pop_front();
-                continue;
-            }
-            if (l && (l->state == L1State::M ||
-                      l->state == L1State::E)) {
-                PIR_TRACE(_ctx.tracer,
-                          TraceEvent{.tick = curTick(),
-                                     .kind = TraceKind::StoreIssue,
-                                     .node = _ctx.node,
-                                     .l1 = _l1Id,
-                                     .size = req.size,
-                                     .addr = req.addr,
-                                     .value = req.value});
-                applyStore(*l, SbEntry{req.addr, req.size, req.value});
-                ++statHits;
-                respond(pc.rsp, 0, FillSource::L1);
-                _cpuQueue.pop_front();
-                continue;
-            }
-            if (_mshr.valid)
-                return;
-            PIR_TRACE(_ctx.tracer,
-                      TraceEvent{.tick = curTick(),
-                                 .kind = TraceKind::StoreIssue,
-                                 .node = _ctx.node,
-                                 .l1 = _l1Id,
-                                 .size = req.size,
-                                 .addr = req.addr,
-                                 .value = req.value});
-            issueMiss(req, std::move(pc.rsp),
-                      l && l->state == L1State::S);
+        MemRsp out;
+        bool arm_drain = false;
+        if (hit(req, out, arm_drain)) {
+            respond(pc.rsp, out.value, out.source);
             _cpuQueue.pop_front();
-            continue;
-        }
-
-        if (req.op == MemOp::Store) {
-            if (_sb.size() >= storeBufferDepth)
-                return; // wait for drain to free a slot
-            _sb.push_back(SbEntry{req.addr, req.size, req.value});
-            PIR_TRACE(_ctx.tracer,
-                      TraceEvent{.tick = curTick(),
-                                 .kind = TraceKind::StoreIssue,
-                                 .node = _ctx.node,
-                                 .l1 = _l1Id,
-                                 .size = req.size,
-                                 .addr = req.addr,
-                                 .value = req.value});
-            ++statHits;
-            respond(pc.rsp, 0, FillSource::StoreBuffer);
-            _cpuQueue.pop_front();
-            if (!_drainScheduled) {
-                _drainScheduled = true;
+            if (arm_drain)
                 scheduleDrain();
-            }
             continue;
         }
-
-        if (req.op == MemOp::Wh64) {
-            L1Line *l = _tags.find(req.addr);
-            if (l && l->parityBad) {
-                // The write hint overwrites the whole line and leaves
-                // its contents architecturally undefined — the parity
-                // error is masked by the overwrite.
-                l->parityBad = false;
-                if (_ctx.injector)
-                    ++_ctx.injector->counters.parityMaskedByOverwrite;
-            }
-            if (l && (l->state == L1State::M || l->state == L1State::E)) {
-                l->state = L1State::M;
-                _tags.touch(*l);
-                ++statHits;
-                respond(pc.rsp, 0, FillSource::L1);
-                _cpuQueue.pop_front();
-                continue;
-            }
-            if (_mshr.valid)
-                return;
-            issueMiss(req, std::move(pc.rsp),
-                      l && l->state == L1State::S);
-            _cpuQueue.pop_front();
-            continue;
-        }
-
-        // Load / Ifetch.
-        std::uint64_t sb_value = 0;
-        if (!isInstrL1(_l1Id) && sbCovers(req.addr, req.size, sb_value)) {
-            ++statHits;
-            ++statSbForwards;
-            PIR_TRACE(_ctx.tracer,
-                      TraceEvent{.tick = curTick(),
-                                 .kind = TraceKind::LoadCommit,
-                                 .node = _ctx.node,
-                                 .l1 = _l1Id,
-                                 .size = req.size,
-                                 .src = FillSource::StoreBuffer,
-                                 .addr = req.addr,
-                                 .value = sb_value});
-            respond(pc.rsp, sb_value, FillSource::StoreBuffer);
-            _cpuQueue.pop_front();
-            continue;
-        }
+        if (req.op == MemOp::Store && !req.atomic)
+            return; // store buffer full: wait for the drain
         L1Line *l = _tags.find(req.addr);
-        if (l && l->parityBad) {
-            if (!startParityRecovery(req, pc.rsp, *l))
-                return;
-            _cpuQueue.pop_front();
+        if (l && l->parityBad && req.op == MemOp::Wh64) {
+            // The write hint overwrites the whole line and leaves its
+            // contents architecturally undefined — the parity error
+            // is masked by the overwrite. Retry: the line may now hit.
+            l->parityBad = false;
+            if (_ctx.injector)
+                ++_ctx.injector->counters.parityMaskedByOverwrite;
             continue;
         }
-        if (l) {
-            _tags.touch(*l);
-            ++statHits;
-            std::uint64_t v = composeLoad(*l, req.addr, req.size);
-            PIR_TRACE(_ctx.tracer,
-                      TraceEvent{.tick = curTick(),
-                                 .kind = TraceKind::LoadCommit,
-                                 .node = _ctx.node,
-                                 .l1 = _l1Id,
-                                 .size = req.size,
-                                 .src = FillSource::L1,
-                                 .addr = req.addr,
-                                 .value = v});
-            respond(pc.rsp, v, FillSource::L1);
-            _cpuQueue.pop_front();
-            continue;
-        }
-        if (_mshr.valid)
-            return; // blocking cache: one outstanding miss
-        issueMiss(req, std::move(pc.rsp), false);
+        if (!issueMiss(req, pc.rsp, l))
+            return;
         _cpuQueue.pop_front();
     }
 }
 
-void
-L1Cache::issueMiss(const MemReq &req, RspHandler rsp, bool is_upgrade)
+bool
+L1Cache::issueMiss(const MemReq &req, RspHandler &rsp, L1Line *line)
 {
+    // A parity-bad line is detected at use and refetched (exclusively
+    // for a store: an S-state upgrade would keep the corrupt data).
+    bool refetch = line && line->parityBad;
+    if (refetch && line->state == L1State::M) {
+        // Dirty data with bad parity: the only up-to-date copy is
+        // untrustworthy. Unrecoverable — raise a machine check; the
+        // run loop tears the simulation down.
+        if (_ctx.injector)
+            _ctx.injector->raiseMachineCheck(strFormat(
+                "%s: parity error on dirty line %#llx", name().c_str(),
+                static_cast<unsigned long long>(line->addr)));
+        return false;
+    }
+    if (_mshr.valid)
+        return false; // blocking cache: one outstanding miss
+
+    if (refetch && _ctx.injector)
+        ++_ctx.injector->counters.l1ParityRefetch;
+    // A store-conditional that misses records its StoreIssue here (a
+    // hit does in hit()); a refetched one records none, and its
+    // StoreCommit at the fill stands alone.
+    if (req.op == MemOp::Store && req.atomic && !refetch)
+        PIR_TRACE(_ctx.tracer,
+                  TraceEvent{.tick = curTick(),
+                             .kind = TraceKind::StoreIssue,
+                             .node = _ctx.node,
+                             .l1 = _l1Id,
+                             .size = req.size,
+                             .addr = req.addr,
+                             .value = req.value});
     ++statMisses;
     _mshr.valid = true;
     _mshr.req = req;
     _mshr.rsp = std::move(rsp);
     _mshr.lineAddr = lineAlign(req.addr);
-    _mshr.isUpgrade = is_upgrade;
+    _mshr.isUpgrade = line && !refetch && line->state == L1State::S;
     _mshr.haveVictim = false;
 
     IcsMsg msg;
     msg.addr = _mshr.lineAddr;
     msg.reqId = nextReqId();
 
-    if (is_upgrade) {
+    if (_mshr.isUpgrade) {
         msg.type = IcsMsgType::Upgrade;
         ++statUpgrades;
     } else {
@@ -416,7 +315,14 @@ L1Cache::issueMiss(const MemReq &req, RspHandler rsp, bool is_upgrade)
         // (Store-buffer entries targeting the victim are fine: they
         // have not globally performed yet and will re-apply through
         // their own coherent misses after the replacement.)
-        L1Line &v = _tags.victimFor(req.addr);
+        //
+        // A refetch names the parity-bad line as its own victim: the
+        // L2 clears this L1's ownership records at its serialization
+        // point (parityVictim suppresses the data install — the
+        // payload is untrusted, and a clean line is current in
+        // L2/memory anyway), and completeMiss's normal victim-drop
+        // path reuses the way for the incoming fill.
+        L1Line &v = refetch ? *line : _tags.victimFor(req.addr);
         if (v.valid) {
             _mshr.haveVictim = true;
             _mshr.victimAddr = v.addr;
@@ -425,57 +331,9 @@ L1Cache::issueMiss(const MemReq &req, RspHandler rsp, bool is_upgrade)
             msg.victimDirty = v.state == L1State::M;
             msg.hasData = true;
             msg.data = v.data;
+            msg.parityVictim = refetch;
         }
     }
-    sendToBank(std::move(msg), _mshr.lineAddr);
-}
-
-bool
-L1Cache::startParityRecovery(const MemReq &req, RspHandler &rsp,
-                             L1Line &bad)
-{
-    if (bad.state == L1State::M) {
-        // Dirty data with bad parity: the only up-to-date copy is
-        // untrustworthy. Unrecoverable — raise a machine check; the
-        // run loop tears the simulation down.
-        if (_ctx.injector)
-            _ctx.injector->raiseMachineCheck(strFormat(
-                "%s: parity error on dirty line %#llx", name().c_str(),
-                static_cast<unsigned long long>(bad.addr)));
-        return false;
-    }
-    if (_mshr.valid)
-        return false; // blocking cache: retried when the MSHR frees
-
-    if (_ctx.injector)
-        ++_ctx.injector->counters.l1ParityRefetch;
-    ++statMisses;
-    _mshr.valid = true;
-    _mshr.req = req;
-    _mshr.rsp = std::move(rsp);
-    _mshr.lineAddr = lineAlign(req.addr);
-    _mshr.isUpgrade = false;
-    _mshr.haveVictim = true;
-    _mshr.victimAddr = bad.addr;
-
-    // The refetch names the parity-bad line as its own victim: the L2
-    // clears this L1's ownership records at its serialization point
-    // (parityVictim suppresses the data install — the payload is
-    // untrusted, and a clean line is current in L2/memory anyway),
-    // and completeMiss's normal victim-drop path reuses the way for
-    // the incoming fill. Until the reply arrives the line keeps
-    // servicing forwards like any functional victim.
-    IcsMsg msg;
-    msg.addr = _mshr.lineAddr;
-    msg.reqId = nextReqId();
-    msg.type = req.op == MemOp::Store ? IcsMsgType::GetX
-                                      : IcsMsgType::GetS;
-    msg.hasVictim = true;
-    msg.victimAddr = bad.addr;
-    msg.victimDirty = false; // clean by construction (M checked above)
-    msg.hasData = true;
-    msg.data = bad.data;
-    msg.parityVictim = true;
     sendToBank(std::move(msg), _mshr.lineAddr);
     return true;
 }
@@ -731,21 +589,15 @@ L1Cache::drainStoreBuffer()
         return;
     const SbEntry &e = _sb.front();
     L1Line *l = _tags.find(e.addr);
-    if (l && l->parityBad) {
-        // The pending store must not merge into a corrupt line:
-        // refetch exclusively first (the entry stays buffered; the
-        // fill's drain pass applies it), or machine check on dirty.
-        MemReq req;
-        req.op = MemOp::Store;
-        req.addr = e.addr;
-        req.size = e.size;
-        req.value = e.value;
-        RspHandler none{};
-        startParityRecovery(req, none, *l);
-        return;
-    }
-    if (l && (l->state == L1State::M || l->state == L1State::E)) {
-        applyStore(*l, e);
+    bool bad = l && l->parityBad;
+    bool ready = !bad && modifiable(l);
+    // Seeded fault: the head entry is silently discarded instead of
+    // issuing its miss — the store is lost before it globally performs.
+    bool drop = !bad && !ready && !_mshr.valid && _ctx.faults &&
+                _ctx.faults->fire(ProtocolFault::SbDropOnMiss);
+    if (ready || drop) {
+        if (ready)
+            applyStore(*l, e);
         _sb.pop_front();
         tryStart(); // a CPU store may be waiting for a free SB slot
         if (!_sb.empty()) {
@@ -754,25 +606,16 @@ L1Cache::drainStoreBuffer()
         }
         return;
     }
-    if (_mshr.valid)
-        return; // retried when the MSHR frees
-    // Seeded fault: the head entry is silently discarded instead of
-    // issuing its miss — the store is lost before it globally performs.
-    if (_ctx.faults && _ctx.faults->fire(ProtocolFault::SbDropOnMiss)) {
-        _sb.pop_front();
-        tryStart();
-        if (!_sb.empty()) {
-            _drainScheduled = true;
-            scheduleDrain();
-        }
-        return;
-    }
+    // The entry stays buffered until its miss fills (the fill's drain
+    // pass applies it); a parity-bad line is refetched first, since
+    // the store must not merge into corrupt data.
     MemReq req;
     req.op = MemOp::Store;
     req.addr = e.addr;
     req.size = e.size;
     req.value = e.value;
-    issueMiss(req, RspHandler{}, l && l->state == L1State::S);
+    RspHandler none{};
+    issueMiss(req, none, l);
 }
 
 void

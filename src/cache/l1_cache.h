@@ -131,16 +131,14 @@ class L1Cache : public SimObject, public IcsClient
     void access(const MemReq &req, MemRspClient *client);
 
     /**
-     * Fast-path probe: if @p req is a hit that the slow path would
-     * complete synchronously (tag hit, store-buffer space, SB-covered
-     * load), perform the cache-side effects now — stats, trace,
-     * store-buffer insert, line update — write the response into
-     * @p out and return true WITHOUT scheduling anything. The caller
-     * (Core) owns the hit-latency delay: it either schedules its own
-     * completion event or, when the event queue is provably quiet,
-     * advances the clock and completes inline. Returns false (no side
-     * effects) for anything the slow path would queue or miss on;
-     * callers then use access() unchanged.
+     * Fast-path probe: complete @p req now if it hits (see hit()),
+     * writing the response into @p out WITHOUT scheduling anything.
+     * The caller (Core) owns the hit-latency delay: it either
+     * schedules its own completion event or, when the event queue is
+     * provably quiet, advances the clock and completes inline.
+     * Returns false, with no side effects, while earlier requests are
+     * queued or when the request does not hit; callers then use
+     * access(), which behaves identically, so refusal is always safe.
      *
      * A fast store that arms the drain must be followed by
      * commitFastDrain() once the caller has fixed its completion
@@ -159,10 +157,9 @@ class L1Cache : public SimObject, public IcsClient
         }
     }
 
-    /** Hits completed through accessFast (not a Scalar: host-side
-     *  instrumentation must stay out of the bit-identical stat set). */
-    std::uint64_t fastHits = 0;
-    /** respond() events scheduled (slow-path completions). */
+    /** respond() events scheduled (slow-path completions; not a
+     *  Scalar: host-side instrumentation must stay out of the
+     *  bit-identical stat set). */
     std::uint64_t respondEventsScheduled = 0;
 
     void icsDeliver(const IcsMsg &msg) override;
@@ -250,17 +247,30 @@ class L1Cache : public SimObject, public IcsClient
                  unsigned extra_cycles = 0);
     void tryStart();
     void startAccess(const MemReq &req, RspHandler rsp);
-    void issueMiss(const MemReq &req, RspHandler rsp, bool is_upgrade);
     /**
-     * Parity recovery: refetch a clean parity-bad line by issuing a
-     * miss that names the line as its own victim (the L2 clears the
-     * ownership records at its serialization point without installing
-     * the untrusted data). A dirty line instead raises a machine
-     * check. Returns false when the MSHR is busy (caller waits) or a
-     * machine check was raised; @p rsp is consumed only on success.
+     * The one hit routine of both paths: if @p req completes in the
+     * hit latency — a store entering the store buffer, a
+     * store-conditional or write hint on an M/E line, a load the
+     * store buffer covers, or a tag-hit load or ifetch — perform its
+     * stats, trace records and line/store-buffer updates, write the
+     * response into @p out and return true. @p arm_drain is set when
+     * the caller must schedule the drain pass. Anything that must
+     * wait or miss, a parity-bad line included, is refused with no
+     * side effect. Hits deliberately ignore the MSHR: they complete
+     * while a store-buffer drain miss is outstanding.
      */
-    bool startParityRecovery(const MemReq &req, RspHandler &rsp,
-                             L1Line &bad);
+    bool hit(const MemReq &req, MemRsp &out, bool &arm_drain);
+    /**
+     * Issue the miss for @p req, whose line in the array is @p line
+     * (null when absent): an upgrade for an S line, else a fill that
+     * reserves a victim. A parity-bad @p line is refetched by a miss
+     * that names the line as its own victim (the L2 clears the
+     * ownership records at its serialization point without installing
+     * the untrusted data); a dirty one raises a machine check
+     * instead. Returns false when the MSHR is busy (caller waits) or
+     * a machine check was raised; @p rsp is consumed only on success.
+     */
+    bool issueMiss(const MemReq &req, RspHandler &rsp, L1Line *line);
     void completeMiss(const IcsMsg &msg);
     void drainStoreBuffer();
     void scheduleDrain();

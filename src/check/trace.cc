@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <stdexcept>
 
 namespace piranha {
 
@@ -29,45 +28,6 @@ traceKindName(TraceKind k)
     }
     return "?";
 }
-
-namespace {
-
-TraceKind
-traceKindFromName(const std::string &name)
-{
-    for (unsigned k = 0; k <= unsigned(TraceKind::Marker); ++k)
-        if (name == traceKindName(TraceKind(k)))
-            return TraceKind(k);
-    throw std::runtime_error("unknown trace kind \"" + name + "\"");
-}
-
-FillSource
-fillSourceFromName(const std::string &name)
-{
-    for (unsigned s = 0; s <= unsigned(FillSource::RemoteDirty); ++s)
-        if (name == fillSourceName(FillSource(s)))
-            return FillSource(s);
-    throw std::runtime_error("unknown fill source \"" + name + "\"");
-}
-
-std::string
-hex64(std::uint64_t v)
-{
-    char buf[20];
-    std::snprintf(buf, sizeof(buf), "0x%llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-std::uint64_t
-parseHex64(const JsonValue &v)
-{
-    if (v.isNumber())
-        return static_cast<std::uint64_t>(v.asNumber());
-    return std::stoull(v.asString(), nullptr, 16);
-}
-
-} // namespace
 
 std::string
 renderTraceEvent(std::size_t idx, const TraceEvent &e)
@@ -125,61 +85,6 @@ CoherenceTracer::clear()
 {
     _ring.clear();
     _recorded = 0;
-}
-
-JsonValue
-CoherenceTracer::toJson() const
-{
-    JsonValue doc = JsonValue::object();
-    doc.set("version", 1);
-    doc.set("capacity", std::uint64_t(_cap));
-    doc.set("recorded", _recorded);
-    doc.set("dropped", dropped());
-    JsonValue evs = JsonValue::array();
-    for (const TraceEvent &e : events()) {
-        JsonValue j = JsonValue::object();
-        j.set("tick", e.tick);
-        j.set("kind", traceKindName(e.kind));
-        j.set("node", e.node);
-        j.set("l1", e.l1);
-        j.set("aux", e.aux);
-        j.set("state", int(e.state));
-        j.set("size", int(e.size));
-        j.set("src", fillSourceName(e.src));
-        // Hex strings: doubles cannot hold all 64-bit values exactly.
-        j.set("addr", hex64(e.addr));
-        j.set("value", hex64(e.value));
-        j.set("mask", std::uint64_t(e.mask));
-        evs.append(std::move(j));
-    }
-    doc.set("events", std::move(evs));
-    return doc;
-}
-
-std::vector<TraceEvent>
-CoherenceTracer::eventsFromJson(const JsonValue &doc)
-{
-    const JsonValue &evs = doc.at("events");
-    if (!evs.isArray())
-        throw std::runtime_error("trace dump: \"events\" not an array");
-    std::vector<TraceEvent> out;
-    out.reserve(evs.size());
-    for (const JsonValue &j : evs.items()) {
-        TraceEvent e;
-        e.tick = static_cast<Tick>(j.at("tick").asNumber());
-        e.kind = traceKindFromName(j.at("kind").asString());
-        e.node = static_cast<int>(j.at("node").asNumber());
-        e.l1 = static_cast<int>(j.at("l1").asNumber());
-        e.aux = static_cast<int>(j.at("aux").asNumber());
-        e.state = static_cast<unsigned>(j.at("state").asNumber());
-        e.size = static_cast<unsigned>(j.at("size").asNumber());
-        e.src = fillSourceFromName(j.at("src").asString());
-        e.addr = parseHex64(j.at("addr"));
-        e.value = parseHex64(j.at("value"));
-        e.mask = static_cast<std::uint32_t>(j.at("mask").asNumber());
-        out.push_back(e);
-    }
-    return out;
 }
 
 } // namespace piranha

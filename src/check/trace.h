@@ -8,12 +8,8 @@
  * pointer: a run that does not attach a tracer pays one predictable
  * branch per hook (PIR_TRACE below).
  *
- * Traces round-trip through the stats/json layer (toJson /
- * eventsFromJson) so a run can be captured in one process and checked
- * offline in another; src/check/checker.h replays a trace against the
- * protocol's per-location axioms. 64-bit addresses and data are
- * serialized as hex strings because JsonValue stores numbers as
- * doubles (53-bit mantissa).
+ * src/check/checker.h replays a trace against the protocol's
+ * per-location axioms, in the process that recorded it.
  */
 
 #ifndef PIRANHA_CHECK_TRACE_H
@@ -27,7 +23,6 @@
 
 #include "mem/coherence_types.h"
 #include "sim/types.h"
-#include "stats/json.h"
 
 namespace piranha {
 
@@ -118,12 +113,6 @@ class CoherenceTracer
     std::vector<TraceEvent> events() const;
 
     void clear();
-
-    /** Full dump: {version, capacity, recorded, dropped, events[]}. */
-    JsonValue toJson() const;
-
-    /** Parse the events of a toJson() document (throws on bad input). */
-    static std::vector<TraceEvent> eventsFromJson(const JsonValue &doc);
 
   private:
     std::size_t _cap;

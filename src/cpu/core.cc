@@ -79,51 +79,6 @@ Core::nextOp()
     }
 }
 
-/**
- * Fast-path issue of @p req to @p l1. On a hit the L1 has already
- * performed its side effects at the issue tick (exactly as the slow
- * path's synchronous tryStart does); what remains is the hit-latency
- * delay before the core-side completion, which the slow path models
- * with the L1's pooled RespondEvent:
- *
- *  - Inline: when no event anywhere fires at or before the completion
- *    tick, nothing can observe the interval, so the clock advances
- *    directly and the completion runs with zero events scheduled.
- *    The drain behind a fast store is committed first so it files
- *    ahead of anything the (inline) continuation schedules — the
- *    slow path's respond-before-drain seq order.
- *  - Evented: otherwise the core schedules its own _fastRspEvent at
- *    the same delay and from the same program point where the slow
- *    path would schedule the RespondEvent, replacing it 1:1 in the
- *    (tick, seq) order; the drain is committed after, again matching
- *    respond-before-drain.
- *
- * Stream pulls never move: a pull happens either in a scheduled event
- * or inline at an advanced tick that equals the slow path's respond
- * tick, so workloads that read curTick() or share cross-CPU state at
- * pull time (OLTP's log lock) see identical sequences.
- */
-Core::FastIssue
-Core::tryFastAccess(L1Cache &l1, const MemReq &req, MemRsp &rsp)
-{
-    if (!_p.fastPath || !l1.accessFast(req, rsp))
-        return FastIssue::NotTaken;
-    EventQueue &eq = eventQueue();
-    Tick delay = _clk.cycles(L1Cache::hitCycles);
-    Tick when = curTick() + delay;
-    if (eq.quietThrough(when)) {
-        ++inlineHits;
-        l1.commitFastDrain();
-        eq.advanceTo(when);
-        return FastIssue::Inline;
-    }
-    ++eventedHits;
-    _fastRsp = rsp;
-    scheduleIn(_fastRspEvent, delay);
-    l1.commitFastDrain();
-    return FastIssue::Evented;
-}
-
 bool
 Core::fetchThenExecute(StreamOp op)
 {
@@ -136,25 +91,7 @@ Core::fetchThenExecute(StreamOp op)
     req.op = MemOp::Ifetch;
     req.addr = op.pc;
     req.size = static_cast<std::uint8_t>(ifetchBytes);
-    Tick issued = curTick();
-    MemRsp rsp;
-    switch (tryFastAccess(_il1, req, rsp)) {
-      case FastIssue::Inline:
-        completeMem(op, issued, true, rsp);
-        return execute(op);
-      case FastIssue::Evented:
-        _pendingOp = op;
-        _pendingIssued = issued;
-        _pendingIfetch = true;
-        return false;
-      case FastIssue::NotTaken:
-        break;
-    }
-    _pendingOp = op;
-    _pendingIssued = issued;
-    _pendingIfetch = true;
-    _il1.access(req, this);
-    return false;
+    return issue(_il1, req, op, true);
 }
 
 bool
@@ -191,58 +128,86 @@ Core::execute(StreamOp op)
         req.op = op.kind == StreamOp::Kind::Load    ? MemOp::Load
                  : op.kind == StreamOp::Kind::Store ? MemOp::Store
                                                     : MemOp::Wh64;
-        Tick issued = curTick();
-        MemRsp rsp;
-        switch (tryFastAccess(_dl1, req, rsp)) {
-          case FastIssue::Inline:
-            completeMem(op, issued, false, rsp);
-            _stream->memCompleted(op, rsp.value);
-            return true; // continue the op loop at the advanced tick
-          case FastIssue::Evented:
-            _pendingOp = op;
-            _pendingIssued = issued;
-            _pendingIfetch = false;
-            return false;
-          case FastIssue::NotTaken:
-            break;
-        }
-        _pendingOp = op;
-        _pendingIssued = issued;
-        _pendingIfetch = false;
-        _dl1.access(req, this);
-        return false;
+        return issue(_dl1, req, op, false);
       }
       default:
         panic("%s: bad op kind", name().c_str());
     }
 }
 
+/**
+ * Issue @p req for @p op to @p l1. On a fast-path hit the L1 has
+ * already performed its side effects at the issue tick (the same hit
+ * routine the slow path's synchronous tryStart runs); what remains is
+ * the hit-latency delay before the core-side completion, which the
+ * slow path models with the L1's pooled RespondEvent:
+ *
+ *  - Inline: when no event anywhere fires at or before the completion
+ *    tick, nothing can observe the interval, so the clock advances
+ *    directly and the completion runs with zero events scheduled.
+ *    The drain behind a fast store is committed first so it files
+ *    ahead of anything the (inline) continuation schedules — the
+ *    slow path's respond-before-drain seq order.
+ *  - Evented: otherwise the core schedules its own _fastRspEvent at
+ *    the same delay and from the same program point where the slow
+ *    path would schedule the RespondEvent, replacing it 1:1 in the
+ *    (tick, seq) order; the drain is committed after, again matching
+ *    respond-before-drain.
+ *
+ * Stream pulls never move: a pull happens either in a scheduled event
+ * or inline at an advanced tick that equals the slow path's respond
+ * tick, so workloads that read curTick() or share cross-CPU state at
+ * pull time (OLTP's log lock) see identical sequences.
+ */
+bool
+Core::issue(L1Cache &l1, const MemReq &req, const StreamOp &op,
+            bool ifetch)
+{
+    _pendingOp = op;
+    _pendingIssued = curTick();
+    _pendingIfetch = ifetch;
+    MemRsp rsp;
+    if (!_p.fastPath || !l1.accessFast(req, rsp)) {
+        l1.access(req, this);
+        return false;
+    }
+    EventQueue &eq = eventQueue();
+    Tick delay = _clk.cycles(L1Cache::hitCycles);
+    Tick when = curTick() + delay;
+    if (eq.quietThrough(when)) {
+        ++inlineHits;
+        l1.commitFastDrain();
+        eq.advanceTo(when);
+        return finishAccess(rsp);
+    }
+    ++eventedHits;
+    _fastRsp = rsp;
+    scheduleIn(_fastRspEvent, delay);
+    l1.commitFastDrain();
+    return false;
+}
+
 void
 Core::memRsp(const MemRsp &rsp)
 {
     PIR_PROF(Core);
-    StreamOp op = _pendingOp;
-    if (_pendingIfetch) {
-        completeMem(op, _pendingIssued, true, rsp);
-        if (execute(op))
-            nextOp();
-    } else {
-        completeMem(op, _pendingIssued, false, rsp);
-        _stream->memCompleted(op, rsp.value);
+    if (finishAccess(rsp))
         nextOp();
-    }
 }
 
-void
-Core::completeMem(const StreamOp &, Tick issued, bool ifetch,
-                  const MemRsp &rsp)
+bool
+Core::finishAccess(const MemRsp &rsp)
 {
-    Tick raw = curTick() - issued;
-    Tick busy = ifetch ? 0 : _clk.cycles(1); // pipeline occupancy
+    Tick raw = curTick() - _pendingIssued;
+    Tick busy = _pendingIfetch ? 0 : _clk.cycles(1); // pipeline occupancy
     Tick stall = raw > busy ? raw - busy : 0;
     statBusy += static_cast<double>(busy);
     _accounted += busy;
     chargeStall(stall, rsp.source);
+    if (_pendingIfetch)
+        return execute(_pendingOp);
+    _stream->memCompleted(_pendingOp, rsp.value);
+    return true;
 }
 
 void

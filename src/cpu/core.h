@@ -93,22 +93,16 @@ class Core : public SimObject, public MemRspClient
     /** Bytes per instruction fetch (the Alpha instruction size). */
     static constexpr unsigned ifetchBytes = 4;
 
-    /** How tryFastAccess disposed of a request. */
-    enum class FastIssue
-    {
-        NotTaken, //!< refused; caller must use the slow path
-        Evented,  //!< hit; completion scheduled on _fastRspEvent
-        Inline,   //!< hit; clock advanced, completion already done
-    };
-
-    // fetchThenExecute/execute return true when the op completed
-    // inline (zero-event fast hit) and the caller's op loop should
-    // pull the next op at the advanced tick.
+    // fetchThenExecute/execute/issue/finishAccess return true when
+    // the op has completed and the caller should pull the next op at
+    // the current tick (the advanced tick of a zero-event fast hit).
     bool fetchThenExecute(StreamOp op);
     bool execute(StreamOp op);
-    FastIssue tryFastAccess(L1Cache &l1, const MemReq &req, MemRsp &rsp);
-    void completeMem(const StreamOp &op, Tick issued, bool ifetch,
-                     const MemRsp &rsp);
+    /** Issue the op's one L1 access, fast path first. */
+    bool issue(L1Cache &l1, const MemReq &req, const StreamOp &op,
+               bool ifetch);
+    /** Account the pending access's latency and finish its op. */
+    bool finishAccess(const MemRsp &rsp);
     void chargeStall(Tick stall, FillSource source);
     void nextOp();
     /** Fires at the hit-latency tick of an Evented fast hit. */

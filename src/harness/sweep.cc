@@ -158,15 +158,13 @@ jobResultToJson(const JobResult &j, bool include_stat_tree)
         jo.set("stats", std::move(stats));
         // Host-side instrumentation lives outside "stats" so that
         // bit-identity comparisons over the stats map ignore it.
-        if (j.run.l1FastHits || j.run.fastEventedHits ||
-            j.run.fastInlineHits || j.run.l1RespondEvents) {
+        if (j.run.fastEventedHits || j.run.fastInlineHits ||
+            j.run.l1RespondEvents) {
             JsonValue fp = JsonValue::object();
             fp.set("inline_hits",
                    static_cast<double>(j.run.fastInlineHits));
             fp.set("evented_hits",
                    static_cast<double>(j.run.fastEventedHits));
-            fp.set("l1_fast_hits",
-                   static_cast<double>(j.run.l1FastHits));
             fp.set("l1_respond_events",
                    static_cast<double>(j.run.l1RespondEvents));
             jo.set("fastpath", std::move(fp));
@@ -252,7 +250,6 @@ jobResultFromJson(const JsonValue &v)
         };
         j.run.fastInlineHits = fpnum("inline_hits");
         j.run.fastEventedHits = fpnum("evented_hits");
-        j.run.l1FastHits = fpnum("l1_fast_hits");
         j.run.l1RespondEvents = fpnum("l1_respond_events");
     }
     if (const JsonValue *hp = v.find("host_profile"); hp &&

@@ -90,16 +90,8 @@ PiranhaSystem::PiranhaSystem(const SystemConfig &cfg) : _cfg(cfg)
         _net->fabric().mapShards(std::move(qs), _shardOf, _shards,
                                  _cfg.parallelHooks);
     }
-    for (unsigned n = 0; n < cfg.nodes; ++n) {
+    for (unsigned n = 0; n < cfg.nodes; ++n)
         _chips[n]->regStats(_stats);
-        for (unsigned c = 0; c < cfg.cpusPerChip; ++c) {
-            _cores.push_back(std::make_unique<Core>(
-                chipQueue(n), strFormat("node%u.cpu%u", n, c),
-                _chips[n]->clock(), _chips[n]->dl1(c),
-                _chips[n]->il1(c), cfg.core));
-            _cores.back()->regStats(_stats);
-        }
-    }
     if (_injector) {
         for (unsigned n = 0; n < cfg.nodes; ++n) {
             PiranhaChip &c = *_chips[n];
@@ -164,9 +156,11 @@ PiranhaSystem::runShards(Tick deadline,
 bool
 PiranhaSystem::drain(Tick deadline)
 {
-    if (!_parallel)
-        return _eq.run(deadline);
-    return !runShards(deadline, {}).deadlineHit;
+    bool drained = _parallel ? !runShards(deadline, {}).deadlineHit
+                             : _eq.run(deadline);
+    if (_net)
+        _net->mergeShardedStats();
+    return drained;
 }
 
 std::string
@@ -215,10 +209,9 @@ PiranhaSystem::run(Workload &wl, std::uint64_t work_per_cpu,
     unsigned ncpus = totalCpus();
     CoreParams cp = _cfg.core;
     cp.ilp = wl.ilp();
-    // The OOO parameters live in the cores; rebuild with the
-    // workload's ILP (cores are cheap). The stat tree holds raw
-    // pointers into the cores, so detach before destroying and
-    // re-register the replacements.
+    // The OOO parameters live in the cores, so each run builds them
+    // with its workload's ILP. The stat tree holds raw pointers into
+    // the cores: a previous run's are detached before they go.
     for (auto &core : _cores)
         core->unregStats(_stats);
     _cores.clear();
@@ -241,13 +234,11 @@ PiranhaSystem::run(Workload &wl, std::uint64_t work_per_cpu,
 
     Tick deadline = chipQueue(0).curTick() + max_time;
     std::uint64_t events_before = totalEventsExecuted();
-    // L1s persist across run() calls, so their host-side counters are
+    // L1s persist across run() calls, so their host-side counter is
     // cumulative; report this run's delta.
-    std::uint64_t l1_fast_before = 0, l1_resp_before = 0;
+    std::uint64_t l1_resp_before = 0;
     for (unsigned n = 0; n < _cfg.nodes; ++n) {
         for (unsigned c = 0; c < _cfg.cpusPerChip; ++c) {
-            l1_fast_before += _chips[n]->dl1(c).fastHits;
-            l1_fast_before += _chips[n]->il1(c).fastHits;
             l1_resp_before += _chips[n]->dl1(c).respondEventsScheduled;
             l1_resp_before += _chips[n]->il1(c).respondEventsScheduled;
         }
@@ -416,13 +407,10 @@ PiranhaSystem::run(Workload &wl, std::uint64_t work_per_cpu,
     }
     for (unsigned n = 0; n < _cfg.nodes; ++n) {
         for (unsigned c = 0; c < _cfg.cpusPerChip; ++c) {
-            r.l1FastHits += _chips[n]->dl1(c).fastHits;
-            r.l1FastHits += _chips[n]->il1(c).fastHits;
             r.l1RespondEvents += _chips[n]->dl1(c).respondEventsScheduled;
             r.l1RespondEvents += _chips[n]->il1(c).respondEventsScheduled;
         }
     }
-    r.l1FastHits -= l1_fast_before;
     r.l1RespondEvents -= l1_resp_before;
     r.eventsEquivalent = r.eventsExecuted + r.fastInlineHits;
     r.profile = prof::snapshot();

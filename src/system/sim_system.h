@@ -62,10 +62,9 @@ struct RunResult
 
     // Fast-path instrumentation (host-side; never part of the
     // bit-identity stat comparison — a slow-mode run reports zeros
-    // for the first three while producing identical simulation stats).
+    // for the first two while producing identical simulation stats).
     std::uint64_t fastInlineHits = 0;  //!< L1 hits with 0 events
     std::uint64_t fastEventedHits = 0; //!< L1 hits via core.memDone
-    std::uint64_t l1FastHits = 0;      //!< hits taken by accessFast
     std::uint64_t l1RespondEvents = 0; //!< slow-path respond events
 
     /**
@@ -178,6 +177,8 @@ class PiranhaSystem
      * ports directly, say) until every queue drains or nothing
      * earlier than @p deadline remains; true when everything drained.
      * Serial: EventQueue::run. Parallel: one sharded-engine pass.
+     * Like run(), folds the network's per-node stat partials into its
+     * registered stats, so `network.*` reads the traffic so far.
      */
     bool drain(Tick deadline = ~Tick(0));
 
