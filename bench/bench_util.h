@@ -1,8 +1,7 @@
 /**
  * @file
- * Shared helpers for the bench programs: the paper-figure work sizes,
- * a fixed-work run of one configuration, and strict parsing of
- * numeric command-line values.
+ * Shared helpers for the bench programs: the paper-figure work sizes
+ * and strict parsing of numeric command-line values.
  */
 
 #ifndef PIRANHA_BENCH_BENCH_UTIL_H
@@ -27,23 +26,6 @@ namespace piranha {
 inline constexpr std::uint64_t kOltpTotalTxns = 1600;
 /** Total DSS scan chunks per single-chip run. */
 inline constexpr std::uint64_t kDssTotalChunks = 64;
-
-/** Run @p cfg under @p wl with a fixed total amount of work. */
-inline RunResult
-runFixedWork(const SystemConfig &cfg, Workload &wl,
-             std::uint64_t total_work)
-{
-    PiranhaSystem sys(cfg);
-    std::uint64_t per_cpu =
-        std::max<std::uint64_t>(1, total_work / sys.totalCpus());
-    return sys.run(wl, per_cpu);
-}
-
-inline double
-ms(Tick t)
-{
-    return static_cast<double>(t) * 1e-9;
-}
 
 /**
  * Parse a numeric flag value strictly: all of @p s must be one number

@@ -56,13 +56,14 @@ usage()
         << "  --check-trace   attach the coherence checker to every\n"
         << "                  run (classifies silent corruption)\n"
         << "  --exec TIER     execution tier: thread|process\n"
-        << "  --journal DIR   write-ahead job journal for --resume\n"
+        << "  --journal DIR   job journal for --resume\n"
         << "  --resume        skip journal-completed runs "
            "(requires --journal)\n"
-        << "  --grace SEC     process tier: SIGTERM/SIGKILL grace past\n"
-        << "                  --timeout (default 1)\n"
         << "  --timeout SEC   per-run host wall-clock timeout\n"
-        << "  --retries N     max attempts per run (default 1)\n"
+        << "  --grace SEC     with --exec process: SIGTERM/SIGKILL grace\n"
+        << "                  past --timeout (default 1)\n"
+        << "  --retries N     with --exec process: max attempts per run\n"
+        << "                  whose worker dies (default 1)\n"
         << "  --list-kinds    print the known fault kinds\n";
     return 2;
 }
@@ -97,6 +98,7 @@ main(int argc, char **argv)
     unsigned nodes = 1;
     SweepOptions opts;
     opts.progress = &std::cerr;
+    bool process_only = false; // a flag only the process tier reads
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -154,19 +156,22 @@ main(int argc, char **argv)
         } else if (arg == "--resume") {
             opts.resume = true;
         } else if (arg == "--grace" && i + 1 < argc) {
+            process_only = true;
             if (!parseNumber(argv[++i], opts.killGraceSec))
                 return usage();
         } else if (arg == "--timeout" && i + 1 < argc) {
             if (!parseNumber(argv[++i], opts.jobTimeoutSec))
                 return usage();
         } else if (arg == "--retries" && i + 1 < argc) {
+            process_only = true;
             if (!parseNumber(argv[++i], opts.maxAttempts))
                 return usage();
         } else {
             return usage();
         }
     }
-    if (spec.injections == 0 || nodes == 0)
+    if (spec.injections == 0 || nodes == 0 ||
+        (process_only && opts.exec != ExecTier::Process))
         return usage();
     if (opts.resume && opts.journalDir.empty()) {
         std::cerr << "--resume requires --journal DIR\n";

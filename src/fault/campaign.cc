@@ -1,8 +1,6 @@
 #include "fault/campaign.h"
 
-#include <algorithm>
 #include <fstream>
-#include <memory>
 
 #include "check/checker.h"
 #include "fault/injector.h"
@@ -215,50 +213,52 @@ CampaignReport::writeJsonFile(const std::string &path,
 
 namespace {
 
-/** Body of one injected run: a self-contained CustomResult whose
- *  payload carries the full InjectionRecord. */
+/** Body of one injected run: the harness's job body with the plan
+ *  seeded and the checker attached, classified into a record that
+ *  rides back in the payload of a self-contained CustomResult. */
 CustomResult
 runInjection(const CampaignSpec &spec, std::uint64_t seed,
              const AbortCheck &should_abort)
 {
-    SystemConfig cfg = spec.config;
-    cfg.faults = spec.planTemplate;
-    cfg.faults.seed = seed;
+    SweepPoint pt;
+    pt.config = spec.config;
+    pt.config.faults = spec.planTemplate;
+    pt.config.faults.seed = seed;
+    pt.workload = spec.workload;
+    pt.maxTime = spec.maxTime;
 
     CoherenceTracer tracer;
     if (spec.checkTrace)
-        cfg.chip.tracer = &tracer;
+        pt.config.chip.tracer = &tracer;
 
-    // Panics (protocol inconsistencies exposed by an injected fault)
-    // must come back as exceptions, not process aborts: a detected
-    // inconsistency is a legitimate campaign outcome.
-    PanicThrowsGuard panic_guard;
+    // A host-side error propagates; the runner records a failed job.
+    JobResult jr = runSimulation(pt, should_abort, false);
+    const RunResult &run = jr.run;
 
     CustomResult cr;
     InjectionRecord rec;
     rec.seed = seed;
-    // Outlives the try: a run that ends in a panic still reports the
-    // faults that fired before it.
-    std::unique_ptr<PiranhaSystem> sys;
-    try {
-        std::unique_ptr<Workload> wl = spec.workload.make();
-        if (!wl)
-            throw std::runtime_error("workload factory returned null");
-        sys = std::make_unique<PiranhaSystem>(cfg);
-        std::uint64_t per_cpu = std::max<std::uint64_t>(
-            1, spec.workload.totalWork / sys->totalCpus());
-        RunResult run =
-            sys->run(*wl, per_cpu, spec.maxTime, should_abort);
+    // What fired and, for a run that did not finish, its dump: a
+    // panic's included.
+    rec.counters = run.faults;
+    rec.faults = run.firedFaults;
+    rec.watchdogDump = jr.crashReport;
 
-        rec.counters = run.faults;
-        rec.faults = run.firedFaults;
-        rec.watchdogDump = run.watchdogDump;
-        rec.stats = flattenRunResult(run);
+    if (endedInPanic(jr)) {
+        // The fault drove the model into a state it recognised as
+        // impossible — detected, not silent.
+        rec.outcome = FaultOutcome::Detected;
+        rec.detail = jr.error;
+    } else if (jr.status == JobStatus::TimedOut) {
         // The host stopped the run: a failed injection, not a
         // modelled outcome, and the runner records a timed-out job.
-        if (run.aborted && should_abort && should_abort())
-            throw std::runtime_error("host wall-clock timeout");
-
+        rec.stats = flattenRunResult(run);
+        rec.outcome = FaultOutcome::Failed;
+        rec.detail = jr.error;
+        cr.ok = false;
+        cr.error = jr.error;
+    } else {
+        rec.stats = flattenRunResult(run);
         bool checker_ran = false, checker_ok = true;
         if (spec.checkTrace) {
             checker_ran = true;
@@ -283,23 +283,6 @@ runInjection(const CampaignSpec &spec, std::uint64_t seed,
                 rec.detail = "max_time exhausted";
         }
         cr.stats = rec.stats;
-    } catch (const SimError &e) {
-        // A panic caught here means the fault drove the model into a
-        // state it recognised as impossible — detected, not silent.
-        rec.outcome = FaultOutcome::Detected;
-        rec.detail = e.what();
-        if (sys) {
-            rec.watchdogDump = sys->diagnosticDump(rec.detail);
-            if (sys->injector()) {
-                rec.counters = sys->injector()->counters;
-                rec.faults = sys->injector()->fired();
-            }
-        }
-    } catch (const std::exception &e) {
-        rec.outcome = FaultOutcome::Failed;
-        rec.detail = e.what();
-        cr.ok = false;
-        cr.error = e.what();
     }
     cr.payload = injectionRecordToJson(rec, true);
     return cr;
@@ -317,7 +300,6 @@ CampaignRunner::run(const CampaignSpec &spec) const
         SweepPoint pt;
         pt.label = strFormat("%s/seed%llu", spec.name.c_str(),
                              static_cast<unsigned long long>(seed));
-        pt.maxTime = spec.maxTime;
         // By value, so each job owns everything it reads.
         pt.custom = [spec, seed](const AbortCheck &should_abort) {
             return runInjection(spec, seed, should_abort);
@@ -344,14 +326,15 @@ CampaignRunner::run(const CampaignSpec &spec) const
             report.runs.push_back(
                 injectionRecordFromJson(jr.payload));
         } else {
-            // No payload at all: the worker died before reporting
-            // (crash-class process exit). Record the host failure.
+            // No payload at all: the body threw a host-side error,
+            // or the worker died before reporting (crash-class
+            // process exit). Record the host failure.
             InjectionRecord rec;
             rec.seed = spec.baseSeed + i;
             rec.outcome = FaultOutcome::Failed;
             rec.detail = jr.error.empty() ? "worker produced no result"
                                           : jr.error;
-            if (!jr.exitClass.empty())
+            if (!jr.exitClass.empty() && jr.exitClass != "ok")
                 rec.detail += strFormat(" [exit class: %s]",
                                         jr.exitClass.c_str());
             report.runs.push_back(std::move(rec));

@@ -23,10 +23,11 @@
  *              included (not a modelled fault outcome)
  *
  * Campaigns layer on SweepRunner: each injection is a custom sweep
- * job, so they inherit its thread pool, isolation, timeout, retry,
- * and SIGINT-drain machinery. A campaign with injections that never
- * fire (count = 0) produces runs bit-identical to a plain system —
- * tested by tests/fault_test.cc.
+ * job that runs the harness's job body (runSimulation) on its seeded
+ * plan, so they inherit its thread pool, panic isolation, timeout,
+ * process tier and SIGINT-drain machinery. A campaign with
+ * injections that never fire (count = 0) produces runs bit-identical
+ * to a plain system — tested by tests/fault_test.cc.
  */
 
 #ifndef PIRANHA_FAULT_CAMPAIGN_H

@@ -67,7 +67,7 @@ parseRecord(const std::string &text, std::size_t &pos, char &tag,
     if (p >= text.size())
         return false;
     tag = text[p];
-    if (tag != 'H' && tag != 'S' && tag != 'D')
+    if (tag != 'H' && tag != 'D')
         return false;
     ++p;
     if (p >= text.size() || text[p] != ' ')
@@ -128,7 +128,6 @@ JobJournal::load(const std::string &dir)
     buf << is.rdbuf();
     std::string text = buf.str();
 
-    std::map<std::string, bool> started; // label -> has valid D
     std::size_t pos = 0;
     while (pos < text.size()) {
         char tag;
@@ -140,14 +139,8 @@ JobJournal::load(const std::string &dir)
         JsonValue v;
         try {
             v = parseJson(payload);
-            if (tag == 'S') {
-                const JsonValue *label = v.find("label");
-                if (!label || !label->isString())
-                    throw std::runtime_error("S record without a label");
-                started.emplace(label->asString(), false);
-            } else if (tag == 'D') {
+            if (tag == 'D') {
                 JobResult jr = jobResultFromJson(v);
-                started[jr.label] = true;
                 rec.done[jr.label] = std::move(jr);
             }
         } catch (const std::exception &) {
@@ -165,18 +158,13 @@ JobJournal::load(const std::string &dir)
                     "journal %s: unsupported version %u (expected %u)",
                     filePath(dir).c_str(), rec.version, kVersion));
             rec.sweepName = v.at("sweep").asString();
-            rec.jobs = static_cast<std::size_t>(v.at("jobs").asNumber());
         }
     }
-    for (const auto &[label, has_done] : started)
-        if (!has_done)
-            rec.inFlight.push_back(label);
     return rec;
 }
 
 JobJournal::JobJournal(const std::string &dir,
-                       const std::string &sweep_name, std::size_t njobs,
-                       bool append)
+                       const std::string &sweep_name, bool append)
     : _path(filePath(dir))
 {
     // Create the directory chain without depending on <filesystem>
@@ -197,7 +185,6 @@ JobJournal::JobJournal(const std::string &dir,
         JsonValue h = JsonValue::object();
         h.set("version", static_cast<double>(kVersion));
         h.set("sweep", sweep_name);
-        h.set("jobs", static_cast<double>(njobs));
         writeRecord('H', h.dump(0));
     }
 }
@@ -230,14 +217,6 @@ JobJournal::writeRecord(char tag, const std::string &payload)
     // Durability is the contract: a recorded result must survive a
     // supervisor kill immediately after.
     ::fsync(_fd);
-}
-
-void
-JobJournal::recordStart(const std::string &label)
-{
-    JsonValue v = JsonValue::object();
-    v.set("label", label);
-    writeRecord('S', v.dump(0));
 }
 
 void

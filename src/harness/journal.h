@@ -1,7 +1,6 @@
 /**
  * @file
- * Write-ahead job journal for resumable sweeps and campaigns
- * (DESIGN.md §14).
+ * Job journal for resumable sweeps and campaigns (DESIGN.md §14).
  *
  * The journal is a single append-only file, DIR/journal.log, written
  * by the sweep runner when SweepOptions::journalDir is set. Every
@@ -9,19 +8,19 @@
  *
  *   <tag> <payload-bytes> <fnv1a64-hex16> <payload>\n
  *
- * with tags H (header: version, sweep name, job count), S (job
- * started: written and fsynced BEFORE the job launches) and D (job
- * done: the full per-job report JSON, fsynced on completion). The
- * payload is compact JSON (no raw newlines — the serializer escapes
- * control characters), so a journal is also greppable line-by-line.
+ * with tags H (header: version and sweep name) and D (job done: the
+ * full per-job report JSON, fsynced on completion). The payload is
+ * compact JSON (no raw newlines — the serializer escapes control
+ * characters), so a journal is also greppable line-by-line.
  *
  * Crash consistency is the whole point of the framing: a supervisor
  * killed mid-write leaves a partial trailing record, and a corrupt or
  * truncated record fails its length/checksum/parse check. The loader
  * stops at the FIRST invalid record and discards everything after it
- * — a job whose D record is damaged therefore counts as in-flight
- * (re-run on --resume), never as silently complete. Re-running a job
- * is always safe (deterministic universes); skipping one never is.
+ * — a job whose D record is damaged therefore counts as not done
+ * (re-run on --resume, like every job without a valid D record),
+ * never as silently complete. Re-running a job is always safe
+ * (deterministic universes); skipping one never is.
  */
 
 #ifndef PIRANHA_HARNESS_JOURNAL_H
@@ -30,7 +29,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "harness/sweep.h"
 
@@ -44,21 +42,16 @@ class JobJournal
 {
   public:
     /** Current journal format version (H record "version"). */
-    static constexpr unsigned kVersion = 1;
+    static constexpr unsigned kVersion = 2;
 
     /** What load() recovered from an existing journal. */
     struct Recovery
     {
         unsigned version = 0;     //!< 0 when the file had no header
         std::string sweepName;    //!< from the H record
-        std::size_t jobs = 0;     //!< declared job count
 
         /** label -> final recorded result (last D record wins). */
         std::map<std::string, JobResult> done;
-
-        /** Labels with an S record but no valid D record: they were
-         *  in flight (or their D record was damaged) — re-run them. */
-        std::vector<std::string> inFlight;
 
         /** The tail of the file was truncated, corrupt, or garbage;
          *  every record after the damage was discarded. */
@@ -72,8 +65,8 @@ class JobJournal
      * Parse DIR/journal.log. A missing file yields an empty Recovery;
      * an unsupported version throws std::runtime_error (resuming
      * under the wrong format must fail loudly, not re-run silently).
-     * An S or D record that passes its checksum but does not parse,
-     * or holds values off the JobResult schema, is damage like a cut
+     * A D record that passes its checksum but does not parse, or
+     * holds values off the JobResult schema, is damage like a cut
      * record: loading stops there.
      */
     static Recovery load(const std::string &dir);
@@ -85,14 +78,11 @@ class JobJournal
      * run must not splice onto a stale journal).
      */
     JobJournal(const std::string &dir, const std::string &sweep_name,
-               std::size_t njobs, bool append);
+               bool append);
     ~JobJournal();
 
     JobJournal(const JobJournal &) = delete;
     JobJournal &operator=(const JobJournal &) = delete;
-
-    /** Write-ahead record: @p label is about to launch. fsyncs. */
-    void recordStart(const std::string &label);
 
     /** Final record for a finished job (any terminal status). fsyncs
      *  so a supervisor crash right after cannot lose the result. */

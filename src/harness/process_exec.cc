@@ -43,6 +43,9 @@ namespace {
 
 using HostClock = std::chrono::steady_clock;
 
+/** Backoff base between attempts of a job whose worker died. */
+constexpr double kRetryBackoffSec = 0.1;
+
 double
 secondsSince(HostClock::time_point t0)
 {
@@ -201,26 +204,14 @@ workerMain(const SweepOptions &opts, const SweepPoint &pt,
 #endif
     installWorkerCrashReporter(result_fd);
 
-    WorkerFault fault = WorkerFault::None;
     auto it = opts.chaos.byIndex.find(index);
-    if (it != opts.chaos.byIndex.end() &&
-        (opts.chaos.onAttempt == 0 || attempt == opts.chaos.onAttempt))
-        fault = it->second;
-    if (fault != WorkerFault::None)
-        applyChaos(fault, result_fd);
+    if (it != opts.chaos.byIndex.end() && attempt == 1 &&
+        it->second != WorkerFault::None)
+        applyChaos(it->second, result_fd);
 
-    // One attempt per process: retry policy (including TransientError)
-    // lives in the supervisor, where backoff can be enforced even on
-    // workers that die.
-    SweepOptions wopts = opts;
-    wopts.maxAttempts = 1;
-    wopts.progress = nullptr;
-    wopts.cancel = nullptr;
-    wopts.journalDir.clear();
-    wopts.resume = false;
-    wopts.exec = ExecTier::Thread;
-    wopts.chaos = ProcessChaos{};
-    JobResult jr = SweepRunner(wopts).runJob(pt);
+    // One attempt per process (runJob runs the point once, in this
+    // thread): retrying a dead worker is the supervisor's job.
+    JobResult jr = SweepRunner(opts).runJob(pt);
 
     std::string payload =
         jobResultToJson(jr, opts.captureStatTree).dump(0);
@@ -313,7 +304,6 @@ struct Supervisor
     std::vector<Retry> retries;
     std::vector<Child> kids;
     std::vector<HostClock::time_point> firstStart;
-    std::vector<std::string> lastError;
     std::vector<std::string> lastCrash;
 
     std::size_t progressDone;
@@ -325,8 +315,8 @@ struct Supervisor
                const std::vector<SweepPoint> &pts, JobJournal *j,
                SweepReport &rep, std::size_t progress_base)
         : opts(o), points(pts), journal(j), report(rep),
-          firstStart(pts.size()), lastError(pts.size()),
-          lastCrash(pts.size()), progressDone(progress_base),
+          firstStart(pts.size()), lastCrash(pts.size()),
+          progressDone(progress_base),
           maxAttempts(std::max(1u, o.maxAttempts))
     {}
 
@@ -360,11 +350,8 @@ struct Supervisor
     void
     spawn(std::size_t idx, unsigned attempt)
     {
-        if (attempt == 1) {
+        if (attempt == 1)
             firstStart[idx] = HostClock::now();
-            if (journal)
-                journal->recordStart(points[idx].label);
-        }
         int res[2];
         if (::pipe(res) != 0)
             fatal("pipe() failed: %s", std::strerror(errno));
@@ -373,12 +360,11 @@ struct Supervisor
         pid_t pid = ::fork();
         if (pid < 0) {
             // Treat like a crash-class failure of this attempt.
+            std::string why =
+                strFormat("fork failed: %s", std::strerror(errno));
             ::close(res[0]);
             ::close(res[1]);
-            lastError[idx] =
-                strFormat("fork failed: %s", std::strerror(errno));
-            crashOutcome(idx, attempt, ExitClass::Exit,
-                         lastError[idx], "");
+            crashOutcome(idx, attempt, ExitClass::Exit, why, "");
             return;
         }
         if (pid == 0) {
@@ -418,7 +404,6 @@ struct Supervisor
     crashOutcome(std::size_t idx, unsigned attempt, ExitClass cls,
                  const std::string &error, const std::string &crash)
     {
-        lastError[idx] = error;
         if (!crash.empty())
             lastCrash[idx] = crash;
         if (attempt < maxAttempts) {
@@ -435,7 +420,7 @@ struct Supervisor
                 HostClock::now() +
                 std::chrono::duration_cast<HostClock::duration>(
                     std::chrono::duration<double>(
-                        retryBackoff(opts.retryBackoffSec, attempt)));
+                        retryBackoff(kRetryBackoffSec, attempt)));
             retries.push_back(r);
             return;
         }
@@ -489,20 +474,10 @@ struct Supervisor
                              out.crashReport);
                 return;
             }
-            // A valid frame is authoritative; only the PR 5 transient
-            // taxonomy is retryable.
-            if (jr.status == JobStatus::Failed && jr.transient &&
-                c.attempt < maxAttempts) {
-                crashOutcome(c.idx, c.attempt, ExitClass::Ok,
-                             jr.error.empty() ? "transient failure"
-                                              : jr.error,
-                             out.crashReport);
-                return;
-            }
+            // A valid frame is authoritative, whatever its status: a
+            // deterministic universe fails the same way every time.
             jr.attempts = c.attempt;
             jr.exitClass = exitClassName(ExitClass::Ok);
-            if (!out.crashReport.empty())
-                jr.crashReport = out.crashReport;
             jr.hostSeconds = secondsSince(firstStart[c.idx]);
             finalize(c.idx, std::move(jr));
             return;

@@ -23,7 +23,7 @@
  * ("oom" — the host OOM killer is the usual sender), or exit 0 with a
  * missing/malformed result frame ("protocol"). Abnormal exits are
  * retried with bounded exponential backoff; a valid frame is
- * authoritative and only retried when it marks a TransientError.
+ * authoritative and never retried.
  */
 
 #ifndef PIRANHA_HARNESS_PROCESS_EXEC_H
@@ -69,11 +69,10 @@ void installWorkerCrashReporter(int fd);
 
 /**
  * Run @p todo (indices into @p points) on forked worker processes and
- * fill the corresponding report slots. Journal records (when
- * @p journal is non-null) are written write-ahead per first attempt
- * and fsynced per completion. Honors opts.cancel with the same drain
- * semantics as the thread tier. Returns true when the sweep saw a
- * cancellation.
+ * fill the corresponding report slots. Each final result is fsynced
+ * to @p journal when it is non-null. Honors opts.cancel with the same
+ * drain semantics as the thread tier. Returns true when the sweep saw
+ * a cancellation.
  *
  * The caller must be effectively single-threaded: the supervisor
  * forks, and a fork in a multithreaded process can inherit held

@@ -145,8 +145,6 @@ jobResultToJson(const JobResult &j, bool include_stat_tree)
         jo.set("exit_class", j.exitClass);
     if (j.fromJournal)
         jo.set("resumed", true);
-    if (j.transient)
-        jo.set("transient", true);
     if (j.run.engineFallback)
         jo.set("engine_fallback", true);
     if (!j.crashReport.empty())
@@ -225,7 +223,6 @@ jobResultFromJson(const JsonValue &v)
     j.eventsPerHostSec = num("events_per_host_sec", 0);
     j.error = str("error");
     j.exitClass = str("exit_class");
-    j.transient = flag("transient");
     j.run.engineFallback = flag("engine_fallback");
     j.crashReport = str("crash_report");
     // "resumed" is a property of the run that loaded the journal, not

@@ -20,7 +20,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -71,12 +70,12 @@ struct SweepPoint
     WorkloadDecl workload;
     Tick maxTime = 100 * 1000 * ticksPerUs; //!< simulated-time bound
 
-    /** When set, the job runs this body instead of building a
-     *  PiranhaSystem (litmus sweep, fault campaign); it must be
+    /** When set, the job runs this body instead of the job body
+     *  (litmus sweep, the cmi study, fault campaign); it must be
      *  self-contained and deterministic like any other point. A body
-     *  that runs a system passes the abort check on to
-     *  PiranhaSystem::run; one that fails after the check fires is
-     *  recorded as timed out. */
+     *  that runs a workload passes the abort check on to
+     *  runSimulation, as the campaign does; one that fails after the
+     *  check fires is recorded as timed out. */
     std::function<CustomResult(const AbortCheck &)> custom;
 };
 
@@ -106,23 +105,6 @@ struct SweepSpec
     Tick maxTime = 100 * 1000 * ticksPerUs;
 };
 
-/**
- * A transient host-side failure (resource exhaustion, a flaky I/O
- * path in a custom job body, ...). The runner retries a job that
- * throws this, with bounded attempts and exponential backoff
- * (SweepOptions::maxAttempts / retryBackoffSec). Deterministic
- * simulation errors must NOT use this type: anything else thrown from
- * a job is recorded as Failed on the first attempt, because a
- * deterministic universe fails identically every time.
- */
-class TransientError : public std::runtime_error
-{
-  public:
-    explicit TransientError(const std::string &what)
-        : std::runtime_error(what)
-    {}
-};
-
 /** Outcome of one executed job. */
 enum class JobStatus { Ok, Failed, TimedOut, Cancelled };
 
@@ -137,14 +119,18 @@ struct JobResult
 {
     std::string label;
     JobStatus status = JobStatus::Ok;
-    std::string error;   //!< exception text when status == Failed
+    /** Why the job did not end ok: the exception or panic text, how
+     *  the run stopped short, or how its worker died. */
+    std::string error;
 
-    /** Executions the job took (> 1 only after a retryable failure:
-     *  TransientError, or a crash-class worker exit on the process
-     *  tier). */
+    /** Executions the job took (> 1 only after a crash-class worker
+     *  exit on the process tier). */
     unsigned attempts = 1;
 
-    RunResult run;                        //!< valid when status == Ok
+    /** The run's result. A run that stopped short (failed or
+     *  timed_out) holds the state it stopped in; after a panic only
+     *  the fault counters and fired faults are set. */
+    RunResult run;
     std::map<std::string, double> stats;  //!< flat named stats from run
     JsonValue statTree;                   //!< full StatGroup snapshot
     double hostSeconds = 0;               //!< wall-clock cost of the job
@@ -163,12 +149,10 @@ struct JobResult
      *  than executed in this run. */
     bool fromJournal = false;
 
-    /** The final failure was a TransientError (wire metadata: the
-     *  process supervisor retries these across worker processes). */
-    bool transient = false;
-
-    /** Best-effort diagnostic dump written by a crashing worker's
-     *  signal handler (the PR 5 watchdog dump format). */
+    /** Diagnostic dump of a run that did not finish: the watchdog's
+     *  or max_time's dump, the state a panic left, or what a crashing
+     *  worker's signal handler wrote (the same dump format). A
+     *  machine check leaves none. */
     std::string crashReport;
 
     /** Opaque structured result from a custom job body (see

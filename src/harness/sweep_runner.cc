@@ -8,8 +8,10 @@
 #include <mutex>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
+#include "fault/injector.h"
 #include "harness/journal.h"
 #include "harness/process_exec.h"
 #include "sim/logging.h"
@@ -53,41 +55,72 @@ retryBackoff(double base_sec, unsigned attempt)
 }
 
 JobResult
-SweepRunner::runJob(const SweepPoint &pt) const
+runSimulation(const SweepPoint &pt, const AbortCheck &abort_check,
+              bool capture_stat_tree)
 {
     JobResult jr;
-    unsigned max_attempts = std::max(1u, _opts.maxAttempts);
-    HostClock::time_point t_first = HostClock::now();
-    bool transient = false;
-    for (unsigned attempt = 1;; ++attempt) {
-        transient = false;
-        jr = runJobOnce(pt, transient);
-        jr.attempts = attempt;
-        if (jr.status != JobStatus::Failed || !transient ||
-            attempt >= max_attempts)
-            break;
-        if (_opts.retryBackoffSec > 0)
-            std::this_thread::sleep_for(std::chrono::duration<double>(
-                retryBackoff(_opts.retryBackoffSec, attempt)));
+    // A panic is an inconsistency the model caught: it ends this job,
+    // not the process. The system outlives the try, so the result
+    // still shows the state the panic left.
+    PanicThrowsGuard panic_guard;
+    std::unique_ptr<PiranhaSystem> sys;
+    try {
+        std::unique_ptr<Workload> wl = pt.workload.make();
+        if (!wl)
+            throw std::runtime_error("workload factory returned null");
+        sys = std::make_unique<PiranhaSystem>(pt.config);
+        // In a process-tier worker, a crash from here on dumps this
+        // system's diagnostics into the PJX1 crash report.
+        CrashDumpScope crash_scope(sys.get());
+        std::uint64_t per_cpu = std::max<std::uint64_t>(
+            1, pt.workload.totalWork / sys->totalCpus());
+        jr.run = sys->run(*wl, per_cpu, pt.maxTime, abort_check);
+
+        const RunResult &r = jr.run;
+        if (r.aborted && abort_check && abort_check()) {
+            jr.status = JobStatus::TimedOut;
+            jr.error = "host wall-clock timeout";
+        } else if (r.machineCheck) {
+            jr.status = JobStatus::Failed;
+            jr.error = "machine check: " + r.machineCheckReason;
+        } else if (r.watchdogTripped) {
+            jr.status = JobStatus::Failed;
+            jr.error = "watchdog tripped: " + r.watchdogReason;
+        } else if (r.aborted) {
+            jr.status = JobStatus::Failed;
+            jr.error = "max_time exhausted";
+        }
+        jr.crashReport = r.watchdogDump;
+        if (jr.status == JobStatus::Ok) {
+            jr.stats = flattenRunResult(r);
+            if (capture_stat_tree)
+                jr.statTree = statGroupToJson(sys->stats());
+        }
+    } catch (const SimError &e) {
+        jr.status = JobStatus::Failed;
+        jr.error = e.what();
+        if (sys) {
+            jr.crashReport = sys->diagnosticDump(jr.error);
+            if (const FaultInjector *inj = sys->injector()) {
+                jr.run.faults = inj->counters;
+                jr.run.firedFaults = inj->fired();
+            }
+        }
     }
-    // Wire metadata for the process supervisor: it retries transient
-    // failures across worker processes, with its own backoff.
-    jr.transient = jr.status == JobStatus::Failed && transient;
-    // Host cost of the job includes failed attempts and backoff.
-    jr.hostSeconds = secondsSince(t_first);
-    if (jr.status == JobStatus::Ok && jr.hostSeconds > 0)
-        jr.eventsPerHostSec =
-            static_cast<double>(jr.run.eventsExecuted) / jr.hostSeconds;
     return jr;
 }
 
-JobResult
-SweepRunner::runJobOnce(const SweepPoint &pt, bool &transient) const
+bool
+endedInPanic(const JobResult &jr)
 {
-    JobResult jr;
-    jr.label = pt.label;
-    HostClock::time_point t0 = HostClock::now();
+    return jr.status == JobStatus::Failed && !jr.run.aborted &&
+           !jr.run.machineCheck;
+}
 
+JobResult
+SweepRunner::runJob(const SweepPoint &pt) const
+{
+    HostClock::time_point t0 = HostClock::now();
     AbortCheck abort_check;
     if (_opts.jobTimeoutSec > 0) {
         HostClock::time_point deadline =
@@ -96,6 +129,7 @@ SweepRunner::runJobOnce(const SweepPoint &pt, bool &transient) const
         abort_check = [deadline] { return HostClock::now() >= deadline; };
     }
 
+    JobResult jr;
     try {
         if (pt.custom) {
             CustomResult cr = pt.custom(abort_check);
@@ -109,40 +143,16 @@ SweepRunner::runJobOnce(const SweepPoint &pt, bool &transient) const
             }
             jr.stats = std::move(cr.stats);
             jr.payload = std::move(cr.payload);
-            jr.hostSeconds = secondsSince(t0);
-            return jr;
-        }
-        std::unique_ptr<Workload> wl = pt.workload.make();
-        if (!wl)
-            throw std::runtime_error("workload factory returned null");
-        SystemConfig cfg = pt.config;
-        if (_opts.engine == EngineKind::Parallel) {
-            cfg.engine = EngineKind::Parallel;
-            cfg.shards = _opts.engineShards;
-        }
-        if (_opts.drainStop)
-            cfg.drainStop = true;
-        PiranhaSystem sys(cfg);
-        // In a process-tier worker, a crash from here on dumps this
-        // system's diagnostics into the PJX1 crash report.
-        CrashDumpScope crash_scope(&sys);
-        std::uint64_t per_cpu = std::max<std::uint64_t>(
-            1, pt.workload.totalWork / sys.totalCpus());
-        jr.run = sys.run(*wl, per_cpu, pt.maxTime, abort_check);
-        if (jr.run.aborted && abort_check && abort_check()) {
-            jr.status = JobStatus::TimedOut;
-            jr.error = "host wall-clock timeout";
         } else {
-            jr.stats = flattenRunResult(jr.run);
-            // Snapshot while the system (which owns the counters) is
-            // still alive.
-            if (_opts.captureStatTree)
-                jr.statTree = statGroupToJson(sys.stats());
+            SweepPoint sim = pt;
+            if (_opts.engine == EngineKind::Parallel) {
+                sim.config.engine = EngineKind::Parallel;
+                sim.config.shards = _opts.engineShards;
+            }
+            if (_opts.drainStop)
+                sim.config.drainStop = true;
+            jr = runSimulation(sim, abort_check, _opts.captureStatTree);
         }
-    } catch (const TransientError &e) {
-        jr.status = JobStatus::Failed;
-        jr.error = e.what();
-        transient = true;
     } catch (const std::exception &e) {
         jr.status = JobStatus::Failed;
         jr.error = e.what();
@@ -150,6 +160,7 @@ SweepRunner::runJobOnce(const SweepPoint &pt, bool &transient) const
         jr.status = JobStatus::Failed;
         jr.error = "unknown exception";
     }
+    jr.label = pt.label;
 
     jr.hostSeconds = secondsSince(t0);
     if (jr.status == JobStatus::Ok && jr.hostSeconds > 0)
@@ -212,10 +223,6 @@ runThreadPool(const SweepRunner &runner, const SweepOptions &opts,
                 jr.label = points[i].label;
                 jr.status = JobStatus::Cancelled;
             } else {
-                if (journal) {
-                    std::lock_guard<std::mutex> lock(mu);
-                    journal->recordStart(points[i].label);
-                }
                 jr = runner.runJob(points[i]);
             }
             std::lock_guard<std::mutex> lock(mu);
@@ -313,8 +320,8 @@ SweepRunner::run(const std::string &name,
 
     std::unique_ptr<JobJournal> journal;
     if (!_opts.journalDir.empty())
-        journal = std::make_unique<JobJournal>(
-            _opts.journalDir, name, points.size(), _opts.resume);
+        journal = std::make_unique<JobJournal>(_opts.journalDir, name,
+                                               _opts.resume);
 
     bool saw_cancel = false;
     if (todo.empty()) {

@@ -9,12 +9,15 @@
  * runs on one thread or sixteen — parallelism only reorders which
  * host thread computes which universe, never the events inside one.
  *
- * Jobs are isolated: a job whose construction or run throws is
- * recorded as Failed (with the exception text) without taking down
- * the process or the other jobs, and a job exceeding the host
- * wall-clock timeout is stopped cooperatively (via the
- * PiranhaSystem::run abort hook) and recorded as TimedOut. A job that
- * must be killed from outside runs on the process tier.
+ * Every simulation job runs through one job body (runSimulation),
+ * which records how the run ended: only a run that finished its work
+ * is Ok. One that throws, panics, trips the watchdog, raises a machine
+ * check or runs out of simulated time is Failed, with the reason, and
+ * neither the process nor the other jobs notice (except a panic on a
+ * parallel-engine shard thread, which still aborts the process). A job exceeding the host wall-clock timeout is stopped
+ * cooperatively (via the PiranhaSystem::run abort hook) and recorded
+ * as TimedOut. A job that must be killed from outside runs on the
+ * process tier.
  */
 
 #ifndef PIRANHA_HARNESS_SWEEP_RUNNER_H
@@ -40,7 +43,7 @@ namespace piranha {
  * crashing/hanging/OOM-killed worker costs exactly its own job: the
  * supervisor classifies the exit, SIGKILLs hung workers after a
  * grace period, and retries crash-class exits with bounded
- * exponential backoff.
+ * exponential backoff. Those retries are the harness's only ones.
  */
 enum class ExecTier { Thread, Process };
 
@@ -63,13 +66,11 @@ enum class WorkerFault
 /** Fault plan for the process tier itself (tests / ci.sh crashsafe). */
 struct ProcessChaos
 {
-    /** Job index (in the expanded point vector) -> injected fault. */
+    /** Job index (in the expanded point vector) -> injected fault.
+     *  The fault fires on the job's first attempt only, so a retried
+     *  job runs clean and a chaos run's final report is identical to
+     *  a clean run modulo attempt metadata. */
     std::map<std::size_t, WorkerFault> byIndex;
-
-    /** Attempt the fault fires on; 0 = every attempt. The default (1)
-     *  makes retried jobs succeed, so a chaos run's final report is
-     *  provably identical to a clean run modulo attempt metadata. */
-    unsigned onAttempt = 1;
 
     /** When > 0, the supervisor _exit(42)s right after recording its
      *  N-th job result — a deterministic stand-in for kill -9 on the
@@ -93,17 +94,13 @@ struct SweepOptions
     bool captureStatTree = true;
 
     /**
-     * Executions allowed per job when it fails with a TransientError
-     * (see sweep.h); 1 = no retry. Deterministic failures (any other
-     * exception) are never retried — a deterministic universe fails
-     * identically every time.
+     * Process tier only: executions allowed per job when its worker
+     * dies without a result (a crash-class exit); 1 = no retry. After
+     * failed attempt k the supervisor waits retryBackoff(0.1, k). A
+     * job that reports any result, a failed one included, is never
+     * retried: a deterministic universe fails identically every time.
      */
     unsigned maxAttempts = 1;
-
-    /** Backoff base between attempts: after failed attempt k, both
-     *  tiers wait retryBackoff(retryBackoffSec, k), that is
-     *  retryBackoffSec * 2^(k-1) capped at 10 s. */
-    double retryBackoffSec = 0.1;
 
     /**
      * Cooperative cancellation (SIGINT drain): when the pointee
@@ -136,8 +133,7 @@ struct SweepOptions
     ExecTier exec = ExecTier::Thread;
 
     /**
-     * Write-ahead job journal directory (empty = journaling off).
-     * Each job's launch is recorded before it starts and its full
+     * Job journal directory (empty = journaling off). Each job's full
      * result is fsynced when it finishes, so a killed sweep can be
      * resumed (DESIGN.md §14).
      */
@@ -146,8 +142,8 @@ struct SweepOptions
     /**
      * Resume from journalDir: jobs with a valid completion record are
      * loaded into the report (flagged fromJournal) instead of re-run;
-     * in-flight, cancelled, and damaged-record jobs re-run. The
-     * resumed aggregate report is bit-identical (modulo attempt /
+     * every other job (in flight, cancelled, damaged record) re-runs.
+     * The resumed aggregate report is bit-identical (modulo attempt /
      * exit-class / resumed metadata) to an uninterrupted run.
      */
     bool resume = false;
@@ -171,6 +167,38 @@ struct SweepOptions
 double retryBackoff(double base_sec, unsigned attempt);
 
 /**
+ * The one job body: build @p pt's system, run its workload under
+ * @p abort_check and record how the run ended. The sweep runner and
+ * the fault campaign both run simulations through it. A panic raised
+ * on the calling thread comes back as a Failed result (the system
+ * outlives it, so its diagnostic dump and fault records survive),
+ * never as a process abort; one raised on a parallel-engine shard
+ * thread still aborts. Status and error name the end:
+ *
+ *   ok         the run completed its work
+ *   timed_out  the host stopped it ("host wall-clock timeout")
+ *   failed     "watchdog tripped: <reason>", "machine check:
+ *              <reason>", "max_time exhausted" or the "panic: ..."
+ *              text
+ *
+ * A watchdog trip, max_time and a panic leave a diagnostic dump in
+ * crashReport; a machine check leaves none (its reason names the
+ * site). Only an ok job carries stats, and its stat tree when
+ * @p capture_stat_tree is set. Any other exception (a host-side
+ * error) propagates to the caller.
+ */
+JobResult runSimulation(const SweepPoint &pt,
+                        const AbortCheck &abort_check,
+                        bool capture_stat_tree);
+
+/** Whether @p jr, a runSimulation result, ended in a panic: the one
+ *  end whose run did not come back. Every other Failed or TimedOut
+ *  end sets RunResult::aborted or machineCheck, and jr.run is the
+ *  run's result; after a panic it holds only the fault counters and
+ *  fired faults. */
+bool endedInPanic(const JobResult &jr);
+
+/**
  * The live "[k/n] label: status (…)" line for a finished job, without
  * the newline; both tiers print it. The exit class is shown when it is
  * not "ok", the attempt count when it is above one.
@@ -192,18 +220,15 @@ class SweepRunner
                     const std::vector<SweepPoint> &points) const;
 
     /** Execute one point in the calling thread (no pool, no timeout
-     *  unless opts.jobTimeoutSec is set). Exceptions are captured;
-     *  TransientError triggers the bounded retry loop. */
+     *  unless opts.jobTimeoutSec is set), once: a simulation point
+     *  through runSimulation, a custom point through its body. An
+     *  exception out of either is captured as a Failed result. */
     JobResult runJob(const SweepPoint &pt) const;
 
     /** Threads run() will actually use for @p njobs jobs. */
     unsigned effectiveThreads(size_t njobs) const;
 
   private:
-    /** One attempt; @p transient reports whether a failure was a
-     *  TransientError (and thus eligible for retry). */
-    JobResult runJobOnce(const SweepPoint &pt, bool &transient) const;
-
     SweepOptions _opts;
 };
 

@@ -3,7 +3,7 @@
  * Tests for the fault-injection subsystem (src/fault/): per-category
  * outcome classes, campaign determinism, the zero-fault bit-identity
  * guarantee, the forward-progress watchdog, and the sweep harness's
- * retry and cancellation machinery the campaigns ride on.
+ * no-retry rule and cancellation machinery the campaigns ride on.
  *
  * The seeded expectations (seed N of workload W lands in outcome O)
  * are deterministic by construction: a campaign run is a pure
@@ -365,48 +365,6 @@ TEST(Campaign, JsonReportIsCompleteAndWritable)
 // ---------------------------------------------------------------------
 // Sweep-harness machinery the campaigns ride on (compiled both ways).
 
-TEST(SweepRetry, TransientFailuresRetryUpToMaxAttempts)
-{
-    auto attempts_seen = std::make_shared<std::atomic<int>>(0);
-    SweepPoint pt;
-    pt.label = "flaky";
-    pt.custom = [attempts_seen](const AbortCheck &) -> CustomResult {
-        if (attempts_seen->fetch_add(1) < 2)
-            throw TransientError("flaky host resource");
-        CustomResult cr;
-        cr.stats["value"] = 42;
-        return cr;
-    };
-    SweepOptions opts = serialOpts();
-    opts.maxAttempts = 3;
-    opts.retryBackoffSec = 0; // no need to sleep in tests
-    SweepReport rep = SweepRunner(opts).run("retry", {pt});
-    ASSERT_EQ(rep.jobs.size(), 1u);
-    EXPECT_EQ(rep.jobs[0].status, JobStatus::Ok);
-    EXPECT_EQ(rep.jobs[0].attempts, 3u);
-    EXPECT_EQ(rep.jobs[0].stats.at("value"), 42);
-    // The report records the attempt count.
-    EXPECT_NE(rep.toJson(false).dump(0).find("\"attempts\""),
-              std::string::npos);
-}
-
-TEST(SweepRetry, ExhaustedAttemptsFail)
-{
-    SweepPoint pt;
-    pt.label = "always-flaky";
-    pt.custom = [](const AbortCheck &) -> CustomResult {
-        throw TransientError("never recovers");
-    };
-    SweepOptions opts = serialOpts();
-    opts.maxAttempts = 2;
-    opts.retryBackoffSec = 0;
-    SweepReport rep = SweepRunner(opts).run("retry", {pt});
-    ASSERT_EQ(rep.jobs.size(), 1u);
-    EXPECT_EQ(rep.jobs[0].status, JobStatus::Failed);
-    EXPECT_EQ(rep.jobs[0].attempts, 2u);
-    EXPECT_EQ(rep.jobs[0].error, "never recovers");
-}
-
 TEST(SweepRetry, DeterministicFailuresAreNeverRetried)
 {
     auto calls = std::make_shared<std::atomic<int>>(0);
@@ -418,7 +376,6 @@ TEST(SweepRetry, DeterministicFailuresAreNeverRetried)
     };
     SweepOptions opts = serialOpts();
     opts.maxAttempts = 5;
-    opts.retryBackoffSec = 0;
     SweepReport rep = SweepRunner(opts).run("retry", {pt});
     ASSERT_EQ(rep.jobs.size(), 1u);
     EXPECT_EQ(rep.jobs[0].status, JobStatus::Failed);
@@ -428,8 +385,9 @@ TEST(SweepRetry, DeterministicFailuresAreNeverRetried)
 
 TEST(SweepRetry, BackoffDoublesUpToTenSeconds)
 {
-    // One policy for both tiers: base * 2^(attempt-1), capped at 10 s,
-    // and defined for any attempt count (no shift past the word).
+    // The process tier's backoff: base * 2^(attempt-1), capped at
+    // 10 s, and defined for any attempt count (no shift past the
+    // word).
     const double expect[] = {0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4, 10.0};
     for (unsigned k = 1; k <= 8; ++k)
         EXPECT_DOUBLE_EQ(retryBackoff(0.1, k), expect[k - 1]) << k;

@@ -3,9 +3,9 @@
  * Tests for the write-ahead job journal (src/harness/journal.*) and
  * the JobResult JSON round trip it depends on: framed/checksummed
  * records, damage detection (truncated tails, corrupt bytes, garbage
- * appends — all treated as in-flight, never silently skipped),
- * version gating, and --resume producing reports bit-identical to an
- * uninterrupted run.
+ * appends — the damaged job counts as not done and re-runs, never
+ * silently skipped), version gating, and --resume producing reports
+ * bit-identical to an uninterrupted run.
  */
 
 #include <gtest/gtest.h>
@@ -134,7 +134,6 @@ TEST(JobResultJson, FailureMetadataRoundTrips)
     a.error = "worker killed by signal 11 (Segmentation fault)";
     a.attempts = 3;
     a.exitClass = "signal";
-    a.transient = true;
     a.crashReport = "worker crash: signal 11\nstate dump...";
     a.payload = JsonValue::object();
     a.payload.set("seed", 7.0);
@@ -144,7 +143,6 @@ TEST(JobResultJson, FailureMetadataRoundTrips)
     EXPECT_EQ(b.error, a.error);
     EXPECT_EQ(b.attempts, 3u);
     EXPECT_EQ(b.exitClass, "signal");
-    EXPECT_TRUE(b.transient);
     EXPECT_EQ(b.crashReport, a.crashReport);
     EXPECT_EQ(b.payload.dump(), a.payload.dump());
 }
@@ -162,23 +160,20 @@ TEST(JobJournal, RecordsStartAndDoneAndLoadsThemBack)
     TempDir tmp;
     JobResult jr = runSimJob("j1");
     {
-        JobJournal j(tmp.dir(), "mysweep", 3, false);
-        j.recordStart("j1");
+        // j2 is launched too but never finishes: no record names it.
+        JobJournal j(tmp.dir(), "mysweep", false);
         j.recordDone(jr, true);
-        j.recordStart("j2"); // launched, never finished
     }
     ASSERT_TRUE(JobJournal::exists(tmp.dir()));
 
     JobJournal::Recovery rec = JobJournal::load(tmp.dir());
     EXPECT_EQ(rec.version, JobJournal::kVersion);
     EXPECT_EQ(rec.sweepName, "mysweep");
-    EXPECT_EQ(rec.jobs, 3u);
     EXPECT_FALSE(rec.truncated);
     ASSERT_EQ(rec.done.count("j1"), 1u);
     EXPECT_EQ(rec.done.at("j1").stats, jr.stats);
     EXPECT_EQ(rec.done.at("j1").statTree.dump(), jr.statTree.dump());
-    ASSERT_EQ(rec.inFlight.size(), 1u);
-    EXPECT_EQ(rec.inFlight[0], "j2");
+    EXPECT_EQ(rec.done.count("j2"), 0u);
 }
 
 TEST(JobJournal, TruncatedTailTreatsJobAsInFlight)
@@ -186,8 +181,7 @@ TEST(JobJournal, TruncatedTailTreatsJobAsInFlight)
     TempDir tmp;
     JobResult jr = runSimJob("j1");
     {
-        JobJournal j(tmp.dir(), "s", 2, false);
-        j.recordStart("j1");
+        JobJournal j(tmp.dir(), "s", false);
         j.recordDone(jr, true);
     }
     // Simulate a crash mid-write of the D record: cut the file inside
@@ -197,9 +191,7 @@ TEST(JobJournal, TruncatedTailTreatsJobAsInFlight)
 
     JobJournal::Recovery rec = JobJournal::load(tmp.dir());
     EXPECT_TRUE(rec.truncated);
-    EXPECT_EQ(rec.done.count("j1"), 0u);
-    ASSERT_EQ(rec.inFlight.size(), 1u);
-    EXPECT_EQ(rec.inFlight[0], "j1"); // re-run, never silently skip
+    EXPECT_EQ(rec.done.count("j1"), 0u); // re-run, never silently skip
 }
 
 TEST(JobJournal, CorruptPayloadByteFailsChecksumAndStopsLoad)
@@ -208,15 +200,13 @@ TEST(JobJournal, CorruptPayloadByteFailsChecksumAndStopsLoad)
     JobResult j1 = runSimJob("j1");
     JobResult j2 = runSimJob("j2");
     {
-        JobJournal j(tmp.dir(), "s", 2, false);
-        j.recordStart("j1");
+        JobJournal j(tmp.dir(), "s", false);
         j.recordDone(j1, true);
-        j.recordStart("j2");
         j.recordDone(j2, true);
     }
     std::string text = readJournalFile(tmp.dir());
     // Flip one byte inside the FIRST D record's payload (find the
-    // record by its tag after the header + S record).
+    // record by its tag after the header).
     std::size_t d1 = text.find("\nD ");
     ASSERT_NE(d1, std::string::npos);
     text[d1 + 40] ^= 0x20;
@@ -228,8 +218,6 @@ TEST(JobJournal, CorruptPayloadByteFailsChecksumAndStopsLoad)
     JobJournal::Recovery rec = JobJournal::load(tmp.dir());
     EXPECT_TRUE(rec.truncated);
     EXPECT_EQ(rec.done.size(), 0u);
-    ASSERT_EQ(rec.inFlight.size(), 1u);
-    EXPECT_EQ(rec.inFlight[0], "j1");
 }
 
 TEST(JobJournal, GarbageAppendIsIgnored)
@@ -237,8 +225,7 @@ TEST(JobJournal, GarbageAppendIsIgnored)
     TempDir tmp;
     JobResult jr = runSimJob("j1");
     {
-        JobJournal j(tmp.dir(), "s", 1, false);
-        j.recordStart("j1");
+        JobJournal j(tmp.dir(), "s", false);
         j.recordDone(jr, true);
     }
     std::string text = readJournalFile(tmp.dir());
@@ -249,14 +236,13 @@ TEST(JobJournal, GarbageAppendIsIgnored)
     JobJournal::Recovery rec = JobJournal::load(tmp.dir());
     EXPECT_TRUE(rec.truncated);
     EXPECT_EQ(rec.done.count("j1"), 1u); // valid prefix still loads
-    EXPECT_TRUE(rec.inFlight.empty());
 }
 
 TEST(JobJournal, UnsupportedVersionThrows)
 {
     TempDir tmp;
     {
-        JobJournal j(tmp.dir(), "s", 1, false);
+        JobJournal j(tmp.dir(), "s", false);
     }
     // Rewrite the header with a future version, fixing up length and
     // checksum so only the version check can object.
@@ -266,12 +252,11 @@ TEST(JobJournal, UnsupportedVersionThrows)
 }
 
 // A record can pass its checksum and parse as JSON yet hold values no
-// JobResult can: each such S or D record is damage, like a cut one.
+// JobResult can: each such D record is damage, like a cut one.
 struct BadRecord
 {
     const char *name;
-    char tag;
-    const char *payload;
+    const char *payload; //!< of a D record
 };
 
 // gtest prints the parameter into each ctest case name; print the
@@ -290,36 +275,31 @@ TEST_P(JournalBadRecordTest, CountsAsDamageAndLeavesTheJobInFlight)
 {
     TempDir tmp;
     {
-        JobJournal j(tmp.dir(), "s", 1, false);
-        j.recordStart("j1");
+        JobJournal j(tmp.dir(), "s", false);
     }
     writeJournalFile(tmp.dir(),
                      readJournalFile(tmp.dir()) +
-                         frameRecord(GetParam().tag, GetParam().payload));
+                         frameRecord('D', GetParam().payload));
     JobJournal::Recovery rec = JobJournal::load(tmp.dir());
     EXPECT_TRUE(rec.truncated);
     EXPECT_TRUE(rec.done.empty());
-    EXPECT_EQ(rec.inFlight, std::vector<std::string>{"j1"});
     // The worker pipe parses results with the same function.
-    if (GetParam().tag == 'D') {
-        EXPECT_THROW(jobResultFromJson(parseJson(GetParam().payload)),
-                     std::runtime_error);
-    }
+    EXPECT_THROW(jobResultFromJson(parseJson(GetParam().payload)),
+                 std::runtime_error);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     OffSchema, JournalBadRecordTest,
     ::testing::Values(
-        BadRecord{"unknown_status", 'D',
+        BadRecord{"unknown_status",
                   R"({"label": "j1", "status": "bogus"})"},
-        BadRecord{"negative_attempts", 'D',
+        BadRecord{"negative_attempts",
                   R"({"label": "j1", "status": "ok", "attempts": -1})"},
-        BadRecord{"huge_attempts", 'D',
+        BadRecord{"huge_attempts",
                   R"({"label": "j1", "status": "ok", "attempts": 1e300})"},
-        BadRecord{"fractional_attempts", 'D',
+        BadRecord{"fractional_attempts",
                   R"({"label": "j1", "status": "ok", "attempts": 1.5})"},
-        BadRecord{"numeric_label", 'D', R"({"label": 7, "status": "ok"})"},
-        BadRecord{"start_without_label", 'S', R"({"job": "j2"})"}),
+        BadRecord{"numeric_label", R"({"label": 7, "status": "ok"})"}),
     [](const ::testing::TestParamInfo<BadRecord> &info) {
         return std::string(info.param.name);
     });
@@ -328,15 +308,15 @@ TEST(JobJournal, FreshRunTruncatesStaleJournal)
 {
     TempDir tmp;
     {
-        JobJournal j(tmp.dir(), "old", 5, false);
-        j.recordStart("stale");
+        JobJournal j(tmp.dir(), "old", false);
+        j.recordDone(runSimJob("stale"), true);
     }
     {
-        JobJournal j(tmp.dir(), "new", 2, false); // append = false
+        JobJournal j(tmp.dir(), "new", false); // append = false
     }
     JobJournal::Recovery rec = JobJournal::load(tmp.dir());
     EXPECT_EQ(rec.sweepName, "new");
-    EXPECT_TRUE(rec.inFlight.empty());
+    EXPECT_TRUE(rec.done.empty());
 }
 
 // ---------------------------------------------------------------------

@@ -2,8 +2,9 @@
  * @file
  * Tests for the process-isolated execution tier (DESIGN.md §14): the
  * fork-per-job supervisor, worker exit classification, crash-class
- * retries, hung-worker reclamation, crash reports, and resuming a
- * killed supervisor from its write-ahead journal. The supervisor
+ * retries (and none for a job that reports, a panicking one
+ * included), hung-worker reclamation, crash reports, and resuming a
+ * killed supervisor from its job journal. The supervisor
  * itself is fault-injected via ProcessChaos — workers that segfault,
  * get SIGKILLed, exit nonzero, hang through SIGTERM, or write garbage
  * instead of a result frame.
@@ -13,7 +14,6 @@
 
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <vector>
 
@@ -23,6 +23,7 @@
 #include "core/piranha.h"
 #include "harness/journal.h"
 #include "harness/process_exec.h"
+#include "panic_workload.h"
 
 namespace piranha {
 namespace {
@@ -53,10 +54,6 @@ struct TempDir
     }
 
     std::string dir() const { return path.string(); }
-    std::string file(const std::string &n) const
-    {
-        return (path / n).string();
-    }
 };
 
 SweepPoint
@@ -140,7 +137,6 @@ TEST(ProcessChaos, ClassifiesEveryWayAWorkerCanDie)
                           {2, WorkerFault::ExitNonZero},
                           {3, WorkerFault::Hang},
                           {4, WorkerFault::Garbage}};
-    opts.chaos.onAttempt = 0; // every attempt (no retries here anyway)
     SweepReport rep = SweepRunner(opts).run("chaos", pts);
 
     ASSERT_EQ(rep.jobs.size(), 5u);
@@ -165,7 +161,6 @@ TEST(ProcessChaos, HungWorkerIsReclaimedWithinTheTimeoutBudget)
     opts.jobTimeoutSec = 0.3;
     opts.killGraceSec = 0.2;
     opts.chaos.byIndex = {{0, WorkerFault::Hang}};
-    opts.chaos.onAttempt = 0;
 
     auto t0 = std::chrono::steady_clock::now();
     SweepReport rep = SweepRunner(opts).run("hang", pts);
@@ -191,9 +186,8 @@ TEST(ProcessChaos, CrashClassExitsAreRetriedAndRecover)
     opts.jobTimeoutSec = 0.5;
     opts.killGraceSec = 0.1;
     opts.maxAttempts = 2;
-    opts.retryBackoffSec = 0.01;
-    // Default onAttempt = 1: the fault fires once, the retry runs
-    // clean — so the final report must be fully Ok.
+    // Chaos fires on the first attempt only and the retry runs clean,
+    // so the final report must be fully Ok.
     opts.chaos.byIndex = {{0, WorkerFault::Segv},
                           {1, WorkerFault::Hang}};
     SweepReport rep = SweepRunner(opts).run("retry", pts);
@@ -211,36 +205,6 @@ TEST(ProcessChaos, CrashClassExitsAreRetriedAndRecover)
     EXPECT_EQ(identityKey(rep), identityKey(clean));
 }
 
-TEST(ProcessChaos, TransientErrorIsRetriedAcrossWorkerProcesses)
-{
-    TempDir tmp;
-    std::string marker = tmp.file("attempted");
-    SweepPoint pt;
-    pt.label = "flaky";
-    pt.custom = [marker](const AbortCheck &) -> CustomResult {
-        if (!fs::exists(marker)) {
-            std::ofstream(marker) << "1";
-            throw TransientError("flaky host resource");
-        }
-        CustomResult cr;
-        cr.stats["ran"] = 1;
-        return cr;
-    };
-
-    SweepOptions opts;
-    opts.threads = 1;
-    opts.exec = ExecTier::Process;
-    opts.maxAttempts = 3;
-    opts.retryBackoffSec = 0.01;
-    SweepReport rep = SweepRunner(opts).run("transient", {pt});
-
-    // Attempt 1 ran in one forked worker and failed transiently; the
-    // supervisor retried in a FRESH process, which saw the marker.
-    ASSERT_EQ(rep.jobs[0].status, JobStatus::Ok);
-    EXPECT_EQ(rep.jobs[0].attempts, 2u);
-    EXPECT_EQ(rep.jobs[0].stats.at("ran"), 1);
-}
-
 TEST(ProcessChaos, DeterministicFailureIsNotRetried)
 {
     SweepPoint pt;
@@ -253,7 +217,6 @@ TEST(ProcessChaos, DeterministicFailureIsNotRetried)
     opts.threads = 1;
     opts.exec = ExecTier::Process;
     opts.maxAttempts = 3;
-    opts.retryBackoffSec = 0.01;
     SweepReport rep = SweepRunner(opts).run("det", {pt});
 
     // The worker reported the failure in a valid result frame, which
@@ -265,6 +228,30 @@ TEST(ProcessChaos, DeterministicFailureIsNotRetried)
     EXPECT_EQ(rep.jobs[0].error, "deterministic bug");
 }
 
+// A panic is caught in the worker like any failed run: its result
+// frame comes back and is final, so the worker is not a crash and the
+// job is not retried.
+TEST(ProcessChaos, PanickingJobFailsInItsResultFrame)
+{
+    SweepPoint pt = simPoint("panic");
+    pt.workload.make = [] { return std::make_unique<PanicWorkload>(); };
+
+    SweepOptions opts;
+    opts.threads = 1;
+    opts.exec = ExecTier::Process;
+    opts.maxAttempts = 2;
+    SweepReport rep = SweepRunner(opts).run("panic", {pt});
+
+    ASSERT_EQ(rep.jobs.size(), 1u);
+    const JobResult &j = rep.jobs[0];
+    EXPECT_EQ(j.status, JobStatus::Failed);
+    EXPECT_EQ(j.attempts, 1u);
+    EXPECT_EQ(j.exitClass, "ok");
+    EXPECT_EQ(j.error.rfind("panic: ", 0), 0u) << j.error;
+    EXPECT_NE(j.error.find("bad op kind"), std::string::npos) << j.error;
+    EXPECT_NE(j.crashReport.find("diagnostic dump"), std::string::npos);
+}
+
 TEST(ProcessChaos, SegfaultingWorkerLeavesACrashReport)
 {
     std::vector<SweepPoint> pts = simPoints(1);
@@ -272,7 +259,6 @@ TEST(ProcessChaos, SegfaultingWorkerLeavesACrashReport)
     opts.threads = 1;
     opts.exec = ExecTier::Process;
     opts.chaos.byIndex = {{0, WorkerFault::Segv}};
-    opts.chaos.onAttempt = 0;
     SweepReport rep = SweepRunner(opts).run("crashrep", pts);
 
     ASSERT_EQ(rep.jobs[0].status, JobStatus::Failed);

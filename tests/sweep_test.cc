@@ -2,8 +2,9 @@
  * @file
  * Tests for the experiment-sweep harness (src/harness/): grid
  * expansion, the determinism regression the thread-pool runner relies
- * on (one EventQueue universe per job), exception isolation, host
- * wall-clock timeouts, and the machine-readable sweep report.
+ * on (one EventQueue universe per job), exception isolation, how a
+ * job records the way its run ended, host wall-clock timeouts, and
+ * the machine-readable sweep report.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <stdexcept>
 
 #include "core/piranha.h"
+#include "panic_workload.h"
 #include "stats/json.h"
 
 namespace piranha {
@@ -139,6 +141,96 @@ TEST(SweepRunner, CrashingJobIsIsolated)
     EXPECT_EQ(rep.jobs[3].status, JobStatus::Ok);
     EXPECT_EQ(rep.count(JobStatus::Failed), 2u);
     EXPECT_EQ(rep.count(JobStatus::Ok), 2u);
+}
+
+/**
+ * A job is ok only when its run finished. Each way a run can stop
+ * short is a failed job that names its end and keeps its dump, and
+ * none of them stops the sweep or disturbs a healthy neighbour. The
+ * early ends come from plans tests/fault_test.cc pins.
+ */
+TEST(SweepRunner, RunThatDidNotFinishIsAFailedJob)
+{
+    auto faulted = [](std::string label, FaultKind kind, unsigned count,
+                      std::uint64_t seed, std::uint64_t work) {
+        SweepPoint pt;
+        pt.label = std::move(label);
+        pt.config = configP8();
+        pt.config.faults.seed = seed;
+        pt.config.faults.count = count;
+        pt.config.faults.kinds = {kind};
+        pt.workload = WorkloadDecl{"OLTP", oltpFactory(), work};
+        return pt;
+    };
+    SweepPoint healthy = smallPoint("healthy");
+    SweepPoint max_time = smallPoint("max_time", 2, 1u << 20);
+    max_time.maxTime = 5 * ticksPerUs;
+    SweepPoint panic = smallPoint("panic");
+    panic.workload.make = [] { return std::make_unique<PanicWorkload>(); };
+    std::vector<SweepPoint> pts = {
+        healthy,
+        // FaultOutcomes.DroppedIcsMessageHangsAndWatchdogDumps
+        faulted("watchdog", FaultKind::IcsDrop, 1, 3, 256),
+        max_time,
+        // FaultOutcomes.EccUncorrectableRaisesMachineCheck
+        faulted("machine_check", FaultKind::MemDataDoubleFlip, 8, 1, 2048),
+        panic};
+
+    SweepReport rep =
+        SweepRunner(SweepOptions{.threads = 2}).run("ends", pts);
+    ASSERT_EQ(rep.jobs.size(), pts.size());
+    EXPECT_EQ(rep.count(JobStatus::Ok), 1u);
+    EXPECT_EQ(rep.count(JobStatus::Failed), 4u);
+    EXPECT_DOUBLE_EQ(rep.toJson(false).at("jobs_failed").asNumber(), 4.0);
+
+    const JobResult &ok = rep.jobs[0];
+    ASSERT_EQ(ok.status, JobStatus::Ok) << ok.error;
+    EXPECT_TRUE(ok.error.empty());
+    EXPECT_TRUE(ok.crashReport.empty());
+    JobResult solo = SweepRunner(SweepOptions{.threads = 1}).runJob(healthy);
+    EXPECT_EQ(ok.statTree.dump(0), solo.statTree.dump(0));
+
+    const JobResult &wd = rep.jobs[1];
+    EXPECT_EQ(wd.status, JobStatus::Failed);
+    EXPECT_EQ(wd.error.rfind("watchdog tripped: ", 0), 0u) << wd.error;
+    EXPECT_NE(wd.crashReport.find("diagnostic dump"), std::string::npos);
+
+    const JobResult &mt = rep.jobs[2];
+    EXPECT_EQ(mt.status, JobStatus::Failed);
+    EXPECT_EQ(mt.error, "max_time exhausted");
+    EXPECT_NE(mt.crashReport.find("diagnostic dump"), std::string::npos);
+
+    const JobResult &mc = rep.jobs[3];
+    EXPECT_EQ(mc.status, JobStatus::Failed);
+    EXPECT_EQ(mc.error.rfind("machine check: ", 0), 0u) << mc.error;
+    EXPECT_NE(mc.error.find("uncorrectable ECC"), std::string::npos)
+        << mc.error;
+
+    const JobResult &pn = rep.jobs[4];
+    EXPECT_EQ(pn.status, JobStatus::Failed);
+    EXPECT_EQ(pn.error.rfind("panic: ", 0), 0u) << pn.error;
+    EXPECT_NE(pn.error.find("bad op kind"), std::string::npos) << pn.error;
+    EXPECT_NE(pn.crashReport.find("diagnostic dump"), std::string::npos);
+
+    // The dump rides in the report as the job's crash_report; a failed
+    // job carries no stats for a renderer to read.
+    JsonValue jobs = rep.toJson(false).at("jobs");
+    for (std::size_t i = 1; i < jobs.size(); ++i) {
+        EXPECT_EQ(jobs.at(i).find("stats"), nullptr) << i;
+        if (i != 3) { // a machine check takes no dump
+            EXPECT_NE(jobs.at(i).find("crash_report"), nullptr) << i;
+        }
+    }
+
+    // Only the panic left no run behind. A machine check raised in the
+    // event that finishes the last core stops nothing (aborted stays
+    // false), and its run still came back.
+    for (std::size_t i = 0; i < rep.jobs.size(); ++i)
+        EXPECT_EQ(endedInPanic(rep.jobs[i]), i == 4) << i;
+    JobResult late_mc;
+    late_mc.status = JobStatus::Failed;
+    late_mc.run.machineCheck = true;
+    EXPECT_FALSE(endedInPanic(late_mc));
 }
 
 TEST(SweepRunner, HostTimeoutStopsRunawayJob)
