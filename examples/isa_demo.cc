@@ -53,7 +53,7 @@ work:   ldq_l r2, 0(r1)
 
     IsaMachine machine;
     machine.fetchWord = [&chip](Addr a) {
-        return static_cast<std::uint32_t>(chip.memory().peek(a).data.read(
+        return static_cast<std::uint32_t>(chip.memory().read(a).data.read(
             static_cast<unsigned>(a & (lineBytes - 1)), 4));
     };
 

@@ -19,7 +19,11 @@
 #                                     timings are not gated), the same
 #                                     digest gate at validation seed 101
 #                                     against the digests pinned below,
-#                                     then the fig5 sweep on one thread
+#                                     a footprint gate (p8_dss at seed
+#                                     101 may peak at 16 MB resident:
+#                                     a read-only scan takes no host
+#                                     memory), then the fig5 sweep on
+#                                     one thread
 #                                     of the same build as the host-
 #                                     profiler artifact
 #                                     (PROFILE_breakdown.json): a job of
@@ -354,6 +358,26 @@ for w in bad:
 if bad:
     sys.exit(1)
 print("seed-101 digests match on all four workloads")
+PYEOF
+
+    # Gating: p8_dss's footprint. Its scan only reads memory, and a
+    # read takes no host state (DESIGN.md §8), so the run peaks near
+    # 9 MB; an index slot per line read took 33 MB in one sample. Only
+    # p8_dss is gated: its peak does not vary run to run. The binary
+    # runs directly, not under run.py, because Linux carries the
+    # launcher's resident size into the child's ru_maxrss across exec:
+    # under run.py the figure never reads below the Python
+    # interpreter's own (17.5 MB on a pyenv 3.11).
+    "$BUILD_DIR-bench/perfbench/perfbench" --workload p8_dss --seed 101 \
+        --seconds 0.1 --trace 0 --out-dir "$BUILD_DIR" \
+        --ledger "$(dirname "$0")/../perfbench/ledger.json" |
+        tail -n 1 > "$BUILD_DIR/perf-dss-footprint.json"
+    python3 - "$BUILD_DIR/perf-dss-footprint.json" <<'PYEOF'
+import json, sys
+mb = json.load(open(sys.argv[1]))["metrics"]["peak_rss_mb"]["value"]
+if mb > 16.0:
+    sys.exit(f"FAIL: p8_dss peak_rss_mb {mb:.1f} MB, limit 16 MB")
+print(f"p8_dss peak_rss_mb {mb:.1f} MB (limit 16 MB)")
 PYEOF
 
     # Host-time profiler artifact from this same build: the sampler

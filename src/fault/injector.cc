@@ -345,6 +345,9 @@ void
 FaultInjector::memReadHook(NodeId node, Addr lineAddr,
                            BackingStore::Line &snapshot)
 {
+    // The store's read is a lookup; pickLine's sites include the
+    // lines the run has only read, so record this one.
+    _sites.at(node).store->touch(lineAddr);
     if (_ecc.empty())
         return;
     for (unsigned block = 0; block < kBlocksPerLine; ++block) {

@@ -84,10 +84,12 @@ class FaultInjector : public SimObject
     // FaultInjector pointer).
 
     /**
-     * Memory-array read: decode each ECC block of @p snapshot against
-     * the side-table check bits (present only for corrupted lines).
-     * Correctable errors are fixed in the snapshot and scrubbed back
-     * to the store; uncorrectable ones raise a machine check.
+     * Memory-array read: record the line as touched in @p node's store
+     * (a fault site for pickLine), then decode each ECC block of
+     * @p snapshot against the side-table check bits (present only for
+     * corrupted lines). Correctable errors are fixed in the snapshot
+     * and scrubbed back to the store; uncorrectable ones raise a
+     * machine check.
      */
     void memReadHook(NodeId node, Addr lineAddr,
                      BackingStore::Line &snapshot);
@@ -134,7 +136,8 @@ class FaultInjector : public SimObject
     void fireNet(const PlannedFault &pf);
     void fireMemStall(const PlannedFault &pf);
 
-    /** Pick a touched line of @p node's store; false if none. */
+    /** Pick a touched line of @p node's store (written, or read
+     *  since the plan was armed); false if none. */
     bool pickLine(unsigned node, Addr &addr);
 
     void record(const PlannedFault &pf, std::string site);

@@ -59,10 +59,8 @@ runSimulation(const SweepPoint &pt, const AbortCheck &abort_check,
               bool capture_stat_tree)
 {
     JobResult jr;
-    // A panic is an inconsistency the model caught: it ends this job,
-    // not the process. The system outlives the try, so the result
-    // still shows the state the panic left.
-    PanicThrowsGuard panic_guard;
+    // The system outlives the try, so the result still shows the
+    // state a panic left.
     std::unique_ptr<PiranhaSystem> sys;
     try {
         std::unique_ptr<Workload> wl = pt.workload.make();
@@ -130,6 +128,9 @@ SweepRunner::runJob(const SweepPoint &pt) const
     }
 
     JobResult jr;
+    // A panic is an inconsistency the model caught: it ends this job,
+    // not the process, in a custom body as in a simulation.
+    PanicThrowsGuard panic_guard;
     try {
         if (pt.custom) {
             CustomResult cr = pt.custom(abort_check);

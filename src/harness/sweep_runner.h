@@ -169,7 +169,8 @@ double retryBackoff(double base_sec, unsigned attempt);
 /**
  * The one job body: build @p pt's system, run its workload under
  * @p abort_check and record how the run ended. The sweep runner and
- * the fault campaign both run simulations through it. A panic raised
+ * the fault campaign both run simulations through it, under the
+ * PanicThrowsGuard that SweepRunner::runJob holds. So a panic raised
  * on the calling thread comes back as a Failed result (the system
  * outlives it, so its diagnostic dump and fault records survive),
  * never as a process abort; one raised on a parallel-engine shard
@@ -222,7 +223,8 @@ class SweepRunner
     /** Execute one point in the calling thread (no pool, no timeout
      *  unless opts.jobTimeoutSec is set), once: a simulation point
      *  through runSimulation, a custom point through its body. An
-     *  exception out of either is captured as a Failed result. */
+     *  exception or a panic out of either is captured as a Failed
+     *  result. */
     JobResult runJob(const SweepPoint &pt) const;
 
     /** Threads run() will actually use for @p njobs jobs. */

@@ -7,23 +7,20 @@
  * host memory only on what the simulation needs:
  *
  *  - a line index, a LineTable<uint32_t> (16 bytes per slot) holding
- *    every line the run has touched. Its value is the line's slot in
- *    the slab plus one, or 0 for "touched, never written";
+ *    every touched line: each line given contents, and each line a
+ *    touch() call recorded. Its value is the line's slot in the slab
+ *    plus one, or 0 for "touched, never written";
  *  - a SlabPool of materialized lines: those a data or directory
  *    write, a fault injection or a line() call has given contents.
  *    Each is the line's 64 data bytes plus the 44 directory bits that
  *    live in the freed ECC bits (paper §2.5.2).
  *
- * A read-only scan (DSS Q6) therefore costs one index slot per line,
- * not a 72-byte value, and the slab grows without recopying lines.
- *
- * Reads go through the index's operator[] too, so a line the run
- * has only read counts as touched. Fault-site selection
- * (FaultInjector::pickLine) draws from touchedLines() and walks
- * forEachLine()'s slot order; both, like the index's growth points,
- * follow the exact sequence of operator[] calls. A read that skipped
- * the index would move every fault site a seeded campaign picks
- * (scripts/ci.sh faults pins them).
+ * A read is a lookup, so a read-only scan (DSS Q6) costs no host
+ * memory at all, and the slab grows without recopying lines. Only
+ * fault-site selection (FaultInjector::pickLine) needs read history:
+ * it draws from touchedLines() and walks forEachLine()'s slot order.
+ * The injector therefore records each array read with touch(), and
+ * only while a plan is armed.
  */
 
 #ifndef PIRANHA_MEM_BACKING_STORE_H
@@ -60,29 +57,24 @@ class BackingStore
     }
 
     /**
-     * Memory-array read: touch the line in the index without
-     * materializing it. A line never written reads as one shared zero
-     * line, so a caller that may write the line copies first (MemCtrl
-     * copies into its read snapshot).
+     * Memory-array read: a lookup that leaves the index untouched. A
+     * line never written reads as one shared zero line, so a caller
+     * that may write the line copies first (MemCtrl copies into its
+     * read snapshot).
      */
     const Line &
-    read(Addr addr)
-    {
-        std::uint32_t slot = _index[lineNum(addr)];
-        return slot ? _slab[slot - 1] : kZeroLine;
-    }
-
-    /** Read-only access that leaves the index untouched; returns a
-     *  zero line if never written. */
-    Line
-    peek(Addr addr) const
+    read(Addr addr) const
     {
         const std::uint32_t *slot = _index.find(lineNum(addr));
-        return slot && *slot ? _slab[*slot - 1] : Line{};
+        return slot && *slot ? _slab[*slot - 1] : kZeroLine;
     }
 
-    /** Number of touched lines, read or written (footprint
-     *  statistics and fault-site selection). */
+    /** Record @p addr's line as touched without materializing it: the
+     *  index's operator[], with its growth check, and nothing else. */
+    void touch(Addr addr) { _index[lineNum(addr)]; }
+
+    /** Number of touched lines: written, or recorded by touch()
+     *  (fault-site selection). */
     std::size_t touchedLines() const { return _index.size(); }
 
     /** Test support: number of lines holding contents. */
@@ -90,9 +82,9 @@ class BackingStore
 
     /**
      * Visit the address of every touched line. The order is the
-     * index's slot order, a deterministic function of the access
-     * history, so fault-site selection driven by a seeded RNG over
-     * this walk is reproducible run-to-run.
+     * index's slot order, a deterministic function of the line() and
+     * touch() history, so fault-site selection driven by a seeded RNG
+     * over this walk is reproducible run-to-run.
      */
     template <typename F>
     void
@@ -114,7 +106,7 @@ class BackingStore
     std::uint64_t
     peek64(Addr addr) const
     {
-        return peek(addr).data.read(
+        return read(addr).data.read(
             static_cast<unsigned>(addr & (lineBytes - 1)), 8);
     }
 

@@ -182,7 +182,7 @@ TEST(FaultScrub, FlipThenScrubRoundTripThroughMemCtrl)
     unsigned diff_bits = 0;
     for (unsigned i = 0; i < lineBytes; ++i)
         diff_bits += static_cast<unsigned>(__builtin_popcount(
-            store.peek(a).data.bytes[i] ^ orig.bytes[i]));
+            store.read(a).data.bytes[i] ^ orig.bytes[i]));
     EXPECT_EQ(diff_bits, 1u);
 
     bool got = false;
@@ -196,7 +196,7 @@ TEST(FaultScrub, FlipThenScrubRoundTripThroughMemCtrl)
     EXPECT_EQ(inj.counters.eccCorrectedData, 1u);
     EXPECT_EQ(inj.counters.scrubWrites, 1u);
     // Scrub rewrote the stored copy: bit-exact again.
-    EXPECT_EQ(store.peek(a).data.bytes, orig.bytes);
+    EXPECT_EQ(store.read(a).data.bytes, orig.bytes);
 
     // Second read: consistent, no further correction.
     got = false;

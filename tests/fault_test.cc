@@ -88,6 +88,36 @@ TEST(FaultIdentity, DormantPlanIsStatTreeIdentical)
     EXPECT_EQ(plain.second, never.second);
 }
 
+// Read history is the fault injector's to keep: without a plan the
+// backing store indexes only lines a run wrote, and an armed plan
+// records every line read as a memory fault site on top.
+TEST(FaultIdentity, OnlyAnArmedPlanRecordsReadOnlyLines)
+{
+    struct Footprint
+    {
+        std::size_t touched;
+        std::size_t stored;
+    };
+    auto run_one = [](SystemConfig cfg) {
+        PiranhaSystem sys(cfg);
+        DssWorkload wl;
+        sys.run(wl, 2);
+        const BackingStore &mem = sys.chip(0).memory();
+        return Footprint{mem.touchedLines(), mem.storedLines()};
+    };
+
+    Footprint plain = run_one(configP8());
+    EXPECT_EQ(plain.touched, plain.stored);
+
+    SystemConfig armed = configP8();
+    armed.faults.count = 1;
+    armed.faults.windowStart = 1000ull * 1000 * 1000 * ticksPerUs;
+    armed.faults.windowEnd = armed.faults.windowStart + ticksPerUs;
+    Footprint recorded = run_one(armed);
+    EXPECT_EQ(recorded.stored, plain.stored);
+    EXPECT_GT(recorded.touched, recorded.stored);
+}
+
 TEST(FaultIdentity, ZeroFaultCampaignMatchesPlainRun)
 {
     SystemConfig cfg = configPn(2);

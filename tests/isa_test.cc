@@ -130,7 +130,7 @@ machineFor(TestSystem &sys)
     m.fetchWord = [&sys](Addr a) {
         unsigned home = sys.amap.home(a);
         return static_cast<std::uint32_t>(
-            sys.chips[home]->memory().peek(a).data.read(
+            sys.chips[home]->memory().read(a).data.read(
                 static_cast<unsigned>(a & (lineBytes - 1)), 4));
     };
     return m;

@@ -252,6 +252,30 @@ TEST(ProcessChaos, PanickingJobFailsInItsResultFrame)
     EXPECT_NE(j.crashReport.find("diagnostic dump"), std::string::npos);
 }
 
+// The same holds for a panic inside a custom body (a litmus program,
+// a `cmi` point): the worker reports it, so it is no crash to retry.
+TEST(ProcessChaos, PanickingCustomBodyFailsInItsResultFrame)
+{
+    SweepPoint pt;
+    pt.label = "custom_panic";
+    pt.custom = [](const AbortCheck &) -> CustomResult {
+        panic("custom body lost line %#x", 0x1040u);
+    };
+
+    SweepOptions opts;
+    opts.threads = 1;
+    opts.exec = ExecTier::Process;
+    opts.maxAttempts = 2;
+    SweepReport rep = SweepRunner(opts).run("custom_panic", {pt});
+
+    ASSERT_EQ(rep.jobs.size(), 1u);
+    const JobResult &j = rep.jobs[0];
+    EXPECT_EQ(j.status, JobStatus::Failed);
+    EXPECT_EQ(j.attempts, 1u);
+    EXPECT_EQ(j.exitClass, "ok");
+    EXPECT_EQ(j.error, "panic: custom body lost line 0x1040");
+}
+
 TEST(ProcessChaos, SegfaultingWorkerLeavesACrashReport)
 {
     std::vector<SweepPoint> pts = simPoints(1);

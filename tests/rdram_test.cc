@@ -3,8 +3,9 @@
  * RDRAM channel and memory-controller tests (paper §2.4): open-page
  * timing (60 ns random / 40 ns open-page hit), the keep-open window,
  * row-buffer capacity, read-after-write ordering and channel
- * serialization; and the backing store's contract: reads touch lines
- * without storing them, line() references are stable, and
+ * serialization; and the backing store's contract: a read is a
+ * lookup that neither touches nor stores its line, touch() records a
+ * line without storing it, line() references are stable, and
  * forEachLine follows the line index's slot order.
  */
 
@@ -12,6 +13,7 @@
 
 #include <vector>
 
+#include "fault/injector.h"
 #include "mem/mem_ctrl.h"
 #include "sim/event_queue.h"
 #include "sim/line_table.h"
@@ -111,7 +113,7 @@ TEST(MemCtrl, PartialWritePreservesOtherFields)
     mc.writeLine(0xC000, nullptr, &dir); // directory-only update
     eq.run();
     EXPECT_EQ(store.peek64(0xC000), 0x77u);
-    EXPECT_EQ(store.peek(0xC000).dirBits, 42u);
+    EXPECT_EQ(store.read(0xC000).dirBits, 42u);
 }
 
 TEST(MemCtrl, ChannelSerializesRequests)
@@ -147,8 +149,8 @@ TEST(BackingStoreTest, SparseMaterialization)
 
 TEST(BackingStoreTest, ReadOnlyScanStoresNoLines)
 {
-    // The DSS scan pattern: every line is read, none written. Each is
-    // touched (counted, visited by forEachLine) but holds no contents.
+    // The DSS scan pattern: every line is read, none written. A read
+    // is a lookup: the scan leaves no trace in the store.
     constexpr unsigned kLines = 5000;
     BackingStore s;
     for (unsigned i = 0; i < kLines; ++i) {
@@ -156,10 +158,24 @@ TEST(BackingStoreTest, ReadOnlyScanStoresNoLines)
         EXPECT_EQ(l.data, LineData{}) << "line " << i;
         EXPECT_EQ(l.dirBits, 0u) << "line " << i;
     }
+    EXPECT_EQ(s.touchedLines(), 0u);
+    EXPECT_EQ(s.storedLines(), 0u);
+    std::size_t visited = 0;
+    s.forEachLine([&](Addr) { ++visited; });
+    EXPECT_EQ(visited, 0u);
+
+    // The same scan with each read recorded, as the fault injector
+    // does while a plan is armed: every line is touched (counted,
+    // visited by forEachLine) but holds no contents.
+    for (unsigned i = 0; i < kLines; ++i) {
+        s.touch(0x40000000 + i * lineBytes);
+        const BackingStore::Line &l = s.read(0x40000000 + i * lineBytes);
+        EXPECT_EQ(l.data, LineData{}) << "line " << i;
+        EXPECT_EQ(l.dirBits, 0u) << "line " << i;
+    }
     EXPECT_EQ(s.touchedLines(), kLines);
     EXPECT_EQ(s.storedLines(), 0u);
     EXPECT_EQ(s.peek64(0x40000000 + 17 * lineBytes + 8), 0u);
-    std::size_t visited = 0;
     s.forEachLine([&](Addr) { ++visited; });
     EXPECT_EQ(visited, kLines);
 }
@@ -178,8 +194,7 @@ TEST(BackingStoreTest, WriteAfterReadReadsBackThroughEveryAccessor)
     EXPECT_EQ(s.read(a).data.read(8, 8), 0xfeedfaceu);
     EXPECT_EQ(s.read(a).dirBits, 0x2au);
     EXPECT_EQ(&s.line(a), &w);
-    EXPECT_EQ(s.peek(a).data, w.data);
-    EXPECT_EQ(s.peek(a).dirBits, 0x2au);
+    EXPECT_EQ(&s.read(a), &w);
     EXPECT_EQ(s.peek64(a + 8), 0xfeedfaceu);
     EXPECT_EQ(s.storedLines(), 1u);
 }
@@ -208,7 +223,8 @@ TEST(BackingStoreTest, ForEachLineFollowsIndexSlotOrder)
 {
     // Fault-site selection walks forEachLine in order, so the order
     // must be exactly that of a LineTable fed the same line numbers
-    // through operator[] — reads included, peeks excluded.
+    // through operator[]: touches and writes included, bare reads
+    // excluded.
     BackingStore s;
     LineTable<int> ref;
     Pcg32 rng(7);
@@ -217,6 +233,7 @@ TEST(BackingStoreTest, ForEachLineFollowsIndexSlotOrder)
         Addr a = ln * lineBytes + rng.below(8) * 8;
         switch (rng.below(4)) {
           case 0:
+            s.touch(a);
             s.read(a);
             ref[ln];
             break;
@@ -229,7 +246,7 @@ TEST(BackingStoreTest, ForEachLineFollowsIndexSlotOrder)
             ref[ln];
             break;
           default:
-            s.peek(a);
+            s.read(a);
             break;
         }
     }
@@ -244,19 +261,40 @@ TEST(BackingStoreTest, ForEachLineFollowsIndexSlotOrder)
 
 TEST(MemCtrl, ReadOfUnwrittenLineStoresNothing)
 {
-    EventQueue eq;
-    BackingStore store;
-    MemCtrl mc(eq, "mc", ChipContext{}, store);
-    bool done = false;
-    mc.readLine(0x8040, [&](const LineData &d, std::uint64_t dir) {
-        EXPECT_EQ(d, LineData{});
-        EXPECT_EQ(dir, 0u);
-        done = true;
-    });
-    eq.run();
-    EXPECT_TRUE(done);
-    EXPECT_EQ(store.touchedLines(), 1u);
-    EXPECT_EQ(store.storedLines(), 0u);
+    auto read_unwritten = [](BackingStore &store, EventQueue &eq,
+                             MemCtrl &mc) {
+        bool done = false;
+        mc.readLine(0x8040, [&](const LineData &d, std::uint64_t dir) {
+            EXPECT_EQ(d, LineData{});
+            EXPECT_EQ(dir, 0u);
+            done = true;
+        });
+        eq.run();
+        EXPECT_TRUE(done);
+        EXPECT_EQ(store.storedLines(), 0u);
+    };
+
+    // No injector: the read leaves no trace in the store.
+    {
+        EventQueue eq;
+        BackingStore store;
+        MemCtrl mc(eq, "mc", ChipContext{}, store);
+        read_unwritten(store, eq, mc);
+        EXPECT_EQ(store.touchedLines(), 0u);
+    }
+    // An injector in the ChipContext records the read as a fault
+    // site: touched, still not stored.
+    {
+        EventQueue eq;
+        BackingStore store;
+        FaultInjector inj(eq, "inj", FaultPlanConfig{}, 1);
+        MemCtrl mc(eq, "mc", ChipContext{.injector = &inj}, store);
+        FaultInjector::NodeSites sites;
+        sites.store = &store;
+        inj.attachNode(0, sites);
+        read_unwritten(store, eq, mc);
+        EXPECT_EQ(store.touchedLines(), 1u);
+    }
 }
 
 } // namespace

@@ -233,6 +233,37 @@ TEST(SweepRunner, RunThatDidNotFinishIsAFailedJob)
     EXPECT_FALSE(endedInPanic(late_mc));
 }
 
+// A panic inside a custom body (a litmus program, a `cmi` point) ends
+// that job as a panic inside a simulation point does, not the sweep.
+TEST(SweepRunner, PanicInCustomBodyFailsOnlyThatJob)
+{
+    SweepPoint custom_ok;
+    custom_ok.label = "custom_ok";
+    custom_ok.custom = [](const AbortCheck &) {
+        CustomResult cr;
+        cr.stats["answer"] = 42;
+        return cr;
+    };
+    SweepPoint custom_panic;
+    custom_panic.label = "custom_panic";
+    custom_panic.custom = [](const AbortCheck &) -> CustomResult {
+        panic("custom body lost line %#x", 0x1040u);
+    };
+    std::vector<SweepPoint> pts = {smallPoint("sim0", 1, 16), custom_panic,
+                                   custom_ok, smallPoint("sim1", 1, 16)};
+
+    SweepReport rep =
+        SweepRunner(SweepOptions{.threads = 2}).run("custom_panic", pts);
+    ASSERT_EQ(rep.jobs.size(), pts.size());
+    const JobResult &pn = rep.jobs[1];
+    EXPECT_EQ(pn.status, JobStatus::Failed);
+    EXPECT_EQ(pn.error, "panic: custom body lost line 0x1040");
+    for (std::size_t i : {0u, 2u, 3u})
+        EXPECT_EQ(rep.jobs[i].status, JobStatus::Ok)
+            << rep.jobs[i].label << ": " << rep.jobs[i].error;
+    EXPECT_EQ(rep.jobs[2].stats.at("answer"), 42.0);
+}
+
 TEST(SweepRunner, HostTimeoutStopsRunawayJob)
 {
     // Far more work than a few milliseconds of host time can simulate.
