@@ -22,8 +22,10 @@
 #                                     a footprint gate (p8_dss at seed
 #                                     101 may peak at 16 MB resident:
 #                                     a read-only scan takes no host
-#                                     memory), then the fig5 sweep on
-#                                     one thread
+#                                     memory), p4x8_oltp at seeds 8 and
+#                                     64 (once known failures; each must
+#                                     finish with "correct":true), then
+#                                     the fig5 sweep on one thread
 #                                     of the same build as the host-
 #                                     profiler artifact
 #                                     (PROFILE_breakdown.json): a job of
@@ -379,6 +381,24 @@ if mb > 16.0:
     sys.exit(f"FAIL: p8_dss peak_rss_mb {mb:.1f} MB, limit 16 MB")
 print(f"p8_dss peak_rss_mb {mb:.1f} MB (limit 16 MB)")
 PYEOF
+
+    # Gating: p4x8_oltp at seeds 8 and 64, which the ledger still
+    # lists as known failures ("unmatched local reply PeWbAck": an
+    # invalidation's ack beat its thread's LRECEIVE). Both must finish
+    # correct now that the engine holds an early local reply.
+    for seed in 8 64; do
+        "$BUILD_DIR-bench/perfbench/perfbench" --workload p4x8_oltp \
+            --seed "$seed" --seconds 0.1 --trace 0 --known-failures run \
+            --out-dir "$BUILD_DIR" \
+            --ledger "$(dirname "$0")/../perfbench/ledger.json" |
+            tail -n 1 > "$BUILD_DIR/perf-p4x8-seed$seed.json"
+        if ! grep -q '"correct":true' "$BUILD_DIR/perf-p4x8-seed$seed.json"
+        then
+            echo "FAIL: p4x8_oltp seed $seed did not finish correct" >&2
+            exit 1
+        fi
+        echo "p4x8_oltp seed $seed: correct"
+    done
 
     # Host-time profiler artifact from this same build: the sampler
     # is always on. The fig5 jobs run long enough for it (one sample

@@ -229,10 +229,7 @@ L2Bank::MsgEvent::process()
     bool retry = drainRetry;
     L2Bank *b = bank;
     b->_msgEvents.release(this);
-    if (retry)
-        b->drainRetryDispatch(std::move(m));
-    else
-        b->lookupDispatch(std::move(m));
+    b->dispatch(std::move(m), retry);
 }
 
 void
@@ -246,70 +243,76 @@ L2Bank::icsDeliver(const IcsMsg &msg)
 }
 
 void
-L2Bank::lookupDispatch(IcsMsg m)
+L2Bank::dispatch(IcsMsg msg, bool retry)
 {
-    switch (m.type) {
+    Addr a = msg.addr;
+    switch (msg.type) {
       case IcsMsgType::GetS:
       case IcsMsgType::GetX:
       case IcsMsgType::Upgrade:
       case IcsMsgType::Wh64Req:
-        onL1Request(m);
+      case IcsMsgType::PeReadLocal:
+      case IcsMsgType::PeInvalLocal: {
+        Info &info = infoFor(a);
+        bool engine_op = msg.type == IcsMsgType::PeReadLocal ||
+                         msg.type == IcsMsgType::PeInvalLocal;
+        // A fresh L1 request also queues behind the line's blocked
+        // requests (engine ops may overtake them; see drainBlocked).
+        // A retried L1 request that still cannot run goes back to the
+        // head of the queue, uncounted.
+        if (!canProcess(info, msg) ||
+            (!retry && !engine_op && hasBlocked(info))) {
+            if (retry && !engine_op)
+                holdPending(info).blocked.push_front(std::move(msg));
+            else
+                block(info, std::move(msg));
+            return;
+        }
+        if (msg.type == IcsMsgType::PeReadLocal)
+            onPeReadLocal(std::move(msg));
+        else if (msg.type == IcsMsgType::PeInvalLocal)
+            onPeInvalLocal(std::move(msg));
+        else
+            dispatchL1Request(std::move(msg));
         break;
+      }
       case IcsMsgType::WbData:
-        onWbData(m);
+        onWbData(msg);
         break;
       case IcsMsgType::FwdDone:
-        onFwdDone(m);
+        onFwdDone(msg);
         break;
       case IcsMsgType::PeerFillS:
       case IcsMsgType::PeerFillX:
-        onGatherData(m);
+        onGatherData(msg);
         break;
       case IcsMsgType::PeData:
-        onPeData(m);
-        break;
-      case IcsMsgType::PeReadLocal:
-        onPeReadLocal(m);
-        break;
-      case IcsMsgType::PeInvalLocal:
-        onPeInvalLocal(m);
+        onPeData(msg);
         break;
       case IcsMsgType::PeComplete: {
-        Info &info = infoFor(m.addr);
+        Info &info = infoFor(a);
         if (!info.peActive || pendingOf(info).peTxn.kind != Txn::PeHeld)
             panic("%s: PeComplete without held line", name().c_str());
-        finishPeTxn(info, m.addr);
+        finishPeTxn(info, a);
         break;
       }
       default:
         panic("%s: unexpected ICS message %s", name().c_str(),
-              icsMsgTypeName(m.type));
+              icsMsgTypeName(msg.type));
     }
+    // A retried request that ran keeps the line's queue draining.
+    if (retry)
+        if (Info *info = findInfo(a))
+            drainBlocked(*info);
 }
 
 void
-L2Bank::onL1Request(IcsMsg msg)
-{
-    Info &info = infoFor(msg.addr);
-    if (!canProcess(info, msg) || hasBlocked(info)) {
-        block(info, std::move(msg));
-        return;
-    }
-    // The victim piggyback is resolved first, at this serialization
-    // point; the decision rides back on the reply.
-    bool wb_decision = false;
-    if (msg.hasVictim)
-        wb_decision = handleVictim(msg);
-    dispatchL1Request(std::move(msg), wb_decision);
-}
-
-bool
 L2Bank::handleVictim(const IcsMsg &msg)
 {
     Info *vi = findInfo(msg.victimAddr);
     std::uint32_t bit = 1u << msg.l1Id;
     if (!vi || !(vi->sharers & bit))
-        return false; // already invalidated under us
+        return; // already invalidated under us
     Info &v = *vi;
 
     bool is_owner = v.ownerL1 == msg.l1Id && !v.inL2;
@@ -324,7 +327,7 @@ L2Bank::handleVictim(const IcsMsg &msg)
         // A transaction is active on the victim line. Any data the
         // departing L1 holds is captured by that transaction (forward
         // or gather), so the replacement needs no write-back.
-        return false;
+        return;
     }
     if (is_owner) {
         // Owner replacement: the L2 captures the shipped data right
@@ -348,7 +351,7 @@ L2Bank::handleVictim(const IcsMsg &msg)
                     name().c_str(),
                     static_cast<unsigned long long>(msg.victimAddr)));
             maybeErase(v, msg.victimAddr);
-            return false;
+            return;
         }
         ++statWbInstalls;
         bool dirty = msg.victimDirty || v.nodeDirty;
@@ -359,24 +362,26 @@ L2Bank::handleVictim(const IcsMsg &msg)
         if (!(_ctx.faults &&
               _ctx.faults->fire(ProtocolFault::DropVictimWriteback)))
             installL2(v, msg.victimAddr, msg.data, dirty);
-        return false;
+        return;
     }
     maybeErase(v, msg.victimAddr);
-    return false;
 }
 
 void
-L2Bank::dispatchL1Request(IcsMsg msg, bool wb_decision)
+L2Bank::dispatchL1Request(IcsMsg msg)
 {
+    // The victim piggyback is resolved first, at this serialization
+    // point.
+    if (msg.hasVictim)
+        handleVictim(msg);
     Addr a = msg.addr;
     // Parity check first: discarding a bad line may erase the idle
     // Info entry, so the reference must be taken afterwards.
     L2Line *l2l = findChecked(a);
     Info &info = infoFor(a);
-    std::uint32_t bit = 1u << msg.l1Id;
-    bool ifetch = isInstrL1(msg.l1Id);
 
-    if (msg.type == IcsMsgType::Upgrade && !(info.sharers & bit)) {
+    if (msg.type == IcsMsgType::Upgrade &&
+        !(info.sharers & (1u << msg.l1Id))) {
         // The requester's shared copy was invalidated while the
         // upgrade was in flight: treat as a full GetX (data reply).
         msg.type = IcsMsgType::GetX;
@@ -386,143 +391,80 @@ L2Bank::dispatchL1Request(IcsMsg msg, bool wb_decision)
         if (l2l) {
             ++statL2Hit;
             _tags.touch(*l2l);
-            replyFill(msg, l2l->data, true, false, FillSource::L2Hit,
-                      wb_decision);
+            replyFill(msg, l2l->data, true, false, FillSource::L2Hit);
             // Seeded fault: the fill is sent but the duplicate tags
             // never record the new sharer — a later exclusive grant
             // will not invalidate this L1's copy.
             if (!(_ctx.faults &&
-                  _ctx.faults->fire(ProtocolFault::SkipDupTagUpdate))) {
-                info.sharers |= bit;
-                info.ownerL1 = msg.l1Id;
-                info.l1Excl = false;
-                PIR_TRACE(_ctx.tracer,
-                          TraceEvent{.tick = curTick(),
-                                     .kind = TraceKind::OwnerChange,
-                                     .node = _ctx.node,
-                                     .aux = msg.l1Id,
-                                     .addr = a,
-                                     .mask = info.sharers});
-            }
+                  _ctx.faults->fire(ProtocolFault::SkipDupTagUpdate)))
+                recordOwner(info, a, msg.l1Id, false);
             return;
         }
         if (info.sharers) {
             // Forward to the on-chip owner; data flows L1-to-L1.
-            int owner = info.ownerL1;
-            if (owner < 0 || owner == msg.l1Id)
-                panic("%s: bad owner %d for fwd", name().c_str(), owner);
-            ++statL2Fwd;
-            IcsMsg fwd;
-            fwd.type = IcsMsgType::FwdGetS;
-            fwd.addr = a;
-            fwd.srcPort = _myPort;
-            fwd.dstPort = owner;
-            fwd.l1Id = msg.l1Id;
-            fwd.writeBackVictim = wb_decision;
-            fwd.reqId = msg.reqId;
-            _ics.send(std::move(fwd));
-            info.sharers |= bit;
-            info.ownerL1 = msg.l1Id;
-            info.l1Excl = false;
-            PIR_TRACE(_ctx.tracer,
-                      TraceEvent{.tick = curTick(),
-                                 .kind = TraceKind::OwnerChange,
-                                 .node = _ctx.node,
-                                 .aux = msg.l1Id,
-                                 .addr = a,
-                                 .mask = info.sharers});
-            Txn &txn = beginTxn(info);
-            txn.kind = Txn::L1Fwd;
-            txn.req = std::move(msg);
+            if (info.ownerL1 < 0 || info.ownerL1 == msg.l1Id)
+                panic("%s: bad owner %d for fwd", name().c_str(),
+                      info.ownerL1);
+            forwardToOwner(info, std::move(msg), false);
             return;
         }
         // No on-chip copy: fill the L1 directly from memory without
         // allocating in the L2 (non-inclusive hierarchy).
-        Txn &txn = beginTxn(info);
-        txn.req = std::move(msg);
-        txn.wbDecision = wb_decision;
-        if (isLocal(a)) {
-            txn.kind = Txn::L1Mem;
-            _mc.readLine(a, [this, a](const LineData &d, std::uint64_t dir) {
-                onMemData(a, d, dir);
-            });
-        } else {
-            txn.kind = Txn::L1Engine;
-            ++statEngineTrips;
-            sendEngine(txn.req, PeOp::ReqS, false, 0, false);
+    } else {
+        // GetX / Wh64Req / Upgrade: exclusive-permission requests.
+        if (isInstrL1(msg.l1Id))
+            panic("%s: exclusive request from iL1", name().c_str());
+        if (info.l1Excl) {
+            // Sole owner is another on-chip L1: forward.
+            if (info.ownerL1 < 0 || info.ownerL1 == msg.l1Id)
+                panic("%s: bad excl owner %d", name().c_str(),
+                      info.ownerL1);
+            forwardToOwner(info, std::move(msg), true);
+            return;
         }
-        return;
-    }
-
-    // GetX / Wh64Req / Upgrade: exclusive-permission requests.
-    if (ifetch)
-        panic("%s: exclusive request from iL1", name().c_str());
-
-    if (info.l1Excl) {
-        // Sole owner is another on-chip L1: forward.
-        int owner = info.ownerL1;
-        if (owner < 0 || owner == msg.l1Id)
-            panic("%s: bad excl owner %d", name().c_str(), owner);
-        ++statL2Fwd;
-        IcsMsg fwd;
-        fwd.type = IcsMsgType::FwdGetX;
-        fwd.addr = a;
-        fwd.srcPort = _myPort;
-        fwd.dstPort = owner;
-        fwd.l1Id = msg.l1Id;
-        fwd.writeBackVictim = wb_decision;
-        fwd.reqId = msg.reqId;
-        _ics.send(std::move(fwd));
-        info.sharers = bit;
-        info.ownerL1 = msg.l1Id;
-        info.l1Excl = true;
-        PIR_TRACE(_ctx.tracer,
-                  TraceEvent{.tick = curTick(),
-                             .kind = TraceKind::OwnerChange,
-                             .node = _ctx.node,
-                             .aux = msg.l1Id,
-                             .addr = a,
-                             .mask = info.sharers});
-        Txn &txn = beginTxn(info);
-        txn.kind = Txn::L1Fwd;
-        txn.req = std::move(msg);
-        return;
-    }
-
-    bool node_safe = isLocal(a)
-                         ? (_p.pdirShortcut &&
-                            info.pdir == Info::PD_None)
-                         : info.nodeExcl;
-    if (node_safe) {
-        if (isLocal(a))
-            ++statPdirShortcut;
-        grantLocalExclusive(std::move(msg), wb_decision, nullptr);
-        return;
+        bool node_safe = isLocal(a)
+                             ? (_p.pdirShortcut &&
+                                info.pdir == Info::PD_None)
+                             : info.nodeExcl;
+        if (node_safe) {
+            if (isLocal(a))
+                ++statPdirShortcut;
+            grantLocalExclusive(std::move(msg), nullptr);
+            return;
+        }
     }
 
     Txn &txn = beginTxn(info);
-    txn.wbDecision = wb_decision;
+    txn.req = std::move(msg);
     if (isLocal(a)) {
-        // Read the directory (free with the line's ECC bits) and
-        // decide whether remote action is needed.
+        // Read the line with its directory (free with the ECC bits)
+        // and decide there whether remote action is needed.
         txn.kind = Txn::L1Mem;
-        txn.req = std::move(msg);
         _mc.readLine(a, [this, a](const LineData &d, std::uint64_t dir) {
             onMemData(a, d, dir);
         });
     } else {
-        txn.kind = Txn::L1Engine;
-        ++statEngineTrips;
         bool have_local_data = l2l != nullptr || info.sharers != 0;
-        PeOp op = have_local_data ? PeOp::ReqUpgrade : PeOp::ReqX;
-        txn.req = std::move(msg);
-        sendEngine(txn.req, op, false, 0, false);
+        PeOp op = txn.req.type == IcsMsgType::GetS ? PeOp::ReqS
+                  : have_local_data                 ? PeOp::ReqUpgrade
+                                                    : PeOp::ReqX;
+        sendEngine(txn, op, false);
     }
 }
 
 void
-L2Bank::grantLocalExclusive(IcsMsg req, bool wb_decision,
-                            const LineData *mem_data)
+L2Bank::forwardToOwner(Info &info, IcsMsg req, bool excl)
+{
+    ++statL2Fwd;
+    sendFwd(req, excl, info.ownerL1, req.l1Id);
+    recordOwner(info, req.addr, req.l1Id, excl);
+    Txn &txn = beginTxn(info);
+    txn.kind = Txn::L1Fwd;
+    txn.req = std::move(req);
+}
+
+void
+L2Bank::grantLocalExclusive(IcsMsg req, const LineData *mem_data)
 {
     Addr a = req.addr;
     // findChecked before infoFor: discarding a parity-bad line may
@@ -539,54 +481,13 @@ L2Bank::grantLocalExclusive(IcsMsg req, bool wb_decision,
         int owner = info.ownerL1;
         if (owner < 0)
             panic("%s: sharers without owner", name().c_str());
-        for (int l1 = 0; l1 < 16; ++l1) {
-            if (l1 != owner && l1 != req.l1Id &&
-                (info.sharers & (1u << l1))) {
-                PIR_TRACE(_ctx.tracer,
-                          TraceEvent{.tick = curTick(),
-                                     .kind = TraceKind::InvalSent,
-                                     .node = _ctx.node,
-                                     .aux = l1,
-                                     .addr = a,
-                                     .mask = info.sharers});
-                // Seeded fault: the invalidation is never sent — the
-                // targeted L1 keeps a stale copy the dup tags forgot.
-                if (_ctx.faults &&
-                    _ctx.faults->fire(ProtocolFault::DropInval))
-                    continue;
-                IcsMsg inv;
-                inv.type = IcsMsgType::Inval;
-                inv.addr = a;
-                inv.srcPort = _myPort;
-                inv.dstPort = l1;
-                _ics.send(std::move(inv));
-            }
-        }
-        ++statL2Fwd;
-        IcsMsg fwd;
-        fwd.type = IcsMsgType::FwdGetX;
-        fwd.addr = a;
-        fwd.srcPort = _myPort;
-        fwd.dstPort = owner;
-        fwd.l1Id = req.l1Id;
-        fwd.writeBackVictim = wb_decision;
-        fwd.reqId = req.reqId;
-        _ics.send(std::move(fwd));
-        info.sharers = bit;
-        info.ownerL1 = req.l1Id;
-        info.l1Excl = true;
-        Txn &txn = beginTxn(info);
-        txn.kind = Txn::L1Fwd;
-        txn.req = std::move(req);
-        txn.wbDecision = wb_decision;
-        if (isLocal(a))
-            info.pdir = Info::PD_None;
-        else
-            info.nodeExcl = true;
+        invalL1Sharers(info, a, (1u << owner) | bit);
+        forwardToOwner(info, std::move(req), true);
+        markNodeExclusive(info, a);
         return;
     }
 
-    invalL1Sharers(info, a, req.l1Id);
+    invalL1Sharers(info, a, bit);
 
     if (still_sharer) {
         invalL2Copy(info, a);
@@ -595,25 +496,22 @@ L2Bank::grantLocalExclusive(IcsMsg req, bool wb_decision,
         ++statL2Hit;
         LineData data = l2l->data;
         invalL2Copy(info, a);
-        replyFill(req, data, true, true, FillSource::L2Hit, wb_decision);
+        replyFill(req, data, true, true, FillSource::L2Hit);
     } else if (mem_data) {
         ++statMemLocal;
         replyFill(req, *mem_data, req.type != IcsMsgType::Wh64Req, true,
-                  FillSource::MemLocal, wb_decision);
+                  FillSource::MemLocal);
     } else {
         panic("%s: exclusive grant with no data source for %#llx",
               name().c_str(), static_cast<unsigned long long>(a));
     }
-    info.sharers = bit;
-    info.ownerL1 = req.l1Id;
-    info.l1Excl = true;
+    recordOwner(info, a, req.l1Id, true);
     info.nodeDirty = false;
-    if (isLocal(a))
-        info.pdir = Info::PD_None;
-    else
-        info.nodeExcl = true;
+    markNodeExclusive(info, a);
 
-    if (info.busy && pendingOf(info).txn.kind != Txn::L1Fwd)
+    // Called from dispatch (no transaction yet) or to complete the
+    // line's memory read or engine trip.
+    if (info.busy)
         finishTxn(info, a);
 }
 
@@ -628,42 +526,28 @@ L2Bank::onMemData(Addr addr, const LineData &data, std::uint64_t dir_bits)
     DirEntry dir = decodeDirEntry(_ctx.injector, _ctx.node, addr,
                                   dir_bits, _amap.numNodes);
     IcsMsg req = txn.req;
-    std::uint32_t bit = 1u << req.l1Id;
-    bool ifetch = isInstrL1(req.l1Id);
+    bool read_req = req.type == IcsMsgType::GetS;
 
-    if (req.type == IcsMsgType::GetS) {
-        if (dir.state() == DirState::Exclusive) {
-            ++statEngineTrips;
-            txn.kind = Txn::L1Engine;
-            sendEngine(req, PeOp::ReqS, true, dir_bits, true);
-            // Engine ops blocked during the memory read may now
-            // interleave with the parked transaction.
-            drainBlocked(info);
-            return;
-        }
+    if (read_req && dir.state() != DirState::Exclusive) {
         ++statMemLocal;
-        bool excl = dir.empty() && !ifetch;
-        replyFill(req, data, true, excl, FillSource::MemLocal,
-                  txn.wbDecision);
-        info.sharers |= bit;
-        info.ownerL1 = req.l1Id;
-        info.l1Excl = excl;
+        bool excl = dir.empty() && !isInstrL1(req.l1Id);
+        replyFill(req, data, true, excl, FillSource::MemLocal);
+        recordOwner(info, addr, req.l1Id, excl);
         info.pdir = dir.empty() ? Info::PD_None : Info::PD_Shared;
         finishTxn(info, addr);
         return;
     }
-
-    // Exclusive-class request.
-    if (dir.empty()) {
+    if (!read_req && dir.empty()) {
         info.pdir = Info::PD_None;
-        grantLocalExclusive(req, txn.wbDecision, &data);
+        grantLocalExclusive(req, &data);
         return;
     }
-    // Remote copies exist: the home engine re-reads the directory at
-    // its own serialization point and completes the remote side.
-    ++statEngineTrips;
-    txn.kind = Txn::L1Engine;
-    sendEngine(req, PeOp::ReqX, true, dir_bits, true);
+    // A remote node owns the line, or (for an exclusive request)
+    // shares it: the home engine re-reads the directory at its own
+    // serialization point and completes the remote side.
+    sendEngine(txn, read_req ? PeOp::ReqS : PeOp::ReqX, true, dir_bits);
+    // Engine ops blocked during the memory read may now interleave
+    // with the parked transaction.
     drainBlocked(info);
 }
 
@@ -675,9 +559,7 @@ L2Bank::onPeData(const IcsMsg &msg)
     if (!info.busy || pendingOf(info).txn.kind != Txn::L1Engine)
         panic("%s: stray PeData for %#llx", name().c_str(),
               static_cast<unsigned long long>(a));
-    const Txn &txn = pendingOf(info).txn;
-    IcsMsg req = txn.req;
-    std::uint32_t bit = 1u << req.l1Id;
+    IcsMsg req = pendingOf(info).txn.req;
 
     // Count the remote service for the miss breakdown.
     if (msg.source == FillSource::MemRemote)
@@ -688,11 +570,8 @@ L2Bank::onPeData(const IcsMsg &msg)
         ++statMemLocal;
 
     if (req.type == IcsMsgType::GetS) {
-        replyFill(req, msg.data, true, msg.exclusive, msg.source,
-                  txn.wbDecision);
-        info.sharers |= bit;
-        info.ownerL1 = req.l1Id;
-        info.l1Excl = msg.exclusive;
+        replyFill(req, msg.data, true, msg.exclusive, msg.source);
+        recordOwner(info, a, req.l1Id, msg.exclusive);
         if (isLocal(a))
             info.pdir = msg.exclusive ? Info::PD_None : Info::PD_Shared;
         else
@@ -702,33 +581,20 @@ L2Bank::onPeData(const IcsMsg &msg)
     }
 
     // Exclusive-class completion.
-    if (msg.hasData) {
-        // Fresh data granted (RepX / remote dirty): any local copies
-        // are stale.
-        invalL1Sharers(info, a, -1);
-        invalL2Copy(info, a);
-        info.nodeDirty = false;
-        replyFill(req, msg.data, true, true, msg.source,
-                  txn.wbDecision);
-        info.sharers = bit;
-        info.ownerL1 = req.l1Id;
-        info.l1Excl = true;
-        if (isLocal(a))
-            info.pdir = Info::PD_None;
-        else
-            info.nodeExcl = true;
-        finishTxn(info, a);
-    } else {
-        // Permission-only grant: data is already on chip (or comes
-        // with the mem data the PeReadLocal path returned earlier).
-        if (isLocal(a))
-            info.pdir = Info::PD_None;
-        else
-            info.nodeExcl = true;
-        LineData mem = msg.data;
-        grantLocalExclusive(req, txn.wbDecision,
-                            msg.hasData ? &mem : nullptr);
+    markNodeExclusive(info, a);
+    if (!msg.hasData) {
+        // Permission-only grant: the data is already on chip.
+        grantLocalExclusive(req, nullptr);
+        return;
     }
+    // Fresh data granted (RepX / remote dirty): any local copies are
+    // stale.
+    invalL1Sharers(info, a, 0);
+    invalL2Copy(info, a);
+    info.nodeDirty = false;
+    replyFill(req, msg.data, true, true, msg.source);
+    recordOwner(info, a, req.l1Id, true);
+    finishTxn(info, a);
 }
 
 void
@@ -742,7 +608,7 @@ L2Bank::onFwdDone(const IcsMsg &msg)
                          pe.gatherDirty;
         // Apply the requested mode now that data is captured.
         if (pe.req.mode == PeLocalMode::Excl) {
-            invalL1Sharers(info, a, -1);
+            invalL1Sharers(info, a, 0);
             invalL2Copy(info, a);
             info.nodeExcl = false;
             info.nodeDirty = false;
@@ -891,10 +757,6 @@ L2Bank::onPeReadLocal(IcsMsg msg)
 {
     Addr a = msg.addr;
     Info &info = infoFor(a);
-    if (!canProcess(info, msg)) {
-        block(info, std::move(msg));
-        return;
-    }
     Txn &pe = beginPeTxn(info);
     pe.kind = Txn::PeRead;
     pe.req = msg;
@@ -906,17 +768,10 @@ L2Bank::onPeReadLocal(IcsMsg msg)
     if (need_data && !l2l && info.sharers) {
         // Gather from the owning L1; the peer fill targets this bank.
         int owner = info.ownerL1;
-        IcsMsg fwd;
-        fwd.type = msg.mode == PeLocalMode::Excl ? IcsMsgType::FwdGetX
-                                                 : IcsMsgType::FwdGetS;
-        fwd.addr = a;
-        fwd.srcPort = _myPort;
-        fwd.dstPort = owner;
-        fwd.l1Id = _myPort;
-        fwd.reqId = msg.reqId;
-        _ics.send(std::move(fwd));
-        if (msg.mode == PeLocalMode::Excl)
-            invalL1Sharers(info, a, owner);
+        bool excl = msg.mode == PeLocalMode::Excl;
+        sendFwd(msg, excl, owner, _myPort);
+        if (excl)
+            invalL1Sharers(info, a, 1u << owner);
         pe.kind = Txn::PeReadFwd;
         // Remaining mode effects are applied at FwdDone.
     } else {
@@ -926,7 +781,7 @@ L2Bank::onPeReadLocal(IcsMsg msg)
             pe.gatherDirty = l2l->dirty || info.nodeDirty;
         }
         if (msg.mode == PeLocalMode::Excl) {
-            invalL1Sharers(info, a, -1);
+            invalL1Sharers(info, a, 0);
             invalL2Copy(info, a);
             info.nodeExcl = false;
             info.nodeDirty = false;
@@ -1010,10 +865,6 @@ L2Bank::onPeInvalLocal(IcsMsg msg)
 {
     Addr a = msg.addr;
     Info &info = infoFor(a);
-    if (!canProcess(info, msg)) {
-        block(info, std::move(msg));
-        return;
-    }
     bool acquiring_excl =
         info.busy && pendingOf(info).txn.kind == Txn::L1Engine &&
         pendingOf(info).txn.req.type != IcsMsgType::GetS;
@@ -1031,7 +882,7 @@ L2Bank::onPeInvalLocal(IcsMsg msg)
         // copies survive the epoch change and keep servicing hits.
         if (!(info.sharers && _ctx.faults &&
               _ctx.faults->fire(ProtocolFault::StaleCmiApply)))
-            invalL1Sharers(info, a, -1);
+            invalL1Sharers(info, a, 0);
         invalL2Copy(info, a);
         info.nodeDirty = false;
         info.pdir = Info::PD_Unknown;
@@ -1055,7 +906,7 @@ L2Bank::onPeInvalLocal(IcsMsg msg)
 
 void
 L2Bank::replyFill(const IcsMsg &req, const LineData &data, bool has_data,
-                  bool exclusive, FillSource source, bool wb_decision)
+                  bool exclusive, FillSource source)
 {
     IcsMsg rsp;
     rsp.type = exclusive ? IcsMsgType::FillX : IcsMsgType::FillS;
@@ -1068,7 +919,6 @@ L2Bank::replyFill(const IcsMsg &req, const LineData &data, bool has_data,
         rsp.data = data;
     rsp.exclusive = exclusive;
     rsp.source = source;
-    rsp.writeBackVictim = wb_decision;
     rsp.reqId = req.reqId;
     _ics.send(std::move(rsp));
 }
@@ -1088,10 +938,47 @@ L2Bank::replyUpgradeAck(const IcsMsg &req)
 }
 
 void
-L2Bank::invalL1Sharers(Info &info, Addr addr, int except_l1)
+L2Bank::sendFwd(const IcsMsg &req, bool excl, int owner, int requester)
+{
+    IcsMsg fwd;
+    fwd.type = excl ? IcsMsgType::FwdGetX : IcsMsgType::FwdGetS;
+    fwd.addr = req.addr;
+    fwd.srcPort = _myPort;
+    fwd.dstPort = owner;
+    fwd.l1Id = requester;
+    fwd.reqId = req.reqId;
+    _ics.send(std::move(fwd));
+}
+
+void
+L2Bank::recordOwner(Info &info, Addr addr, int l1, bool excl)
+{
+    std::uint32_t bit = 1u << l1;
+    info.sharers = excl ? bit : info.sharers | bit;
+    info.ownerL1 = l1;
+    info.l1Excl = excl;
+    PIR_TRACE(_ctx.tracer, TraceEvent{.tick = curTick(),
+                                      .kind = TraceKind::OwnerChange,
+                                      .node = _ctx.node,
+                                      .aux = l1,
+                                      .addr = addr,
+                                      .mask = info.sharers});
+}
+
+void
+L2Bank::markNodeExclusive(Info &info, Addr addr)
+{
+    if (isLocal(addr))
+        info.pdir = Info::PD_None;
+    else
+        info.nodeExcl = true;
+}
+
+void
+L2Bank::invalL1Sharers(Info &info, Addr addr, std::uint32_t keep)
 {
     for (int l1 = 0; l1 < 16; ++l1) {
-        if (l1 == except_l1 || !(info.sharers & (1u << l1)))
+        if (!(info.sharers & ~keep & (1u << l1)))
             continue;
         PIR_TRACE(_ctx.tracer, TraceEvent{.tick = curTick(),
                                           .kind = TraceKind::InvalSent,
@@ -1129,18 +1016,19 @@ L2Bank::invalL2Copy(Info &info, Addr addr)
 }
 
 void
-L2Bank::sendEngine(const IcsMsg &req, PeOp op, bool to_home,
-                   std::uint64_t dir_bits, bool has_dir)
+L2Bank::sendEngine(Txn &txn, PeOp op, bool to_home, std::uint64_t dir_bits)
 {
+    txn.kind = Txn::L1Engine;
+    ++statEngineTrips;
     IcsMsg m;
     m.type = to_home ? IcsMsgType::ToHomeEngine
                      : IcsMsgType::ToRemoteEngine;
-    m.addr = req.addr;
+    m.addr = txn.req.addr;
     m.peOp = op;
-    m.l1Id = req.l1Id;
-    m.reqId = req.reqId;
+    m.l1Id = txn.req.l1Id;
+    m.reqId = txn.req.reqId;
     m.dirBits = dir_bits;
-    m.hasDir = has_dir;
+    m.hasDir = to_home;
     m.srcPort = _myPort;
     m.dstPort = to_home ? homeEnginePort : remoteEnginePort;
     _ics.send(std::move(m));
@@ -1191,32 +1079,11 @@ L2Bank::drainBlocked(Info &info)
     scheduleIn(*ev, _clk.cycles(1));
 }
 
-void
-L2Bank::drainRetryDispatch(IcsMsg next)
+bool
+L2Bank::faultEligible(const L2Line &l)
 {
-    Addr a = next.addr;
-    switch (next.type) {
-      case IcsMsgType::PeReadLocal:
-        onPeReadLocal(std::move(next));
-        break;
-      case IcsMsgType::PeInvalLocal:
-        onPeInvalLocal(std::move(next));
-        break;
-      default: {
-        Info &info = infoFor(a);
-        if (!canProcess(info, next)) {
-            holdPending(info).blocked.push_front(std::move(next));
-            return;
-        }
-        bool wb_decision = false;
-        if (next.hasVictim)
-            wb_decision = handleVictim(next);
-        dispatchL1Request(std::move(next), wb_decision);
-        break;
-      }
-    }
-    if (Info *info = findInfo(a))
-        drainBlocked(*info);
+    return l.valid && !l.dirty && !l.parityBad && isLocal(l.addr) &&
+           !lineBusy(l.addr);
 }
 
 unsigned
@@ -1224,9 +1091,7 @@ L2Bank::faultEligibleLines()
 {
     unsigned n = 0;
     for (const L2Line &l : _tags.raw())
-        if (l.valid && !l.dirty && !l.parityBad && isLocal(l.addr) &&
-            !lineBusy(l.addr))
-            ++n;
+        n += faultEligible(l);
     return n;
 }
 
@@ -1234,10 +1099,7 @@ bool
 L2Bank::faultMarkParity(unsigned nth, unsigned bit, bool corrupt_data)
 {
     for (L2Line &l : _tags.raw()) {
-        if (!(l.valid && !l.dirty && !l.parityBad && isLocal(l.addr) &&
-              !lineBusy(l.addr)))
-            continue;
-        if (nth--)
+        if (!faultEligible(l) || nth--)
             continue;
         l.parityBad = true;
         if (corrupt_data)

@@ -13,9 +13,9 @@
  * Each bank keeps duplicate L1 tag/state for the lines that map to it
  * plus an ownership record: the owner of a line is the L2 (when it
  * holds a valid copy), an L1 in exclusive state, or one of the
- * sharing L1s (the last requester). Only the owner L1 writes back on
- * replacement, and the L2 makes that decision at its serialization
- * point, piggybacking it on the reply to the displacing request.
+ * sharing L1s (the last requester). A replaced L1 line ships its
+ * data with the displacing request, and the L2 installs the owner's
+ * copy at its serialization point (DESIGN.md §11, item 1).
  * Together with the ICS ordering this removes the need for on-chip
  * invalidation acknowledgements.
  *
@@ -169,8 +169,6 @@ class L2Bank : public SimObject, public IcsClient
         } kind = None;
 
         IcsMsg req;             //!< original request
-        bool wbDecision = false;
-        bool upgradeTurnedFill = false;
         // PeRead gather state.
         LineData data;
         bool haveData = false;
@@ -325,12 +323,21 @@ class L2Bank : public SimObject, public IcsClient
      */
     L2Line *findChecked(Addr addr);
 
+    /**
+     * The one entry for a message whose lookup latency has passed
+     * (@p retry false) or for a blocked request drained from its
+     * line's queue (@p retry true). An L1 request or engine op runs
+     * only when canProcess allows it, and a fresh L1 request also
+     * waits behind the line's blocked requests. One that cannot run
+     * is blocked, except a retried L1 request, which goes back to the
+     * head of the queue uncounted. A retried request that ran keeps
+     * the queue draining.
+     */
+    void dispatch(IcsMsg msg, bool retry);
+
     // Request-side handlers.
-    void lookupDispatch(IcsMsg m);
-    void drainRetryDispatch(IcsMsg next);
-    void onL1Request(IcsMsg msg);
-    void dispatchL1Request(IcsMsg msg, bool wb_decision);
-    bool handleVictim(const IcsMsg &msg);
+    void dispatchL1Request(IcsMsg msg);
+    void handleVictim(const IcsMsg &msg);
     void onWbData(const IcsMsg &msg);
     void onFwdDone(const IcsMsg &msg);
     void onGatherData(const IcsMsg &msg);
@@ -342,23 +349,42 @@ class L2Bank : public SimObject, public IcsClient
 
     // Actions.
     void replyFill(const IcsMsg &req, const LineData &data, bool has_data,
-                   bool exclusive, FillSource source, bool wb_decision);
+                   bool exclusive, FillSource source);
     void replyUpgradeAck(const IcsMsg &req);
-    void invalL1Sharers(Info &info, Addr addr, int except_l1);
+    /** Send a FwdGetX (@p excl) or FwdGetS for @p req's line to owner
+     *  L1 @p owner, which supplies @p requester (an L1 or, for an
+     *  engine gather, this bank). */
+    void sendFwd(const IcsMsg &req, bool excl, int owner, int requester);
+    /** Forward L1 request @p req to the line's owner L1, record the
+     *  requester as the new owner and start the L1Fwd transaction. */
+    void forwardToOwner(Info &info, IcsMsg req, bool excl);
+    /** L1 @p l1 becomes the line's owner: sole sharer when @p excl,
+     *  else one more sharer. Traced as OwnerChange. */
+    void recordOwner(Info &info, Addr addr, int l1, bool excl);
+    /** The chip now holds the line exclusively: no remote copy of a
+     *  home-local line, write permission for a remote-homed one. */
+    void markNodeExclusive(Info &info, Addr addr);
+    /** Invalidate every sharer L1 outside the @p keep mask. */
+    void invalL1Sharers(Info &info, Addr addr, std::uint32_t keep);
     void invalL2Copy(Info &info, Addr addr);
     void installL2(Info &info, Addr addr, const LineData &data,
                    bool dirty);
     void evictL2Line(L2Line &line);
     void dropL2Copy(Info &info, L2Line &line);
-    void sendEngine(const IcsMsg &req, PeOp op, bool to_home,
-                    std::uint64_t dir_bits, bool has_dir);
+    /** Hand @p txn's request to the remote engine, or to the home
+     *  engine with the directory bits read with the line; the
+     *  transaction waits for PeData. */
+    void sendEngine(Txn &txn, PeOp op, bool to_home,
+                    std::uint64_t dir_bits = 0);
     void finishTxn(Info &info, Addr addr);
     void finishPeTxn(Info &info, Addr addr);
     void drainBlocked(Info &info);
     bool canProcess(const Info &info, const IcsMsg &msg) const;
     void completePeRead(Info &info, Addr addr);
-    void grantLocalExclusive(IcsMsg req, bool wb_decision,
-                             const LineData *mem_data);
+    void grantLocalExclusive(IcsMsg req, const LineData *mem_data);
+    /** A parity-fault site: a valid, clean, local-homed line with no
+     *  transaction in flight (see faultEligibleLines). */
+    bool faultEligible(const L2Line &l);
 
     const ChipContext _ctx;
     L2Params _p;

@@ -162,17 +162,29 @@ ProtocolEngine::icsDeliver(const IcsMsg &msg)
       case IcsMsgType::PeReadLocalRsp:
       case IcsMsgType::PeWbAck: {
         // Local replies match by transaction id: secondary threads
-        // (invalidations) are not registered in the per-line table.
-        unsigned cc = msg.type == IcsMsgType::PeReadLocalRsp
-                          ? ccLocalReadRsp
-                          : ccLocalDone;
-        TsrfEntry *t = nullptr;
+        // (invalidations) are not registered in the per-line table,
+        // and their line's queue belongs to its primary thread. A
+        // reply can beat its thread's LRECEIVE (the thread sent the
+        // request but has not had its next turn); it then waits in
+        // that thread's entry for the LRECEIVE.
+        unsigned cc = localCc(msg.type);
+        TsrfEntry *t = nullptr, *early = nullptr;
         for (auto &cand : _tsrf) {
-            if (cand.valid && cand.wait == TsrfEntry::Wait::Local &&
-                cand.reqId == msg.reqId) {
+            if (!cand.valid || cand.reqId != msg.reqId)
+                continue;
+            if (cand.wait == TsrfEntry::Wait::Local) {
                 t = &cand;
                 break;
             }
+            if (!early && cand.wait == TsrfEntry::Wait::None &&
+                !cand.heldLocal &&
+                _prog.mem[cand.pc].op == MicroOp::LRECEIVE)
+                early = &cand;
+        }
+        if (!t && early) {
+            early->local = msg;
+            early->heldLocal = true;
+            break;
         }
         if (!t || !((t->waitMask >> cc) & 1))
             panic("%s: unmatched local reply %s", name().c_str(),
@@ -299,7 +311,7 @@ ProtocolEngine::retire(TsrfEntry &t)
 }
 
 bool
-ProtocolEngine::tryConsumeQueued(TsrfEntry &t, bool net_side)
+ProtocolEngine::tryConsumeQueued(TsrfEntry &t)
 {
     Addr line = lineNum(t.addr);
     RingBuffer<QMsg> *q = _lineQueue.find(line);
@@ -307,19 +319,10 @@ ProtocolEngine::tryConsumeQueued(TsrfEntry &t, bool net_side)
         return false;
     for (std::size_t i = 0; i < q->size(); ++i) {
         QMsg &m = (*q)[i];
-        if (m.isNet != net_side)
+        unsigned cc = static_cast<unsigned>(m.net.type);
+        if (!m.isNet || !((t.waitMask >> cc) & 1))
             continue;
-        unsigned cc = m.isNet
-                          ? static_cast<unsigned>(m.net.type)
-                          : (m.local.type == IcsMsgType::PeReadLocalRsp
-                                 ? ccLocalReadRsp
-                                 : ccLocalDone);
-        if (!((t.waitMask >> cc) & 1))
-            continue;
-        if (m.isNet)
-            t.msg = m.net;
-        else
-            t.local = m.local;
+        t.msg = m.net;
         q->erase(i);
         if (q->empty())
             _lineQueue.erase(line);
@@ -414,18 +417,27 @@ ProtocolEngine::executeOne(TsrfEntry &t)
       }
       case MicroOp::RECEIVE:
         t.waitMask = instr->waitMask;
-        if (!tryConsumeQueued(t, true)) {
+        if (!tryConsumeQueued(t)) {
             t.wait = TsrfEntry::Wait::Net;
             _readyMask &= ~readyBit(t);
         }
         break;
-      case MicroOp::LRECEIVE:
+      case MicroOp::LRECEIVE: {
         t.waitMask = instr->waitMask;
-        if (!tryConsumeQueued(t, false)) {
+        if (!t.heldLocal) {
             t.wait = TsrfEntry::Wait::Local;
             _readyMask &= ~readyBit(t);
+            break;
         }
+        // The reply came first (icsDeliver held it).
+        unsigned cc = localCc(t.local.type);
+        if (!((t.waitMask >> cc) & 1))
+            panic("%s: held local reply %s not accepted at pc %u",
+                  name().c_str(), icsMsgTypeName(t.local.type), t.pc);
+        t.heldLocal = false;
+        t.pc = static_cast<std::uint16_t>(instr->next + cc);
         break;
+      }
     }
 }
 

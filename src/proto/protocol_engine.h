@@ -167,7 +167,9 @@ class ProtocolEngine : public SimObject, public IcsClient
     void spawn(const QMsg &m);
     TsrfEntry *freeEntry();
     TsrfEntry *activeFor(Addr addr);
-    bool tryConsumeQueued(TsrfEntry &t, bool net_side);
+    /** RECEIVE: take the first reply queued on @p t's line that its
+     *  wait mask accepts; true if one was taken. */
+    bool tryConsumeQueued(TsrfEntry &t);
     void resumeWith(TsrfEntry &t, unsigned cc);
 
     /** @p t's bit in _readyMask. */

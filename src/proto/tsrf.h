@@ -38,6 +38,9 @@ struct TsrfEntry
         Local, //!< LRECEIVE pending
     } wait = Wait::None;
     std::uint16_t waitMask = 0;
+    /** A local reply reached this thread after its LSEND but before
+     *  its LRECEIVE ran; it waits in `local` for that LRECEIVE. */
+    bool heldLocal = false;
 
     /** Message registers. */
     NetPacket msg;     //!< last received network message
@@ -73,6 +76,14 @@ enum LocalCc : unsigned
     ccLocalReadRsp = 0, //!< PeReadLocalRsp
     ccLocalDone = 1,    //!< PeWbAck (generic completion)
 };
+
+/** The condition code LRECEIVE branches on for local reply @p type. */
+inline unsigned
+localCc(IcsMsgType type)
+{
+    return type == IcsMsgType::PeReadLocalRsp ? ccLocalReadRsp
+                                              : ccLocalDone;
+}
 
 } // namespace piranha
 

@@ -5,7 +5,7 @@
  * are held exactly by lines with a transaction or blocked requests,
  * checked every few microseconds of simulated time; once the run has
  * drained, no idle record is left behind and every bank's pending
- * pool is back to empty.
+ * pool is back to empty. Every new owner a bank records is traced.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <functional>
 
 #include "core/piranha.h"
+#include "test_system.h"
 
 namespace piranha {
 namespace {
@@ -76,6 +77,38 @@ TEST(L2Invariants, HoldThroughP8Oltp)
 TEST(L2Invariants, HoldThroughEightChipP4Oltp)
 {
     expectCleanBanksAfter(configPn(4, 8), 24, "8 x P4/OLTP");
+}
+
+// A requester that becomes a line's owner leaves an OwnerChange
+// naming it, whichever way the bank served it: here a fill from local
+// memory, a fill from a remote home and an exclusive grant.
+TEST(L2OwnerRecord, EveryNewOwnerIsTraced)
+{
+    CoherenceTracer tracer;
+    ChipParams params;
+    params.tracer = &tracer;
+    TestSystem sys(2, 2, params);
+    auto traced_owner = [&](unsigned node, unsigned cpu, Addr a) {
+        for (const TraceEvent &e : tracer.events())
+            if (e.kind == TraceKind::OwnerChange &&
+                e.node == static_cast<int>(node) &&
+                e.aux == dl1Port(cpu) && e.addr == a)
+                return true;
+        return false;
+    };
+
+    Addr local_read = homedAt(sys, 0, 0);
+    sys.load(0, 0, local_read);
+    EXPECT_TRUE(traced_owner(0, 0, local_read)) << "local memory fill";
+
+    Addr remote_read = homedAt(sys, 0, 1);
+    sys.load(1, 1, remote_read);
+    EXPECT_TRUE(traced_owner(1, 1, remote_read)) << "remote fill";
+
+    Addr local_write = homedAt(sys, 0, 2);
+    sys.store(0, 1, local_write, 7);
+    sys.settle();
+    EXPECT_TRUE(traced_owner(0, 1, local_write)) << "exclusive grant";
 }
 
 } // namespace

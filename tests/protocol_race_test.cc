@@ -5,11 +5,13 @@
  * early forwards arriving before the owner's own fill, stale
  * cruise-missile invalidations racing newer grants, upgrade races,
  * and pending-entry blocking. Each test engineers the race by
- * stepping the event queue partially rather than settling.
+ * stepping the event queue partially rather than settling, or runs
+ * the smallest workload found to reach it.
  */
 
 #include <gtest/gtest.h>
 
+#include "core/piranha.h"
 #include "test_system.h"
 
 namespace piranha {
@@ -141,6 +143,26 @@ TEST(ProtocolRace, HomeAndRemoteSimultaneousRequests)
     std::uint64_t v = sys.load(0, 1, a);
     EXPECT_TRUE(v == 0x110 || v == 0x220);
     EXPECT_EQ(sys.load(1, 1, a), v);
+}
+
+TEST(ProtocolRace, LocalReplyBeatsItsReceive)
+{
+    // A remote engine's invalidation thread sends PeInvalLocal and
+    // runs its LRECEIVE on its next round-robin turn; with many ready
+    // threads the L2's PeWbAck can arrive first. The reply must wait
+    // for the LRECEIVE ("unmatched local reply PeWbAck" otherwise).
+    // 8 x P4 OLTP at generator seed 8 reaches the race within 256
+    // transactions. The sweep harness runs it, so a panic fails the
+    // job instead of aborting this binary.
+    SweepPoint pt;
+    pt.label = "P4x8/OLTP/seed8";
+    pt.config = configPn(4, 8);
+    pt.workload = WorkloadDecl{
+        "OLTP",
+        [] { return std::make_unique<OltpWorkload>(OltpParams{}, 8); },
+        256};
+    JobResult jr = SweepRunner(SweepOptions{.threads = 1}).runJob(pt);
+    EXPECT_EQ(jr.status, JobStatus::Ok) << jr.error;
 }
 
 TEST(ProtocolRace, EngineQueuesDrainAfterBurst)
