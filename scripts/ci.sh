@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification, as CI runs it: check that there is one build
 # (no code path behind a PIRANHA_ macro or a CMake option), that only
-# PiranhaSystem wires systems and that every src/, tests/, bench/ and
-# examples/ path the docs cite exists, configure with warnings promoted
-# to errors on every target, build everything, run the full test suite.
+# PiranhaSystem wires systems, that the protocol programs build no
+# NetPacket by hand and that every src/, tests/, bench/ and examples/
+# path the docs cite exists, configure with warnings promoted to
+# errors on every target, build everything, run the full test suite.
 #
 # Usage:
 #   scripts/ci.sh [build-dir]         tier-1 build + tests
@@ -112,6 +113,20 @@ if [[ -n "$wiring" ]]; then
     echo "FAIL: these files name NetFabric, ShardPlan or" \
          "ParallelEngine; build the system with PiranhaSystem" >&2
     echo "$wiring" >&2
+    exit 1
+fi
+
+# The protocol engine forms every inter-node message
+# (ProtocolEngine::packet, sendWbAck): the microcode programs never
+# fill in a NetPacket field by field.
+bare="$(cd "$(dirname "$0")/.." &&
+    grep -nE '\bNetPacket[[:space:]]+[A-Za-z_][A-Za-z0-9_]*[[:space:]]*[;{(]' \
+        src/proto/home_program.cc src/proto/remote_program.cc ||
+    [[ $? -eq 1 ]])"
+if [[ -n "$bare" ]]; then
+    echo "FAIL: a protocol program declares a bare NetPacket; build" \
+         "it with ProtocolEngine::packet or sendWbAck" >&2
+    echo "$bare" >&2
     exit 1
 fi
 

@@ -395,7 +395,6 @@ L1Cache::icsDeliver(const IcsMsg &msg)
         fill.data = l->data;
         fill.source = FillSource::L2Fwd;
         fill.exclusive = msg.type == IcsMsgType::FwdGetX;
-        fill.writeBackVictim = msg.writeBackVictim;
         fill.reqId = msg.reqId;
         fill.srcPort = _l1Id;
         fill.dstPort = msg.l1Id; // L1 ports are their l1 ids

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <iostream>
+#include <iterator>
 #include <ostream>
 
 #include "check/trace.h"
@@ -48,15 +49,19 @@ L2Bank::regStats(StatGroup &parent)
 void
 L2Bank::debugDump(std::ostream &os) const
 {
+    static constexpr const char *kindNames[] = {
+        "None", "L1Fwd", "L1Mem", "L1Engine", "PeRead", "PeReadFwd",
+        "PeHeld"};
+    static_assert(std::size(kindNames) == Txn::PeHeld + 1);
     _info.forEach([&](Addr line, const Info &info) {
         if (info.pending == noPending)
             return;
         const Pending &p = pendingOf(info);
         os << "  " << name() << " line=" << std::hex << (line << 6)
            << std::dec << " busy=" << info.busy << " txn="
-           << static_cast<int>(info.busy ? p.txn.kind : Txn::None)
+           << kindNames[info.busy ? p.txn.kind : Txn::None]
            << " peActive=" << info.peActive << " peTxn="
-           << static_cast<int>(info.peActive ? p.peTxn.kind : Txn::None)
+           << kindNames[info.peActive ? p.peTxn.kind : Txn::None]
            << " blocked=" << p.blocked.size()
            << " sharers=" << std::hex << info.sharers << std::dec
            << " owner=" << info.ownerL1 << " l1Excl=" << info.l1Excl
@@ -276,9 +281,6 @@ L2Bank::dispatch(IcsMsg msg, bool retry)
             dispatchL1Request(std::move(msg));
         break;
       }
-      case IcsMsgType::WbData:
-        onWbData(msg);
-        break;
       case IcsMsgType::FwdDone:
         onFwdDone(msg);
         break;
@@ -545,7 +547,7 @@ L2Bank::onMemData(Addr addr, const LineData &data, std::uint64_t dir_bits)
     // A remote node owns the line, or (for an exclusive request)
     // shares it: the home engine re-reads the directory at its own
     // serialization point and completes the remote side.
-    sendEngine(txn, read_req ? PeOp::ReqS : PeOp::ReqX, true, dir_bits);
+    sendEngine(txn, read_req ? PeOp::ReqS : PeOp::ReqX, true);
     // Engine ops blocked during the memory read may now interleave
     // with the parked transaction.
     drainBlocked(info);
@@ -647,21 +649,6 @@ L2Bank::onGatherData(const IcsMsg &msg)
 }
 
 void
-L2Bank::onWbData(const IcsMsg &msg)
-{
-    Addr a = msg.addr;
-    Info &info = infoFor(a);
-    if (!info.busy || pendingOf(info).txn.kind != Txn::WbWait)
-        panic("%s: unexpected WbData for %#llx", name().c_str(),
-              static_cast<unsigned long long>(a));
-    ++statWbInstalls;
-    bool dirty = msg.victimDirty || info.nodeDirty;
-    info.nodeDirty = false;
-    installL2(info, a, msg.data, dirty);
-    finishTxn(info, a);
-}
-
-void
 L2Bank::installL2(Info &info, Addr addr, const LineData &data, bool dirty)
 {
     if (_tags.find(addr))
@@ -724,8 +711,7 @@ L2Bank::evictL2Line(L2Line &line)
         // buffer is populated synchronously so a forwarded request
         // racing with this eviction is always serviceable.
         if (_wbBufferHook)
-            _wbBufferHook(a, line.data,
-                          line.dirty || info.nodeDirty);
+            _wbBufferHook(a, line.data);
         IcsMsg wb;
         wb.type = IcsMsgType::ToRemoteEngine;
         wb.addr = a;
@@ -844,11 +830,8 @@ L2Bank::completePeRead(Info &info, Addr addr)
     rsp.hasData = t.haveData;
     rsp.data = t.data;
     rsp.dirBits = t.dirBits;
-    rsp.hasDir = dir_needed;
     rsp.localPresent = t.localPresent;
     rsp.localDirty = t.gatherDirty;
-    rsp.mode = t.req.mode;
-    rsp.peOp = t.req.peOp;
     _ics.send(std::move(rsp));
     if (t.req.holdLine) {
         // Keep the pending entry blocked; the engine releases it with
@@ -1016,7 +999,7 @@ L2Bank::invalL2Copy(Info &info, Addr addr)
 }
 
 void
-L2Bank::sendEngine(Txn &txn, PeOp op, bool to_home, std::uint64_t dir_bits)
+L2Bank::sendEngine(Txn &txn, PeOp op, bool to_home)
 {
     txn.kind = Txn::L1Engine;
     ++statEngineTrips;
@@ -1027,8 +1010,6 @@ L2Bank::sendEngine(Txn &txn, PeOp op, bool to_home, std::uint64_t dir_bits)
     m.peOp = op;
     m.l1Id = txn.req.l1Id;
     m.reqId = txn.req.reqId;
-    m.dirBits = dir_bits;
-    m.hasDir = to_home;
     m.srcPort = _myPort;
     m.dstPort = to_home ? homeEnginePort : remoteEnginePort;
     _ics.send(std::move(m));

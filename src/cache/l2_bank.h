@@ -146,8 +146,7 @@ class L2Bank : public SimObject, public IcsClient
      * node empty-handed.
      */
     void
-    setWbBufferHook(
-        std::function<void(Addr, const LineData &, bool)> fn)
+    setWbBufferHook(std::function<void(Addr, const LineData &)> fn)
     {
         _wbBufferHook = std::move(fn);
     }
@@ -162,7 +161,6 @@ class L2Bank : public SimObject, public IcsClient
             L1Fwd,    //!< forwarded to owner L1, awaiting FwdDone
             L1Mem,    //!< local memory read in flight
             L1Engine, //!< protocol engine action in flight
-            WbWait,   //!< authorized L1 write-back inbound
             PeRead,   //!< engine-initiated local gather
             PeReadFwd, //!< gather forwarded to owner L1
             PeHeld    //!< replied, held until PeComplete
@@ -338,7 +336,6 @@ class L2Bank : public SimObject, public IcsClient
     // Request-side handlers.
     void dispatchL1Request(IcsMsg msg);
     void handleVictim(const IcsMsg &msg);
-    void onWbData(const IcsMsg &msg);
     void onFwdDone(const IcsMsg &msg);
     void onGatherData(const IcsMsg &msg);
     void onMemData(Addr addr, const LineData &data,
@@ -371,11 +368,9 @@ class L2Bank : public SimObject, public IcsClient
                    bool dirty);
     void evictL2Line(L2Line &line);
     void dropL2Copy(Info &info, L2Line &line);
-    /** Hand @p txn's request to the remote engine, or to the home
-     *  engine with the directory bits read with the line; the
+    /** Hand @p txn's request to the home or the remote engine; the
      *  transaction waits for PeData. */
-    void sendEngine(Txn &txn, PeOp op, bool to_home,
-                    std::uint64_t dir_bits = 0);
+    void sendEngine(Txn &txn, PeOp op, bool to_home);
     void finishTxn(Info &info, Addr addr);
     void finishPeTxn(Info &info, Addr addr);
     void drainBlocked(Info &info);
@@ -405,7 +400,7 @@ class L2Bank : public SimObject, public IcsClient
      *  references are held across calls that may take entries for
      *  other lines. */
     SlabPool<Pending> _pending;
-    std::function<void(Addr, const LineData &, bool)> _wbBufferHook;
+    std::function<void(Addr, const LineData &)> _wbBufferHook;
     EventPool<MsgEvent> _msgEvents;
     StatGroup _stats;
 };

@@ -16,7 +16,6 @@ icsLaneFor(IcsMsgType t)
       case IcsMsgType::GetX:
       case IcsMsgType::Upgrade:
       case IcsMsgType::Wh64Req:
-      case IcsMsgType::WbData:
       case IcsMsgType::ToHomeEngine:
       case IcsMsgType::ToRemoteEngine:
         return IcsLane::Low;

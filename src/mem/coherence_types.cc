@@ -27,7 +27,6 @@ icsMsgTypeName(IcsMsgType t)
       case IcsMsgType::GetX: return "GetX";
       case IcsMsgType::Upgrade: return "Upgrade";
       case IcsMsgType::Wh64Req: return "Wh64Req";
-      case IcsMsgType::WbData: return "WbData";
       case IcsMsgType::FillS: return "FillS";
       case IcsMsgType::FillX: return "FillX";
       case IcsMsgType::UpgradeAck: return "UpgradeAck";
@@ -45,6 +44,19 @@ icsMsgTypeName(IcsMsgType t)
       case IcsMsgType::PeInvalLocal: return "PeInvalLocal";
       case IcsMsgType::PeWbAck: return "PeWbAck";
       case IcsMsgType::PeComplete: return "PeComplete";
+    }
+    return "?";
+}
+
+const char *
+peOpName(PeOp op)
+{
+    switch (op) {
+      case PeOp::None: return "None";
+      case PeOp::ReqS: return "ReqS";
+      case PeOp::ReqX: return "ReqX";
+      case PeOp::ReqUpgrade: return "ReqUpgrade";
+      case PeOp::WbExcl: return "WbExcl";
     }
     return "?";
 }

@@ -126,7 +126,6 @@ enum class IcsMsgType : std::uint8_t
     GetX,        //!< write miss
     Upgrade,     //!< S -> M permission request (no data needed)
     Wh64Req,     //!< exclusive-without-data for a full-line write
-    WbData,      //!< L1 victim data write-back (owner replacement)
 
     // L2 bank -> L1 responses and demands (high-priority lane).
     FillS,       //!< data reply, shared
@@ -164,10 +163,11 @@ enum class PeOp : std::uint8_t
     ReqS,       //!< fetch line shared
     ReqX,       //!< fetch line exclusive
     ReqUpgrade, //!< upgrade S -> M
-    ReqWh64,    //!< exclusive without data
     WbExcl,     //!< node-level write-back of an exclusive/dirty line
-    WbShared,   //!< write-back data but node retains shared copies
 };
+
+/** Name string for an engine operation. */
+const char *peOpName(PeOp op);
 
 /** Local read modes for engine-initiated L2 accesses (PeReadLocal). */
 enum class PeLocalMode : std::uint8_t
@@ -192,8 +192,6 @@ struct IcsMsg
 
     /** Requesting L1 (for fills and forwards). */
     int l1Id = -1;
-    /** Peer L1 that should receive data on a forward. */
-    int peerL1Id = -1;
 
     bool hasData = false;
     LineData data;
@@ -201,8 +199,6 @@ struct IcsMsg
     /** Fill source attribution carried with replies. */
     FillSource source = FillSource::L2Hit;
 
-    /** Whether the L1 should write back its victim (piggybacked). */
-    bool writeBackVictim = false;
     /** Victim address the L1 is replacing (piggybacked on requests). */
     Addr victimAddr = 0;
     bool hasVictim = false;
@@ -224,15 +220,12 @@ struct IcsMsg
      */
     bool holdLine = false;
 
-    /** Directory bits (requests to the home engine, PeReadLocalRsp). */
+    /** Directory bits (PeReadLocalRsp from a home-local line). */
     std::uint64_t dirBits = 0;
-    bool hasDir = false;
     /** Any on-chip copy existed (PeReadLocalRsp). */
     bool localPresent = false;
     /** Local data was dirty w.r.t. memory (PeReadLocalRsp). */
     bool localDirty = false;
-    /** A stale invalidation may still arrive; absorb it (PeData). */
-    bool absorbInval = false;
 
     /**
      * This is a parity-refetch self-victim (src/fault/): the L1 is

@@ -23,16 +23,24 @@
 
 namespace piranha {
 
-/** Timing/configuration parameters of one RDRAM channel. */
+/** The page policy of one RDRAM channel. */
 struct RdramParams
 {
-    double randomAccessNs = 60.0;  //!< closed-page critical word
-    double openPageNs = 40.0;      //!< open-page critical word
-    double restOfLineNs = 30.0;    //!< remaining words of a 64B line
-    double transferNs = 40.0;      //!< channel occupancy per line
     double keepOpenNs = 1000.0;    //!< page keep-open window
-    unsigned pageShift = 9;        //!< 512-byte device pages
     unsigned maxOpenPages = 2048;  //!< device row buffers available
+};
+
+/** One channel's open-page state and timing computation. */
+class RdramChannel
+{
+  public:
+    // Critical-word latency of a closed and an open page, the rest of
+    // a 64-byte line, and the channel's occupancy per line (§2.4).
+    static constexpr double randomAccessNs = 60.0;
+    static constexpr double openPageNs = 40.0;
+    static constexpr double restOfLineNs = 30.0;
+    static constexpr double transferNs = 40.0;
+    static constexpr unsigned pageShift = 9; //!< 512-byte device pages
     /**
      * log2 of the number of channels the line address interleaves
      * across (8 L2 banks/MCs per chip). Each channel owns every 8th
@@ -40,13 +48,8 @@ struct RdramParams
      * the global address space; page locality must be computed on the
      * de-interleaved channel-local address.
      */
-    unsigned channelInterleaveLog2 = 3;
-};
+    static constexpr unsigned channelInterleaveLog2 = 3;
 
-/** One channel's open-page state and timing computation. */
-class RdramChannel
-{
-  public:
     explicit RdramChannel(const RdramParams &p = RdramParams{}) : _p(p) {}
 
     /**
@@ -56,7 +59,7 @@ class RdramChannel
     Tick
     access(Addr addr, Tick now)
     {
-        Addr page = addr >> (_p.pageShift + _p.channelInterleaveLog2);
+        Addr page = addr >> (pageShift + channelInterleaveLog2);
         std::uint32_t *slot = _idx.find(page);
         bool hit =
             slot && now - _pages[*slot].last <= nsToTicks(_p.keepOpenNs);
@@ -76,14 +79,14 @@ class RdramChannel
                 openPage(page, now);
             }
         }
-        return nsToTicks(hit ? _p.openPageNs : _p.randomAccessNs);
+        return nsToTicks(hit ? openPageNs : randomAccessNs);
     }
 
     /** Extra latency for the non-critical words of a line. */
-    Tick restOfLine() const { return nsToTicks(_p.restOfLineNs); }
+    Tick restOfLine() const { return nsToTicks(restOfLineNs); }
 
     /** Channel occupancy of one line transfer. */
-    Tick transferTime() const { return nsToTicks(_p.transferNs); }
+    Tick transferTime() const { return nsToTicks(transferNs); }
 
     const RdramParams &params() const { return _p; }
 

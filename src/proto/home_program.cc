@@ -52,7 +52,28 @@ installHomeProgram(ProtocolEngine &pe)
 
     auto cc = [](NetMsgType t) { return static_cast<unsigned>(t); };
 
-    // ---- Remote requests: ReqS / ReqX / ReqUpgrade / ReqWh64 ----
+    // The ex-owner's replacement write-back crossed our forward: drop
+    // the data (the directory already changed), tell the ex-owner a
+    // forwarded request is inbound, and go back to `<p>_wait`.
+    auto crossed_wb = [&](const std::string &p) {
+        a.label(p + "_cross");
+        a.op(MicroOp::SEND,
+             [&pe](TsrfEntry &t) { pe.sendWbAck(t.msg, true); });
+        a.jump(p + "_wait");
+    };
+    // Emit the planned CMI chains one by one, then go to @p done.
+    auto cmi_loop = [&](const std::string &p, const std::string &done) {
+        a.label(p + "_chains");
+        a.test([](TsrfEntry &t) {
+            return t.chainIdx < t.numChains ? 1u : 0u;
+        },
+               {{0, done}, {1, p + "_send"}});
+        a.label(p + "_send");
+        a.op(MicroOp::SEND, [&pe](TsrfEntry &t) { pe.sendNextChain(t); });
+        a.jump(p + "_chains");
+    };
+
+    // ---- Remote requests: ReqS / ReqX / ReqUpgrade ----
     a.label("hReq");
     a.op(MicroOp::LSEND, [&pe](TsrfEntry &t) {
         // Hold the L2 pending entry for the whole transaction: local
@@ -103,16 +124,9 @@ installHomeProgram(ProtocolEngine &pe)
         t.dirty = false;
     });
     a.op(MicroOp::SEND, [&pe](TsrfEntry &t) {
-        NetPacket p;
-        p.type = t.flagB ? NetMsgType::RepX : NetMsgType::RepS;
-        p.exclusive = t.flagB;
-        p.addr = t.addr;
-        p.dst = t.requester;
-        p.requester = t.requester;
-        p.hasData = true;
-        p.data = t.data;
-        p.reqId = t.reqId;
-        pe.sendNet(std::move(p));
+        pe.sendNet(pe.packet(
+            t, t.flagB ? NetMsgType::RepX : NetMsgType::RepS,
+            t.requester));
     });
     a.op(MicroOp::LSEND, [&pe](TsrfEntry &t) { pe.sendPeComplete(t); });
     a.halt();
@@ -127,13 +141,7 @@ installHomeProgram(ProtocolEngine &pe)
         pe.memWrite(t.addr, nullptr, &d);
     });
     a.op(MicroOp::SEND, [&pe](TsrfEntry &t) {
-        NetPacket p;
-        p.type = NetMsgType::FwdS;
-        p.addr = t.addr;
-        p.dst = t.ownerReg;
-        p.requester = t.requester;
-        p.reqId = t.reqId;
-        pe.sendNet(std::move(p));
+        pe.sendNet(pe.packet(t, NetMsgType::FwdS, t.ownerReg));
     });
     a.label("hReqS_wait");
     a.receive({{cc(NetMsgType::ShareWb), "hReqS_swb"},
@@ -144,20 +152,7 @@ installHomeProgram(ProtocolEngine &pe)
     });
     a.op(MicroOp::LSEND, [&pe](TsrfEntry &t) { pe.sendPeComplete(t); });
     a.halt();
-    a.label("hReqS_cross");
-    // The ex-owner's replacement write-back crossed our forward: drop
-    // the data (the directory already changed) and tell the ex-owner
-    // a forwarded request is inbound.
-    a.op(MicroOp::SEND, [&pe](TsrfEntry &t) {
-        NetPacket p;
-        p.type = NetMsgType::WbAck;
-        p.addr = t.addr;
-        p.dst = t.msg.src;
-        p.expectFwd = true;
-        p.reqId = t.msg.reqId;
-        pe.sendNet(std::move(p));
-    });
-    a.jump("hReqS_wait");
+    crossed_wb("hReqS");
 
     // Exclusive request with no remote owner: eager exclusive reply
     // plus cruise-missile invalidations.
@@ -176,30 +171,13 @@ installHomeProgram(ProtocolEngine &pe)
         t.dirty = false;
     });
     a.op(MicroOp::SEND, [&pe](TsrfEntry &t) {
-        NetPacket p;
-        p.addr = t.addr;
-        p.dst = t.requester;
-        p.requester = t.requester;
-        p.reqId = t.reqId;
+        auto p = pe.packet(
+            t, t.flagB ? NetMsgType::RepUpgrade : NetMsgType::RepX,
+            t.requester);
         p.ackCount = static_cast<int>(t.numChains);
-        if (t.flagB) {
-            p.type = NetMsgType::RepUpgrade;
-        } else {
-            p.type = NetMsgType::RepX;
-            p.exclusive = true;
-            p.hasData = t.origMsg.type != NetMsgType::ReqWh64;
-            p.data = t.data;
-        }
         pe.sendNet(std::move(p));
     });
-    a.label("hReqX_chains");
-    a.test([](TsrfEntry &t) {
-        return t.chainIdx < t.numChains ? 1u : 0u;
-    },
-           {{0, "hReqX_done"}, {1, "hReqX_send"}});
-    a.label("hReqX_send");
-    a.op(MicroOp::SEND, [&pe](TsrfEntry &t) { pe.sendNextChain(t); });
-    a.jump("hReqX_chains");
+    cmi_loop("hReqX", "hReqX_done");
     a.label("hReqX_done");
     a.op(MicroOp::LSEND, [&pe](TsrfEntry &t) { pe.sendPeComplete(t); });
     a.halt();
@@ -214,13 +192,7 @@ installHomeProgram(ProtocolEngine &pe)
         pe.memWrite(t.addr, nullptr, &d);
     });
     a.op(MicroOp::SEND, [&pe](TsrfEntry &t) {
-        NetPacket p;
-        p.type = NetMsgType::FwdX;
-        p.addr = t.addr;
-        p.dst = t.ownerReg;
-        p.requester = t.requester;
-        p.reqId = t.reqId;
-        pe.sendNet(std::move(p));
+        pe.sendNet(pe.packet(t, NetMsgType::FwdX, t.ownerReg));
     });
     a.op(MicroOp::LSEND, [&pe](TsrfEntry &t) { pe.sendPeComplete(t); });
     a.halt();
@@ -239,15 +211,8 @@ installHomeProgram(ProtocolEngine &pe)
         t.flagA = false; // no local copies involved
         t.dir.clear();
     });
-    a.op(MicroOp::SEND, [&pe](TsrfEntry &t) {
-        NetPacket p;
-        p.type = NetMsgType::WbAck;
-        p.addr = t.addr;
-        p.dst = t.msg.src;
-        p.expectFwd = false;
-        p.reqId = t.msg.reqId;
-        pe.sendNet(std::move(p));
-    });
+    a.op(MicroOp::SEND,
+         [&pe](TsrfEntry &t) { pe.sendWbAck(t.msg, false); });
     a.test([](TsrfEntry &t) {
         return t.origMsg.type == NetMsgType::ReqS ? 1u : 0u;
     },
@@ -280,29 +245,15 @@ installHomeProgram(ProtocolEngine &pe)
         pe.memWrite(t.addr,
                     t.origMsg.dirty ? &t.origMsg.data : nullptr, &d);
     });
-    a.op(MicroOp::SEND, [&pe](TsrfEntry &t) {
-        NetPacket p;
-        p.type = NetMsgType::WbAck;
-        p.addr = t.addr;
-        p.dst = t.origMsg.src;
-        p.expectFwd = false;
-        p.reqId = t.reqId;
-        pe.sendNet(std::move(p));
-    });
+    a.op(MicroOp::SEND,
+         [&pe](TsrfEntry &t) { pe.sendWbAck(t.origMsg, false); });
     a.halt();
     a.label("hWb_stale");
     // The sender is no longer the owner: a forwarded request is (or
     // was) heading its way; it must service it from its write-back
     // buffer. Drop the stale data.
-    a.op(MicroOp::SEND, [&pe](TsrfEntry &t) {
-        NetPacket p;
-        p.type = NetMsgType::WbAck;
-        p.addr = t.addr;
-        p.dst = t.origMsg.src;
-        p.expectFwd = true;
-        p.reqId = t.reqId;
-        pe.sendNet(std::move(p));
-    });
+    a.op(MicroOp::SEND,
+         [&pe](TsrfEntry &t) { pe.sendWbAck(t.origMsg, true); });
     a.halt();
 
     // ---- Local GetS escalated by the L2 (directory was exclusive) --
@@ -341,13 +292,7 @@ installHomeProgram(ProtocolEngine &pe)
         pe.memWrite(t.addr, nullptr, &d);
     });
     a.op(MicroOp::SEND, [&pe](TsrfEntry &t) {
-        NetPacket p;
-        p.type = NetMsgType::FwdS;
-        p.addr = t.addr;
-        p.dst = t.ownerReg;
-        p.requester = pe.node();
-        p.reqId = t.reqId;
-        pe.sendNet(std::move(p));
+        pe.sendNet(pe.packet(t, NetMsgType::FwdS, t.ownerReg));
     });
     // Both the forwarded reply and the sharing write-back arrive
     // here, in either order; crossing write-backs may interleave.
@@ -370,17 +315,7 @@ installHomeProgram(ProtocolEngine &pe)
     });
     a.test([](TsrfEntry &t) { return t.flagA ? 1u : 0u; },
            {{0, "hLS_wait"}, {1, "hLS_done"}});
-    a.label("hLS_cross");
-    a.op(MicroOp::SEND, [&pe](TsrfEntry &t) {
-        NetPacket p;
-        p.type = NetMsgType::WbAck;
-        p.addr = t.addr;
-        p.dst = t.msg.src;
-        p.expectFwd = true;
-        p.reqId = t.msg.reqId;
-        pe.sendNet(std::move(p));
-    });
-    a.jump("hLS_wait");
+    crossed_wb("hLS");
     a.label("hLS_done");
     a.halt();
 
@@ -428,24 +363,8 @@ installHomeProgram(ProtocolEngine &pe)
         // acknowledgements are still being gathered here.
         pe.sendPeData(t, t.hasData, true, FillSource::MemLocal);
     });
-    a.label("hLX_chains");
-    a.test([](TsrfEntry &t) {
-        return t.chainIdx < t.numChains ? 1u : 0u;
-    },
-           {{0, "hLX_acks"}, {1, "hLX_send"}});
-    a.label("hLX_send");
-    a.op(MicroOp::SEND, [&pe](TsrfEntry &t) { pe.sendNextChain(t); });
-    a.jump("hLX_chains");
-    a.label("hLX_acks");
-    a.test([](TsrfEntry &t) { return t.acksLeft == 0 ? 0u : 1u; },
-           {{0, "hLX_done"}, {1, "hLX_recv"}});
-    a.label("hLX_recv");
-    a.receive({{cc(NetMsgType::InvalAck), "hLX_gotAck"}});
-    a.label("hLX_gotAck");
-    a.op(MicroOp::SET, [](TsrfEntry &t) { --t.acksLeft; });
-    a.jump("hLX_acks");
-    a.label("hLX_done");
-    a.halt();
+    cmi_loop("hLX", "hLX_acks");
+    emitAckGather(a, "hLX");
     a.label("hLX_fwd");
     a.op(MicroOp::SET, [&pe, num_nodes](TsrfEntry &t) {
         t.ownerReg = t.dir.owner();
@@ -455,13 +374,7 @@ installHomeProgram(ProtocolEngine &pe)
         pe.memWrite(t.addr, nullptr, &d);
     });
     a.op(MicroOp::SEND, [&pe](TsrfEntry &t) {
-        NetPacket p;
-        p.type = NetMsgType::FwdX;
-        p.addr = t.addr;
-        p.dst = t.ownerReg;
-        p.requester = pe.node();
-        p.reqId = t.reqId;
-        pe.sendNet(std::move(p));
+        pe.sendNet(pe.packet(t, NetMsgType::FwdX, t.ownerReg));
     });
     a.label("hLX_wait");
     a.receive({{cc(NetMsgType::FwdRepX), "hLX_fx"},
@@ -472,28 +385,15 @@ installHomeProgram(ProtocolEngine &pe)
         pe.sendPeData(t, true, true, FillSource::RemoteDirty);
     });
     a.halt();
-    a.label("hLX_cross");
-    a.op(MicroOp::SEND, [&pe](TsrfEntry &t) {
-        NetPacket p;
-        p.type = NetMsgType::WbAck;
-        p.addr = t.addr;
-        p.dst = t.msg.src;
-        p.expectFwd = true;
-        p.reqId = t.msg.reqId;
-        pe.sendNet(std::move(p));
-    });
-    a.jump("hLX_wait");
+    crossed_wb("hLX");
 
     MicroProgram prog = a.finalize();
     pe.installProgram(std::move(prog),
                       {{NetMsgType::ReqS, "hReq"},
                        {NetMsgType::ReqX, "hReq"},
                        {NetMsgType::ReqUpgrade, "hReq"},
-                       {NetMsgType::ReqWh64, "hReq"},
                        {NetMsgType::Wb, "hWb"}},
-                      {{PeOp::ReqS, "hLocalS"},
-                       {PeOp::ReqX, "hLocalX"},
-                       {PeOp::ReqUpgrade, "hLocalX"}});
+                      {{PeOp::ReqS, "hLocalS"}, {PeOp::ReqX, "hLocalX"}});
 }
 
 } // namespace piranha

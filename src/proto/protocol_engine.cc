@@ -16,11 +16,8 @@ ProtocolEngine::ProtocolEngine(EventQueue &eq, std::string name,
                                IntraChipSwitch &ics, int my_port)
     : SimObject(eq, std::move(name)), _ctx(ctx), _cfg(cfg), _clk(clk),
       _ics(ics),
-      _myPort(my_port), _tsrf(cfg.tsrfEntries), _stats(this->name())
+      _myPort(my_port), _tsrf(tsrfEntries), _stats(this->name())
 {
-    if (cfg.tsrfEntries > 64)
-        fatal("%s: %u TSRF entries; at most 64 supported",
-              this->name().c_str(), cfg.tsrfEntries);
 }
 
 void
@@ -53,16 +50,16 @@ ProtocolEngine::installProgram(MicroProgram prog,
 void
 ProtocolEngine::debugDump(std::ostream &os) const
 {
+    static constexpr const char *waitNames[] = {"None", "Net", "Local"};
     for (const auto &t : _tsrf) {
         if (!t.valid)
             continue;
         os << "  " << name() << " tsrf addr=" << std::hex << t.addr
            << std::dec << " pc=" << t.pc << " wait="
-           << static_cast<int>(t.wait) << " mask=" << std::hex
+           << waitNames[static_cast<int>(t.wait)] << " mask=" << std::hex
            << t.waitMask << std::dec << " acksLeft=" << t.acksLeft
            << " origNet=" << netMsgTypeName(t.origMsg.type)
-           << " origLocalOp=" << static_cast<int>(t.origLocal.peOp)
-           << "\n";
+           << " origLocalOp=" << peOpName(t.origLocal.peOp) << "\n";
     }
     _lineQueue.forEach([&](Addr line, const RingBuffer<QMsg> &q) {
         os << "  " << name() << " lineQueue " << std::hex << line
@@ -259,8 +256,8 @@ ProtocolEngine::spawn(const QMsg &m)
         t->reqId = m.local.reqId;
         auto it = _localEntries.find(m.local.peOp);
         if (it == _localEntries.end())
-            panic("%s: no handler for local op %d", name().c_str(),
-                  static_cast<int>(m.local.peOp));
+            panic("%s: no handler for local op %s", name().c_str(),
+                  peOpName(m.local.peOp));
         t->pc = it->second;
     }
     _active[lineNum(t->addr)] = static_cast<std::size_t>(t - _tsrf.data());
@@ -443,10 +440,48 @@ ProtocolEngine::executeOne(TsrfEntry &t)
 
 // ---- Context operations ----
 
+NetPacket
+ProtocolEngine::packet(const TsrfEntry &t, NetMsgType type,
+                       NodeId dst) const
+{
+    NetPacket p;
+    p.type = type;
+    p.addr = t.addr;
+    p.dst = dst;
+    p.requester = t.requester;
+    p.reqId = t.reqId;
+    switch (type) {
+      case NetMsgType::RepS:
+      case NetMsgType::RepX:
+      case NetMsgType::FwdRepS:
+      case NetMsgType::FwdRepX:
+      case NetMsgType::ShareWb:
+      case NetMsgType::Wb:
+        p.hasData = true;
+        p.data = t.data;
+        break;
+      default:
+        break;
+    }
+    p.exclusive = type == NetMsgType::RepX;
+    return p;
+}
+
+void
+ProtocolEngine::sendWbAck(const NetPacket &wb, bool expect_fwd)
+{
+    NetPacket p;
+    p.type = NetMsgType::WbAck;
+    p.addr = wb.addr;
+    p.dst = wb.src;
+    p.expectFwd = expect_fwd;
+    p.reqId = wb.reqId;
+    sendNet(std::move(p));
+}
+
 void
 ProtocolEngine::sendNet(NetPacket pkt)
 {
-
     pkt.src = _ctx.node;
     pkt.addr = lineAlign(pkt.addr);
     if (!_cfg.netOut)
@@ -472,16 +507,23 @@ ProtocolEngine::sendPeData(TsrfEntry &t, bool has_data, bool exclusive,
     _ics.send(std::move(m));
 }
 
-void
-ProtocolEngine::sendPeReadLocal(TsrfEntry &t, PeLocalMode mode,
-                                bool hold_line)
+IcsMsg
+ProtocolEngine::toL2(const TsrfEntry &t, IcsMsgType type) const
 {
     IcsMsg m;
-    m.type = IcsMsgType::PeReadLocal;
+    m.type = type;
     m.addr = t.addr;
     m.srcPort = _myPort;
     m.dstPort = l2Port(_cfg.amap.bank(t.addr));
     m.reqId = t.reqId;
+    return m;
+}
+
+void
+ProtocolEngine::sendPeReadLocal(TsrfEntry &t, PeLocalMode mode,
+                                bool hold_line)
+{
+    IcsMsg m = toL2(t, IcsMsgType::PeReadLocal);
     m.mode = mode;
     m.holdLine = hold_line;
     _ics.send(std::move(m));
@@ -490,25 +532,41 @@ ProtocolEngine::sendPeReadLocal(TsrfEntry &t, PeLocalMode mode,
 void
 ProtocolEngine::sendPeComplete(TsrfEntry &t)
 {
-    IcsMsg m;
-    m.type = IcsMsgType::PeComplete;
-    m.addr = t.addr;
-    m.srcPort = _myPort;
-    m.dstPort = l2Port(_cfg.amap.bank(t.addr));
-    m.reqId = t.reqId;
-    _ics.send(std::move(m));
+    _ics.send(toL2(t, IcsMsgType::PeComplete));
 }
 
 void
 ProtocolEngine::sendPeInvalLocal(TsrfEntry &t)
 {
-    IcsMsg m;
-    m.type = IcsMsgType::PeInvalLocal;
-    m.addr = t.addr;
-    m.srcPort = _myPort;
-    m.dstPort = l2Port(_cfg.amap.bank(t.addr));
-    m.reqId = t.reqId;
-    _ics.send(std::move(m));
+    _ics.send(toL2(t, IcsMsgType::PeInvalLocal));
+}
+
+ProtocolEngine::WbBuf &
+ProtocolEngine::stashWriteBack(Addr addr, const LineData &data)
+{
+    WbBuf &buf = wbBuffer[lineNum(addr)];
+    buf.data = data;
+    // Seeded fault: the buffer holds stale (zeroed) data for the
+    // whole write-back window, as if captured before the last L1
+    // stores landed, so a forward racing the write-back is served
+    // garbage while the home's memory copy stays correct.
+    if (faults() && faults()->fire(ProtocolFault::WbRaceStaleData))
+        buf.data = LineData{};
+    return buf;
+}
+
+void
+ProtocolEngine::takeFromWbBuffer(TsrfEntry &t)
+{
+    WbBuf *buf = wbBuffer.find(lineNum(t.addr));
+    if (!buf)
+        panic("remote engine: forwarded %s, no copy anywhere",
+              t.origMsg.type == NetMsgType::FwdS ? "read" : "excl");
+    t.data = buf->data;
+    if (buf->releaseAfterFwd)
+        wbBuffer.erase(lineNum(t.addr));
+    else
+        buf->fwdServiced = true;
 }
 
 void
@@ -553,18 +611,29 @@ ProtocolEngine::sendNextChain(TsrfEntry &t)
         return false;
     std::size_t c = t.chainIdx++;
     const std::vector<NodeId> &targets = t.cmiTargets;
-    NetPacket inv;
-    inv.type = NetMsgType::Inval;
-    inv.addr = t.addr;
-    inv.requester = t.requester;
-    inv.reqId = t.reqId;
-    inv.dst = targets[c];
+    NetPacket inv = packet(t, NetMsgType::Inval, targets[c]);
     inv.cmiRoute.reserve((targets.size() - 1 - c) / t.numChains);
     for (std::size_t i = c + t.numChains; i < targets.size();
          i += t.numChains)
         inv.cmiRoute.push_back(targets[i]);
     sendNet(std::move(inv));
     return true;
+}
+
+void
+emitAckGather(MicroAssembler &a, const std::string &p)
+{
+    a.label(p + "_acks");
+    a.test([](TsrfEntry &t) { return t.acksLeft == 0 ? 0u : 1u; },
+           {{0, p + "_done"}, {1, p + "_recv"}});
+    a.label(p + "_recv");
+    a.receive({{static_cast<unsigned>(NetMsgType::InvalAck),
+                p + "_gotAck"}});
+    a.label(p + "_gotAck");
+    a.op(MicroOp::SET, [](TsrfEntry &t) { --t.acksLeft; });
+    a.jump(p + "_acks");
+    a.label(p + "_done");
+    a.halt();
 }
 
 } // namespace piranha

@@ -42,7 +42,6 @@ namespace piranha {
 /** Engine configuration and environment bindings. */
 struct EngineConfig
 {
-    unsigned tsrfEntries = 16; //!< at most 64
     AddressMap amap;
     unsigned cmiFanout = 4; //!< max CMI messages per invalidation set
 
@@ -56,6 +55,9 @@ struct EngineConfig
 class ProtocolEngine : public SimObject, public IcsClient
 {
   public:
+    /** Concurrent transactions per engine (paper §2.5.1). */
+    static constexpr unsigned tsrfEntries = 16;
+
     ProtocolEngine(EventQueue &eq, std::string name,
                    const ChipContext &ctx, const EngineConfig &cfg,
                    const Clock &clk, IntraChipSwitch &ics, int my_port);
@@ -76,8 +78,18 @@ class ProtocolEngine : public SimObject, public IcsClient
 
     // ---- Context operations invoked by microcode actions ----
 
+    /**
+     * The packet of @p type that thread @p t sends to @p dst: its
+     * line, requester and transaction id, and its data register when
+     * the type carries data. Only a RepX is marked exclusive.
+     */
+    NetPacket packet(const TsrfEntry &t, NetMsgType type,
+                     NodeId dst) const;
     /** Emit a packet (source filled in). */
     void sendNet(NetPacket pkt);
+    /** Acknowledge write-back @p wb; @p expect_fwd tells its sender
+     *  that a forwarded request for the line is inbound. */
+    void sendWbAck(const NetPacket &wb, bool expect_fwd);
     /** Deliver a PeData grant to the owning L2 bank. */
     void sendPeData(TsrfEntry &t, bool has_data, bool exclusive,
                     FillSource source);
@@ -107,11 +119,19 @@ class ProtocolEngine : public SimObject, public IcsClient
     struct WbBuf
     {
         LineData data;
-        bool dirty = false;
         bool fwdServiced = false;
         bool releaseAfterFwd = false;
     };
     LineTable<WbBuf> wbBuffer;
+
+    /** Hold @p data in the write-back buffer for @p addr's line until
+     *  the home acknowledges; the forward marks are left as they
+     *  are. Returns the entry. */
+    WbBuf &stashWriteBack(Addr addr, const LineData &data);
+    /** Serve forwarded request @p t from the write-back buffer: copy
+     *  the line into t.data and release the entry once both the
+     *  forward and the home's acknowledgement are done. */
+    void takeFromWbBuffer(TsrfEntry &t);
 
     void regStats(StatGroup &parent);
 
@@ -158,6 +178,10 @@ class ProtocolEngine : public SimObject, public IcsClient
         ProtocolEngine *engine;
     };
 
+    /** Engine->L2 message of @p type for @p t's line and transaction,
+     *  to the line's bank. */
+    IcsMsg toL2(const TsrfEntry &t, IcsMsgType type) const;
+
     void wake();
     void step();
     void scheduleStep(Tick delta);
@@ -195,8 +219,9 @@ class ProtocolEngine : public SimObject, public IcsClient
     RingBuffer<QMsg> _globalQueue;
     bool _stepScheduled = false;
     /** Bit i set when _tsrf[i] is valid and not waiting, i.e. ready
-     *  to run (hence the 64-entry TSRF limit). */
+     *  to run. */
     std::uint64_t _readyMask = 0;
+    static_assert(tsrfEntries <= 64, "one ready-mask bit per TSRF entry");
     std::size_t _rrNext = 0;
     EventPool<StepEvent> _stepEvents;
     StatGroup _stats;
@@ -206,6 +231,13 @@ class ProtocolEngine : public SimObject, public IcsClient
 void installHomeProgram(ProtocolEngine &pe);
 /** Build the remote-engine microcode (remote_program.cc). */
 void installRemoteProgram(ProtocolEngine &pe);
+
+/**
+ * Emit `<p>_acks`, the InvalAck gather both programs end an eager
+ * exclusive grant with: receive until t.acksLeft reaches zero, then
+ * halt at `<p>_done`.
+ */
+void emitAckGather(MicroAssembler &a, const std::string &p);
 
 } // namespace piranha
 

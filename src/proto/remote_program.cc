@@ -29,65 +29,70 @@ installRemoteProgram(ProtocolEngine &pe)
     auto cc = [](NetMsgType t) { return static_cast<unsigned>(t); };
 
     auto home_of = [&pe](Addr addr) { return pe.amap().home(addr); };
+    // A local request's SEND to the line's home.
+    auto request = [&pe, home_of](NetMsgType type) {
+        return [&pe, home_of, type](TsrfEntry &t) {
+            pe.sendNet(pe.packet(t, type, home_of(t.addr)));
+        };
+    };
+    // A reply's fill of the waiting L2 bank.
+    auto fill = [&pe](bool exclusive, FillSource source) {
+        return [&pe, exclusive, source](TsrfEntry &t) {
+            t.data = t.msg.data;
+            pe.sendPeData(t, true, exclusive, source);
+        };
+    };
+    // The head of a forwarded request at `entry`: take the line from
+    // the write-back buffer if it is there, else read it from the
+    // chip (in @p mode), falling back to the buffer when the chip's
+    // copy was evicted while the forward was being dispatched. Falls
+    // through to `<p>_send` with the line in t.data.
+    auto fwd_head = [&](const char *entry, const std::string &p,
+                        PeLocalMode mode) {
+        a.label(entry);
+        a.test(
+            [&pe](TsrfEntry &t) {
+                return pe.wbBuffer.contains(lineNum(t.addr)) ? 1u : 0u;
+            },
+            {{0, p + "_chip"}, {1, p + "_buf"}});
+        a.label(p + "_chip");
+        a.op(MicroOp::LSEND,
+             [&pe, mode](TsrfEntry &t) { pe.sendPeReadLocal(t, mode); });
+        a.lreceive({{ccLocalReadRsp, p + "_rsp"}});
+        a.label(p + "_rsp");
+        a.test(
+            [](TsrfEntry &t) { return t.local.localPresent ? 1u : 0u; },
+            {{0, p + "_buf"}, {1, p + "_haveChip"}});
+        a.label(p + "_haveChip");
+        a.op(MicroOp::SET, [](TsrfEntry &t) { t.data = t.local.data; });
+        a.jump(p + "_send");
+        a.label(p + "_buf");
+        a.op(MicroOp::SET, [&pe](TsrfEntry &t) { pe.takeFromWbBuffer(t); });
+        a.label(p + "_send");
+    };
 
     // ---- Local read request (L2 miss, remote home) ----
     a.label("rReqS");
-    a.op(MicroOp::SEND, [&pe, home_of](TsrfEntry &t) {
-        NetPacket p;
-        p.type = NetMsgType::ReqS;
-        p.addr = t.addr;
-        p.dst = home_of(t.addr);
-        p.requester = pe.node();
-        p.reqId = t.reqId;
-        pe.sendNet(std::move(p));
-    });
+    a.op(MicroOp::SEND, request(NetMsgType::ReqS));
     a.receive({{cc(NetMsgType::RepS), "rS_shared"},
                {cc(NetMsgType::RepX), "rS_cleanExcl"},
                {cc(NetMsgType::FwdRepS), "rS_fwdS"},
                {cc(NetMsgType::FwdRepX), "rS_fwdX"}});
     a.label("rS_shared");
-    a.halt([&pe](TsrfEntry &t) {
-        t.data = t.msg.data;
-        pe.sendPeData(t, true, false, FillSource::MemRemote);
-    });
+    a.halt(fill(false, FillSource::MemRemote));
     a.label("rS_cleanExcl");
-    a.halt([&pe](TsrfEntry &t) {
-        t.data = t.msg.data;
-        pe.sendPeData(t, true, true, FillSource::MemRemote);
-    });
+    a.halt(fill(true, FillSource::MemRemote));
     a.label("rS_fwdS");
-    a.halt([&pe](TsrfEntry &t) {
-        t.data = t.msg.data;
-        pe.sendPeData(t, true, false, FillSource::RemoteDirty);
-    });
+    a.halt(fill(false, FillSource::RemoteDirty));
     a.label("rS_fwdX");
-    a.halt([&pe](TsrfEntry &t) {
-        t.data = t.msg.data;
-        pe.sendPeData(t, true, true, FillSource::RemoteDirty);
-    });
+    a.halt(fill(true, FillSource::RemoteDirty));
 
     // ---- Local exclusive request ----
     a.label("rReqX");
-    a.op(MicroOp::SEND, [&pe, home_of](TsrfEntry &t) {
-        NetPacket p;
-        p.type = NetMsgType::ReqX;
-        p.addr = t.addr;
-        p.dst = home_of(t.addr);
-        p.requester = pe.node();
-        p.reqId = t.reqId;
-        pe.sendNet(std::move(p));
-    });
+    a.op(MicroOp::SEND, request(NetMsgType::ReqX));
     a.jump("rX_wait");
     a.label("rReqUpgrade");
-    a.op(MicroOp::SEND, [&pe, home_of](TsrfEntry &t) {
-        NetPacket p;
-        p.type = NetMsgType::ReqUpgrade;
-        p.addr = t.addr;
-        p.dst = home_of(t.addr);
-        p.requester = pe.node();
-        p.reqId = t.reqId;
-        pe.sendNet(std::move(p));
-    });
+    a.op(MicroOp::SEND, request(NetMsgType::ReqUpgrade));
     a.label("rX_wait");
     a.receive({{cc(NetMsgType::RepX), "rX_data"},
                {cc(NetMsgType::RepUpgrade), "rX_perm"},
@@ -113,115 +118,23 @@ installRemoteProgram(ProtocolEngine &pe)
         t.data = t.msg.data;
         pe.sendPeData(t, true, true, FillSource::RemoteDirty);
     });
-    a.label("rX_acks");
-    a.test([](TsrfEntry &t) { return t.acksLeft == 0 ? 0u : 1u; },
-           {{0, "rX_done"}, {1, "rX_recv"}});
-    a.label("rX_recv");
-    a.receive({{cc(NetMsgType::InvalAck), "rX_gotAck"}});
-    a.label("rX_gotAck");
-    a.op(MicroOp::SET, [](TsrfEntry &t) { --t.acksLeft; });
-    a.jump("rX_acks");
-    a.label("rX_done");
-    a.halt();
+    emitAckGather(a, "rX");
 
     // ---- Forwarded read: this node is the exclusive owner ----
-    a.label("rFwdS");
-    a.test(
-        [&pe](TsrfEntry &t) {
-            return pe.wbBuffer.contains(lineNum(t.addr)) ? 1u : 0u;
-        },
-        {{0, "rFS_chip"}, {1, "rFS_buf"}});
-    a.label("rFS_chip");
-    a.op(MicroOp::LSEND, [&pe](TsrfEntry &t) {
-        pe.sendPeReadLocal(t, PeLocalMode::Share);
-    });
-    a.lreceive({{ccLocalReadRsp, "rFS_rsp"}});
-    a.label("rFS_rsp");
-    a.test(
-        [](TsrfEntry &t) { return t.local.localPresent ? 1u : 0u; },
-        // The chip's copy was evicted while this forward was being
-        // dispatched; the data is in the write-back buffer.
-        {{0, "rFS_buf"}, {1, "rFS_haveChip"}});
-    a.label("rFS_haveChip");
-    a.op(MicroOp::SET, [](TsrfEntry &t) { t.data = t.local.data; });
-    a.jump("rFS_send");
-    a.label("rFS_buf");
-    a.op(MicroOp::SET, [&pe](TsrfEntry &t) {
-        ProtocolEngine::WbBuf *buf = pe.wbBuffer.find(lineNum(t.addr));
-        if (!buf)
-            panic("remote engine: forwarded read, no copy anywhere");
-        t.data = buf->data;
-        if (buf->releaseAfterFwd)
-            pe.wbBuffer.erase(lineNum(t.addr));
-        else
-            buf->fwdServiced = true;
-    });
-    a.label("rFS_send");
+    // The requester gets the data and the home a sharing write-back.
+    fwd_head("rFwdS", "rFS", PeLocalMode::Share);
     a.op(MicroOp::SEND, [&pe](TsrfEntry &t) {
-        NetPacket p;
-        p.type = NetMsgType::FwdRepS;
-        p.addr = t.addr;
-        p.dst = t.origMsg.requester;
-        p.requester = t.origMsg.requester;
-        p.hasData = true;
-        p.data = t.data;
-        p.reqId = t.reqId;
-        pe.sendNet(std::move(p));
+        pe.sendNet(pe.packet(t, NetMsgType::FwdRepS, t.requester));
     });
     a.op(MicroOp::SEND, [&pe, home_of](TsrfEntry &t) {
-        NetPacket p;
-        p.type = NetMsgType::ShareWb;
-        p.addr = t.addr;
-        p.dst = home_of(t.addr);
-        p.requester = t.origMsg.requester;
-        p.hasData = true;
-        p.data = t.data;
-        p.reqId = t.reqId;
-        pe.sendNet(std::move(p));
+        pe.sendNet(pe.packet(t, NetMsgType::ShareWb, home_of(t.addr)));
     });
     a.halt();
 
     // ---- Forwarded exclusive: hand the line to the requester ----
-    a.label("rFwdX");
-    a.test(
-        [&pe](TsrfEntry &t) {
-            return pe.wbBuffer.contains(lineNum(t.addr)) ? 1u : 0u;
-        },
-        {{0, "rFX_chip"}, {1, "rFX_buf"}});
-    a.label("rFX_chip");
-    a.op(MicroOp::LSEND, [&pe](TsrfEntry &t) {
-        pe.sendPeReadLocal(t, PeLocalMode::Excl);
-    });
-    a.lreceive({{ccLocalReadRsp, "rFX_rsp"}});
-    a.label("rFX_rsp");
-    a.test(
-        [](TsrfEntry &t) { return t.local.localPresent ? 1u : 0u; },
-        {{0, "rFX_buf"}, {1, "rFX_haveChip"}});
-    a.label("rFX_haveChip");
-    a.op(MicroOp::SET, [](TsrfEntry &t) { t.data = t.local.data; });
-    a.jump("rFX_send");
-    a.label("rFX_buf");
-    a.op(MicroOp::SET, [&pe](TsrfEntry &t) {
-        ProtocolEngine::WbBuf *buf = pe.wbBuffer.find(lineNum(t.addr));
-        if (!buf)
-            panic("remote engine: forwarded excl, no copy anywhere");
-        t.data = buf->data;
-        if (buf->releaseAfterFwd)
-            pe.wbBuffer.erase(lineNum(t.addr));
-        else
-            buf->fwdServiced = true;
-    });
-    a.label("rFX_send");
+    fwd_head("rFwdX", "rFX", PeLocalMode::Excl);
     a.op(MicroOp::SEND, [&pe](TsrfEntry &t) {
-        NetPacket p;
-        p.type = NetMsgType::FwdRepX;
-        p.addr = t.addr;
-        p.dst = t.origMsg.requester;
-        p.requester = t.origMsg.requester;
-        p.hasData = true;
-        p.data = t.data;
-        p.reqId = t.reqId;
-        pe.sendNet(std::move(p));
+        pe.sendNet(pe.packet(t, NetMsgType::FwdRepX, t.requester));
     });
     a.halt();
 
@@ -237,55 +150,29 @@ installRemoteProgram(ProtocolEngine &pe)
            {{0, "rInv_ack"}, {1, "rInv_fwd"}});
     a.label("rInv_ack");
     a.halt([&pe](TsrfEntry &t) {
-        NetPacket p;
-        p.type = NetMsgType::InvalAck;
-        p.addr = t.addr;
-        p.dst = t.origMsg.requester;
-        p.requester = t.origMsg.requester;
-        p.reqId = t.reqId;
-        pe.sendNet(std::move(p));
+        pe.sendNet(pe.packet(t, NetMsgType::InvalAck, t.requester));
     });
     a.label("rInv_fwd");
     a.halt([&pe](TsrfEntry &t) {
-        NetPacket p;
-        p.type = NetMsgType::Inval;
-        p.addr = t.addr;
-        p.dst = t.origMsg.cmiRoute.front();
-        p.cmiRoute.assign(t.origMsg.cmiRoute.begin() + 1,
-                          t.origMsg.cmiRoute.end());
-        p.requester = t.origMsg.requester;
-        p.reqId = t.reqId;
+        const std::vector<NodeId> &route = t.origMsg.cmiRoute;
+        auto p = pe.packet(t, NetMsgType::Inval, route.front());
+        p.cmiRoute.assign(route.begin() + 1, route.end());
         pe.sendNet(std::move(p));
     });
 
     // ---- Node-level write-back of an exclusive line ----
     a.label("rWb");
     a.op(MicroOp::SET, [&pe](TsrfEntry &t) {
-        // The buffer was populated synchronously at eviction time
-        // (L2 hook); a racing forward may even have consumed it
-        // already — preserve its fwdServiced mark.
-        ProtocolEngine::WbBuf &buf = pe.wbBuffer[lineNum(t.addr)];
-        buf.data = t.origLocal.data;
-        buf.dirty = t.origLocal.victimDirty;
-        // Seeded fault: the buffer holds stale (zeroed) data for the
-        // whole write-back window, as if populated before the final
-        // L1 stores landed — a forward racing the write-back delivers
-        // garbage while the home's memory copy stays correct.
-        if (pe.faults() &&
-            pe.faults()->fire(ProtocolFault::WbRaceStaleData))
-            buf.data = LineData{};
+        // The L2 hook filled the buffer at eviction time; a racing
+        // forward may even have consumed it already, so its forward
+        // marks stay as they are.
+        t.data = t.origLocal.data;
+        t.dirty = t.origLocal.victimDirty;
+        pe.stashWriteBack(t.addr, t.data);
     });
     a.op(MicroOp::SEND, [&pe, home_of](TsrfEntry &t) {
-        NetPacket p;
-        p.type = NetMsgType::Wb;
-        p.addr = t.addr;
-        p.dst = home_of(t.addr);
-        p.requester = pe.node();
-        p.hasData = true;
-        p.data = t.origLocal.data;
-        p.dirty = t.origLocal.victimDirty;
-        p.retainShared = false;
-        p.reqId = t.reqId;
+        auto p = pe.packet(t, NetMsgType::Wb, home_of(t.addr));
+        p.dirty = t.dirty;
         pe.sendNet(std::move(p));
     });
     a.receive({{cc(NetMsgType::WbAck), "rWb_ack"}});

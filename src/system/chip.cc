@@ -47,7 +47,6 @@ PiranhaChip::PiranhaChip(EventQueue &eq, std::string name, NodeId node,
     }
 
     EngineConfig ecfg;
-    ecfg.tsrfEntries = _p.tsrfEntries;
     ecfg.amap = _amap;
     ecfg.cmiFanout = _p.cmiFanout;
     ecfg.mcFor = [this](Addr a) { return _mcs[_amap.bank(a)].get(); };
@@ -67,25 +66,15 @@ PiranhaChip::PiranhaChip(EventQueue &eq, std::string name, NodeId node,
     installRemoteProgram(*_re);
 
     // Node-exclusive evictions populate the remote engine's
-    // write-back buffer synchronously (no-NAK guarantee).
+    // write-back buffer synchronously (no-NAK guarantee); no forward
+    // has been served from a fresh eviction yet.
     ProtocolEngine *re = _re.get();
-    FaultState *faults = _ctx.faults;
     for (auto &bank : _banks) {
-        bank->setWbBufferHook(
-            [re, faults](Addr a, const LineData &d, bool dirty) {
-                ProtocolEngine::WbBuf &buf = re->wbBuffer[lineNum(a)];
-                buf.data = d;
-                buf.dirty = dirty;
-                // Seeded fault: the buffer is populated with stale
-                // (zeroed) contents — as if captured before the last
-                // stores — so a forward racing the write-back window
-                // is serviced with garbage.
-                if (faults &&
-                    faults->fire(ProtocolFault::WbRaceStaleData))
-                    buf.data = LineData{};
-                buf.fwdServiced = false;
-                buf.releaseAfterFwd = false;
-            });
+        bank->setWbBufferHook([re](Addr a, const LineData &d) {
+            ProtocolEngine::WbBuf &buf = re->stashWriteBack(a, d);
+            buf.fwdServiced = false;
+            buf.releaseAfterFwd = false;
+        });
     }
 }
 

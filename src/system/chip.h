@@ -40,7 +40,6 @@ struct ChipParams
     L2Params l2{};
     RdramParams rdram{};
     unsigned icsPipeCycles = 2;
-    unsigned tsrfEntries = 16;
     unsigned cmiFanout = 4;
 
     /**

@@ -15,6 +15,29 @@
 namespace piranha {
 namespace {
 
+/** FNV-1a over @p p's words (packed encoding, wait mask, halt and
+ *  alias bits) and its entry table. */
+std::uint64_t
+imageHash(const MicroProgram &p)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](std::uint64_t v) {
+        for (int byte = 0; byte < 8; ++byte) {
+            h ^= (v >> (8 * byte)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    for (const MicroInstr &i : p.mem)
+        mix(std::uint64_t{i.packed()} | std::uint64_t{i.waitMask} << 21 |
+            std::uint64_t{i.halt} << 37 | std::uint64_t{i.alias} << 38);
+    for (const auto &[name, pc] : p.entries) {
+        for (char c : name)
+            mix(static_cast<unsigned char>(c));
+        mix(pc);
+    }
+    return h;
+}
+
 TEST(Microcode, PackingIs21Bits)
 {
     MicroInstr i;
@@ -93,14 +116,6 @@ TEST(Microcode, UndefinedLabelDies)
     EXPECT_DEATH((void)a.finalize(), "undefined");
 }
 
-TEST(Microcode, MoreThan64TsrfEntriesIsFatal)
-{
-    // The engine's ready-thread bitmask has one bit per TSRF entry.
-    ChipParams p;
-    p.tsrfEntries = 65;
-    EXPECT_DEATH(TestSystem(1, 1, p), "at most 64");
-}
-
 TEST(Microcode, InstalledProgramsFitAndAreSubstantial)
 {
     TestSystem sys(2, 1);
@@ -116,6 +131,22 @@ TEST(Microcode, InstalledProgramsFitAndAreSubstantial)
     // Every packed word is well-formed.
     for (const MicroInstr &i : h.mem)
         EXPECT_EQ(i.packed() >> 21, 0u);
+}
+
+TEST(Microcode, InstalledImagesArePinned)
+{
+    // Watchdog dumps print µcode PCs and the stat tree counts engine
+    // instructions: rewriting how a program is emitted must leave
+    // every word, wait mask and entry point where it was.
+    TestSystem sys(2, 1);
+    const MicroProgram &h = sys.chips[0]->homeEngine().program();
+    const MicroProgram &r = sys.chips[0]->remoteEngine().program();
+    EXPECT_EQ(h.mem.size(), 384u);
+    EXPECT_EQ(h.instructionCount(), 80u);
+    EXPECT_EQ(r.mem.size(), 288u);
+    EXPECT_EQ(r.instructionCount(), 64u);
+    EXPECT_EQ(imageHash(h), 0x70b40b91536df28aULL);
+    EXPECT_EQ(imageHash(r), 0xac4ce5cb1e0009e3ULL);
 }
 
 TEST(Microcode, RemoteReadCostsFewInstructions)

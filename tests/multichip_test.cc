@@ -165,6 +165,29 @@ TEST(MultiChip, EngineMicrocodeWithinBudget)
               20u);
 }
 
+TEST(MultiChip, DiagnosticDumpNamesKinds)
+{
+    // Stop a remote read while the home holds the line for its engine
+    // and the requester's engine waits for the reply: the dump names
+    // each transaction kind, engine wait and local op, so it keeps its
+    // meaning when an enum is renumbered.
+    TestSystem sys(2, 1);
+    bool done = false;
+    fire(sys, 1, 0, MemOp::Load, homedAt(sys, 0), 0, &done);
+    const ProtocolEngine &he = sys.chips[0]->homeEngine();
+    while (he.statInstrs.value() < 3 && sys.eq.step()) {
+    }
+    ASSERT_FALSE(done);
+    std::string dump = sys.diagnosticDump("mid-flight");
+    for (const char *kind :
+         {"txn=L1Engine", "peTxn=None", "peTxn=PeHeld", "wait=Net",
+          "origLocalOp=ReqS", "origLocalOp=None"})
+        EXPECT_NE(dump.find(kind), std::string::npos) << kind << "\n"
+                                                      << dump;
+    sys.settle();
+    EXPECT_TRUE(done);
+}
+
 TEST(MultiChip, PacketEncodings)
 {
     NetPacket p;

@@ -58,7 +58,8 @@ TEST(Rdram, RowBufferCapacityBounded)
     p.maxOpenPages = 4;
     p.keepOpenNs = 1e9; // never expire by time
     RdramChannel ch(p);
-    unsigned page_span = p.pageShift + p.channelInterleaveLog2;
+    unsigned page_span =
+        RdramChannel::pageShift + RdramChannel::channelInterleaveLog2;
     for (unsigned i = 0; i < 64; ++i)
         ch.access(static_cast<Addr>(i) << page_span, i);
     // All distinct pages: no crash, all misses.
