@@ -1,16 +1,20 @@
 /**
  * @file
- * Shared helpers for the bench programs: the paper-figure work sizes
- * and strict parsing of numeric command-line values.
+ * Shared helpers for the bench programs: the paper-figure work sizes,
+ * strict parsing of numeric command-line values, the harness flags
+ * both CLIs take and their SIGINT drain.
  */
 
 #ifndef PIRANHA_BENCH_BENCH_UTIL_H
 #define PIRANHA_BENCH_BENCH_UTIL_H
 
+#include <atomic>
 #include <charconv>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -49,6 +53,88 @@ parseNumber(std::string_view s, T &out)
     }
     out = v;
     return true;
+}
+
+/** The harness settings a bench command line fills in. */
+struct BenchArgs
+{
+    SweepOptions opts;
+    std::string jsonPath;
+    /** A flag only the process tier reads was given. */
+    bool processOnly = false;
+};
+
+/** parseBenchArgs's result when the program should go on and run. */
+inline constexpr int kRunBench = -1;
+
+/**
+ * Parse a bench program's command line. The harness flags sweep_main
+ * and campaign_main share (--threads N, --serial, --json FILE,
+ * --timeout SEC, --exec thread|process, --journal DIR, --resume, and
+ * the process-tier --grace SEC and --retries N) fill @p args; every
+ * other argument goes to @p own with its index, which consumes it
+ * (advancing the index past a value) and returns kRunBench, or returns
+ * the program's exit code, its usage() for an argument it does not
+ * take. A malformed value, and a process-tier flag without --exec
+ * process, end in @p usage; --resume without --journal exits 2.
+ * Returns kRunBench or the exit code.
+ */
+inline int
+parseBenchArgs(int argc, char **argv, BenchArgs &args, int (*usage)(),
+               const std::function<int(int &)> &own)
+{
+    SweepOptions &o = args.opts;
+    for (int i = 1; i < argc; ++i) {
+        std::string_view arg = argv[i];
+        bool has_value = i + 1 < argc;
+        bool ok = true;
+        if (arg == "--threads" && has_value) {
+            ok = parseNumber(argv[++i], o.threads);
+        } else if (arg == "--serial") {
+            o.threads = 1;
+        } else if (arg == "--json" && has_value) {
+            args.jsonPath = argv[++i];
+        } else if (arg == "--timeout" && has_value) {
+            ok = parseNumber(argv[++i], o.jobTimeoutSec);
+        } else if (arg == "--exec" && has_value) {
+            std::string_view e = argv[++i];
+            ok = e == "process" || e == "thread";
+            o.exec = e == "process" ? ExecTier::Process : ExecTier::Thread;
+        } else if (arg == "--journal" && has_value) {
+            o.journalDir = argv[++i];
+        } else if (arg == "--resume") {
+            o.resume = true;
+        } else if (arg == "--grace" && has_value) {
+            args.processOnly = true;
+            ok = parseNumber(argv[++i], o.killGraceSec);
+        } else if (arg == "--retries" && has_value) {
+            args.processOnly = true;
+            ok = parseNumber(argv[++i], o.maxAttempts);
+        } else if (int rc = own(i); rc != kRunBench) {
+            return rc;
+        }
+        if (!ok)
+            return usage();
+    }
+    if (args.processOnly && o.exec != ExecTier::Process)
+        return usage();
+    if (o.resume && o.journalDir.empty()) {
+        std::cerr << "--resume requires --journal DIR\n";
+        return 2;
+    }
+    return kRunBench;
+}
+
+/**
+ * Ctrl-C drains the sweeps run with @p opts: in-flight jobs finish,
+ * queued ones are cancelled, and the partial report still lands.
+ */
+inline void
+drainOnSigint(SweepOptions &opts)
+{
+    static std::atomic<bool> interrupted{false};
+    std::signal(SIGINT, [](int) { interrupted.store(true); });
+    opts.cancel = &interrupted;
 }
 
 } // namespace piranha

@@ -3,9 +3,11 @@
  * Fault-injection campaign driver (DESIGN.md §9, EXPERIMENTS.md).
  *
  * Runs K seeded injected runs of one workload and prints the outcome
- * histogram; --json writes the full campaign report. Ctrl-C drains
- * gracefully: in-flight runs finish, queued ones are skipped, and the
- * partial report is still written (exit code 130).
+ * histogram; --json writes the campaign's sweep report, each job with
+ * its `faults` record. Ctrl-C drains gracefully: in-flight runs
+ * finish, queued ones are skipped, and the partial report is still
+ * written (exit code 130). A failed injection (the host stopped it,
+ * its body threw or its worker died) exits 1.
  *
  * Usage:
  *   campaign_main [--injections K] [--seed S] [--count N]
@@ -14,11 +16,9 @@
  *                 [--max-time-us U] [--check-trace] [--list-kinds]
  */
 
-#include <atomic>
-#include <csignal>
-#include <cstring>
 #include <iostream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -27,14 +27,6 @@
 using namespace piranha;
 
 namespace {
-
-std::atomic<bool> g_interrupted{false};
-
-void
-onSigint(int)
-{
-    g_interrupted.store(true);
-}
 
 int
 usage()
@@ -93,49 +85,42 @@ main(int argc, char **argv)
     CampaignSpec spec;
     spec.name = "campaign";
     spec.planTemplate.count = 1;
-    std::string workload = "oltp", json_path;
+    std::string workload = "oltp";
     std::uint64_t total_work = 256;
     unsigned nodes = 1;
-    SweepOptions opts;
-    opts.progress = &std::cerr;
-    bool process_only = false; // a flag only the process tier reads
+    BenchArgs args;
+    args.opts.progress = &std::cerr;
 
-    for (int i = 1; i < argc; ++i) {
+    int rc = parseBenchArgs(argc, argv, args, usage, [&](int &i) {
         std::string arg = argv[i];
+        bool has_value = i + 1 < argc;
         if (arg == "--list-kinds") {
             for (unsigned k = 0;
                  k < static_cast<unsigned>(FaultKind::kNumKinds); ++k)
                 std::cout << faultKindName(static_cast<FaultKind>(k))
                           << "\n";
             return 0;
-        } else if (arg == "--injections" && i + 1 < argc) {
+        } else if (arg == "--injections" && has_value) {
             if (!parseNumber(argv[++i], spec.injections))
                 return usage();
-        } else if (arg == "--seed" && i + 1 < argc) {
+        } else if (arg == "--seed" && has_value) {
             if (!parseNumber(argv[++i], spec.baseSeed))
                 return usage();
-        } else if (arg == "--count" && i + 1 < argc) {
+        } else if (arg == "--count" && has_value) {
             if (!parseNumber(argv[++i], spec.planTemplate.count))
                 return usage();
-        } else if (arg == "--kinds" && i + 1 < argc) {
+        } else if (arg == "--kinds" && has_value) {
             if (!parseKinds(argv[++i], spec.planTemplate.kinds))
                 return 2;
-        } else if (arg == "--nodes" && i + 1 < argc) {
+        } else if (arg == "--nodes" && has_value) {
             if (!parseNumber(argv[++i], nodes))
                 return usage();
-        } else if (arg == "--workload" && i + 1 < argc) {
+        } else if (arg == "--workload" && has_value) {
             workload = argv[++i];
-        } else if (arg == "--work" && i + 1 < argc) {
+        } else if (arg == "--work" && has_value) {
             if (!parseNumber(argv[++i], total_work))
                 return usage();
-        } else if (arg == "--threads" && i + 1 < argc) {
-            if (!parseNumber(argv[++i], opts.threads))
-                return usage();
-        } else if (arg == "--serial") {
-            opts.threads = 1;
-        } else if (arg == "--json" && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (arg == "--max-time-us" && i + 1 < argc) {
+        } else if (arg == "--max-time-us" && has_value) {
             Tick us;
             if (!parseNumber(argv[++i], us) ||
                 us > std::numeric_limits<Tick>::max() / ticksPerUs)
@@ -143,40 +128,15 @@ main(int argc, char **argv)
             spec.maxTime = us * ticksPerUs;
         } else if (arg == "--check-trace") {
             spec.checkTrace = true;
-        } else if (arg == "--exec" && i + 1 < argc) {
-            std::string e = argv[++i];
-            if (e == "process")
-                opts.exec = ExecTier::Process;
-            else if (e == "thread")
-                opts.exec = ExecTier::Thread;
-            else
-                return usage();
-        } else if (arg == "--journal" && i + 1 < argc) {
-            opts.journalDir = argv[++i];
-        } else if (arg == "--resume") {
-            opts.resume = true;
-        } else if (arg == "--grace" && i + 1 < argc) {
-            process_only = true;
-            if (!parseNumber(argv[++i], opts.killGraceSec))
-                return usage();
-        } else if (arg == "--timeout" && i + 1 < argc) {
-            if (!parseNumber(argv[++i], opts.jobTimeoutSec))
-                return usage();
-        } else if (arg == "--retries" && i + 1 < argc) {
-            process_only = true;
-            if (!parseNumber(argv[++i], opts.maxAttempts))
-                return usage();
         } else {
             return usage();
         }
-    }
-    if (spec.injections == 0 || nodes == 0 ||
-        (process_only && opts.exec != ExecTier::Process))
+        return kRunBench;
+    });
+    if (rc != kRunBench)
+        return rc;
+    if (spec.injections == 0 || nodes == 0)
         return usage();
-    if (opts.resume && opts.journalDir.empty()) {
-        std::cerr << "--resume requires --journal DIR\n";
-        return 2;
-    }
 
     spec.config = configP8(nodes);
     if (workload == "oltp") {
@@ -192,29 +152,27 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::signal(SIGINT, onSigint);
-    opts.cancel = &g_interrupted;
+    drainOnSigint(args.opts);
+    SweepReport report = CampaignRunner(args.opts).run(spec);
 
-    CampaignReport report = CampaignRunner(opts).run(spec);
-
+    std::map<std::string, unsigned> hist = outcomeHistogram(report);
+    unsigned ran = 0;
     TextTable t({"Outcome", "Runs"});
-    for (const auto &[k, v] : report.histogram())
+    for (const auto &[k, v] : hist) {
         t.addRow({k, std::to_string(v)});
+        ran += v;
+    }
     t.print(std::cout);
-    std::printf("\n%zu/%u runs in %.2fs host time%s\n",
-                report.runs.size(), spec.injections,
-                report.hostSeconds,
+    std::printf("\n%u/%u runs in %.2fs host time%s\n", ran,
+                spec.injections, report.hostSeconds,
                 report.interrupted ? " (interrupted)" : "");
 
-    if (!json_path.empty()) {
-        if (!report.writeJsonFile(json_path))
+    if (!args.jsonPath.empty()) {
+        if (!report.writeJsonFile(args.jsonPath))
             return 1;
-        std::cout << "report written to " << json_path << "\n";
+        std::cout << "report written to " << args.jsonPath << "\n";
     }
     if (report.interrupted)
         return 130;
-    for (const InjectionRecord &r : report.runs)
-        if (r.outcome == FaultOutcome::Failed)
-            return 1;
-    return 0;
+    return hist.count("failed") ? 1 : 0;
 }

@@ -20,8 +20,6 @@
  * simulated results.
  */
 
-#include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <iostream>
 #include <stdexcept>
@@ -34,14 +32,6 @@
 using namespace piranha;
 
 namespace {
-
-std::atomic<bool> g_interrupted{false};
-
-void
-onSigint(int)
-{
-    g_interrupted.store(true);
-}
 
 SweepSpec
 sweepFig5()
@@ -236,7 +226,7 @@ netPackets(PiranhaSystem &sys)
  * the home engine plans (its CmiPlan trace records) and the network
  * packets of the whole write, chains and acknowledgements included.
  */
-CustomResult
+JobResult
 invalCost(unsigned nodes, unsigned fanout)
 {
     CoherenceTracer tracer(std::size_t(1) << 16);
@@ -280,11 +270,11 @@ invalCost(unsigned nodes, unsigned fanout)
             if (e.kind == TraceKind::CmiPlan)
                 chains += e.aux;
     }
-    CustomResult cr;
-    cr.stats["inval_ns"] = ns / iters;
-    cr.stats["chains"] = chains / iters;
-    cr.stats["packets"] = packets / iters;
-    return cr;
+    JobResult jr;
+    jr.stats["inval_ns"] = ns / iters;
+    jr.stats["chains"] = chains / iters;
+    jr.stats["packets"] = packets / iters;
+    return jr;
 }
 
 constexpr unsigned kCmiFanouts[] = {1, 2, 4, 16};
@@ -333,30 +323,31 @@ sweepLitmus(unsigned seeds)
             SweepPoint pt;
             pt.label = prog.name + "/s" + std::to_string(seed);
             const LitmusProgram *pp = &prog; // static registry
-            pt.custom = [pp, seed](const AbortCheck &) -> CustomResult {
+            pt.custom = [pp, seed](const AbortCheck &) {
                 LitmusRunOptions opt;
                 opt.seed = seed;
                 LitmusResult res = runLitmus(*pp, opt);
-                CustomResult cr;
-                cr.ok = res.ok();
+                JobResult jr;
+                if (!res.ok())
+                    jr.status = JobStatus::Failed;
                 if (!res.completed)
-                    cr.error = "run did not complete";
+                    jr.error = "run did not complete";
                 else if (res.forbiddenHit)
-                    cr.error = "forbidden outcome: " + pp->forbiddenDesc;
+                    jr.error = "forbidden outcome: " + pp->forbiddenDesc;
                 else if (!res.report.ok())
-                    cr.error = res.report.violations.empty()
+                    jr.error = res.report.violations.empty()
                                    ? "trace truncated"
                                    : res.report.violations.front().axiom +
                                          ": " +
                                          res.report.violations.front()
                                              .detail;
-                cr.stats["completed"] = res.completed ? 1 : 0;
-                cr.stats["forbidden_hit"] = res.forbiddenHit ? 1 : 0;
-                cr.stats["violations"] =
+                jr.stats["completed"] = res.completed ? 1 : 0;
+                jr.stats["forbidden_hit"] = res.forbiddenHit ? 1 : 0;
+                jr.stats["violations"] =
                     static_cast<double>(res.report.violations.size());
-                cr.stats["trace_events"] =
+                jr.stats["trace_events"] =
                     static_cast<double>(res.trace.size());
-                return cr;
+                return jr;
             };
             s.addPoint(std::move(pt));
         }
@@ -843,15 +834,16 @@ runVerify(const SweepSpec &spec, SweepOptions opts,
 int
 main(int argc, char **argv)
 {
-    std::string sweep_name, json_path;
-    SweepOptions opts;
+    std::string sweep_name;
+    BenchArgs args;
+    SweepOptions &opts = args.opts;
     opts.progress = &std::cerr;
     bool verify = false, no_fastpath = false, engine_set = false;
-    bool process_only = false; // a flag only the process tier reads
     unsigned litmus_seeds = 8;
 
-    for (int i = 1; i < argc; ++i) {
+    int rc = parseBenchArgs(argc, argv, args, usage, [&](int &i) {
         std::string arg = argv[i];
+        bool has_value = i + 1 < argc;
         if (arg == "--list") {
             for (const SweepEntry &e : kSweeps)
                 std::printf("%-8s %s\n", e.name, e.desc);
@@ -861,24 +853,14 @@ main(int argc, char **argv)
             return 0;
         } else if (arg == "--litmus") {
             sweep_name = "litmus";
-        } else if (arg == "--seeds" && i + 1 < argc) {
+        } else if (arg == "--seeds" && has_value) {
             if (!parseNumber(argv[++i], litmus_seeds))
-                return usage();
-        } else if (arg == "--threads" && i + 1 < argc) {
-            if (!parseNumber(argv[++i], opts.threads))
-                return usage();
-        } else if (arg == "--serial") {
-            opts.threads = 1;
-        } else if (arg == "--json" && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (arg == "--timeout" && i + 1 < argc) {
-            if (!parseNumber(argv[++i], opts.jobTimeoutSec))
                 return usage();
         } else if (arg == "--no-stat-tree") {
             opts.captureStatTree = false;
         } else if (arg == "--verify") {
             verify = true;
-        } else if (arg == "--engine" && i + 1 < argc) {
+        } else if (arg == "--engine" && has_value) {
             engine_set = true;
             std::string e = argv[++i];
             if (e == "parallel")
@@ -887,36 +869,16 @@ main(int argc, char **argv)
                 opts.engine = EngineKind::Serial;
             else
                 return usage();
-        } else if (arg == "--shards" && i + 1 < argc) {
+        } else if (arg == "--shards" && has_value) {
             engine_set = true;
             if (!parseNumber(argv[++i], opts.engineShards))
                 return usage();
-        } else if (arg == "--exec" && i + 1 < argc) {
-            std::string e = argv[++i];
-            if (e == "process")
-                opts.exec = ExecTier::Process;
-            else if (e == "thread")
-                opts.exec = ExecTier::Thread;
-            else
-                return usage();
-        } else if (arg == "--journal" && i + 1 < argc) {
-            opts.journalDir = argv[++i];
-        } else if (arg == "--resume") {
-            opts.resume = true;
-        } else if (arg == "--grace" && i + 1 < argc) {
-            process_only = true;
-            if (!parseNumber(argv[++i], opts.killGraceSec))
-                return usage();
-        } else if (arg == "--retries" && i + 1 < argc) {
-            process_only = true;
-            if (!parseNumber(argv[++i], opts.maxAttempts))
-                return usage();
-        } else if (arg == "--chaos" && i + 1 < argc) {
-            process_only = true;
+        } else if (arg == "--chaos" && has_value) {
+            args.processOnly = true;
             if (!parseChaos(argv[++i], opts.chaos))
                 return usage();
-        } else if (arg == "--chaos-die-after" && i + 1 < argc) {
-            process_only = true;
+        } else if (arg == "--chaos-die-after" && has_value) {
+            args.processOnly = true;
             if (!parseNumber(argv[++i], opts.chaos.supervisorExitAfter))
                 return usage();
         } else if (arg == "--no-fastpath") {
@@ -926,14 +888,12 @@ main(int argc, char **argv)
         } else {
             return usage();
         }
-    }
-    if (sweep_name.empty() || (sweep_name == "litmus" && engine_set) ||
-        (process_only && opts.exec != ExecTier::Process))
+        return kRunBench;
+    });
+    if (rc != kRunBench)
+        return rc;
+    if (sweep_name.empty() || (sweep_name == "litmus" && engine_set))
         return usage();
-    if (opts.resume && opts.journalDir.empty()) {
-        std::cerr << "--resume requires --journal DIR\n";
-        return 2;
-    }
     if (!opts.journalDir.empty() && verify) {
         // The verify double-run would interleave two sweeps' records
         // in one journal, making any later --resume ambiguous.
@@ -972,13 +932,9 @@ main(int argc, char **argv)
         spec = std::move(slow);
     }
     if (verify)
-        return runVerify(spec, opts, json_path);
+        return runVerify(spec, opts, args.jsonPath);
 
-    // Ctrl-C drains gracefully: in-flight jobs finish, queued ones
-    // are marked cancelled, and the partial JSON report still lands.
-    std::signal(SIGINT, onSigint);
-    opts.cancel = &g_interrupted;
-
+    drainOnSigint(opts);
     SweepReport report = SweepRunner(opts).run(spec);
 
     // Cells come from the flat stats, which the process tier and
@@ -1013,10 +969,10 @@ main(int argc, char **argv)
         }
     }
 
-    if (!json_path.empty()) {
-        if (!report.writeJsonFile(json_path))
+    if (!args.jsonPath.empty()) {
+        if (!report.writeJsonFile(args.jsonPath))
             return 1;
-        std::cout << "report written to " << json_path << "\n";
+        std::cout << "report written to " << args.jsonPath << "\n";
     }
     if (report.interrupted)
         return 130;

@@ -32,13 +32,15 @@
 #                                     (PROFILE_breakdown.json): a job of
 #                                     0.2 s or more without zone shares
 #                                     fails
-#   scripts/ci.sh faults [build-dir]  build + tests, then two pinned-
-#                                     seed fault-injection campaigns
-#                                     (DESIGN.md §9), one chip and two
-#                                     chips, whose outcome histograms
-#                                     and fired-fault records must
-#                                     match exactly; writes
-#                                     CAMPAIGN_ci.json and
+#   scripts/ci.sh faults [build-dir]  build + tests, then pinned-seed
+#                                     fault-injection campaigns
+#                                     (DESIGN.md §9): one chip, the same
+#                                     under the coherence checker, and
+#                                     two chips, whose outcome
+#                                     histograms and fired-fault records
+#                                     must match exactly; writes
+#                                     CAMPAIGN_ci.json,
+#                                     CAMPAIGN_ci_trace.json and
 #                                     CAMPAIGN_ci_2chip.json as
 #                                     artifacts
 #   scripts/ci.sh tsan [build-dir]    ThreadSanitizer build, then the
@@ -200,38 +202,51 @@ if [[ "$MODE" == "faults" ]]; then
     # changed behaviour and the expectations here (and in
     # tests/fault_test.cc) need a deliberate update.
     #
-    # One chip, the ECC/parity/ICS/memory kinds:
-    "$BUILD_DIR"/bench/campaign_main --injections 12 --seed 1 --count 2 \
-        --work 1024 \
-        --kinds mem_data_flip,mem_data_double_flip,mem_check_flip,l1_data_flip,l2_data_flip,ics_drop,ics_delay,mem_stall \
+    # One chip, the ECC/parity/ICS/memory kinds, then the same
+    # campaign with the coherence checker replaying every run's trace:
+    # a fault-free run checks clean, so every outcome must hold.
+    ONE_CHIP=(--injections 12 --seed 1 --count 2 --work 1024
+        --kinds mem_data_flip,mem_data_double_flip,mem_check_flip,l1_data_flip,l2_data_flip,ics_drop,ics_delay,mem_stall)
+    "$BUILD_DIR"/bench/campaign_main "${ONE_CHIP[@]}" \
         --json CAMPAIGN_ci.json
+    "$BUILD_DIR"/bench/campaign_main "${ONE_CHIP[@]}" --check-trace \
+        --json CAMPAIGN_ci_trace.json
     # Two chips, every fault kind: the node ids the components record,
     # the directory bits and the inter-chip transport.
     "$BUILD_DIR"/bench/campaign_main --injections 12 --seed 1 --count 2 \
         --work 1024 --nodes 2 --json CAMPAIGN_ci_2chip.json
-    # Digest: each run's seed, outcome and fired faults (kind, time,
-    # node, site), so a change that moves which line or cache a fault
-    # lands on fails even when every outcome holds.
+    # Each report is a sweep report whose jobs carry their injection's
+    # `faults` record. Digest: each run's plan seed, outcome and fired
+    # faults (kind, time, node, site), so a change that moves which
+    # line or cache a fault lands on fails even when every outcome
+    # holds.
     python3 - <<'PYEOF'
 import hashlib, json, sys
+one_chip = ({"corrected": 2, "detected": 1, "hang": 1, "masked": 3,
+             "recovered": 5}, "6149fc732fef9d6a")
 pins = {
-    "CAMPAIGN_ci.json": ({"corrected": 2, "detected": 1, "hang": 1,
-                          "masked": 3, "recovered": 5},
-                         "6149fc732fef9d6a"),
+    "CAMPAIGN_ci.json": one_chip,
+    "CAMPAIGN_ci_trace.json": one_chip,
     "CAMPAIGN_ci_2chip.json": ({"corrected": 2, "detected": 3, "hang": 4,
                                 "masked": 2, "recovered": 1},
                                "bafab9e6822a2e56"),
 }
 bad = False
 for path, (expect, expect_digest) in pins.items():
-    rep = json.load(open(path))
-    got = rep["histogram"]
-    records = [[r["seed"], r["outcome"],
-                [[f["kind"], int(f["at_ps"]), f["node"], f["site"]]
-                 for f in r.get("fired", [])]]
-               for r in sorted(rep["runs"], key=lambda r: r["seed"])]
+    jobs = [j for j in json.load(open(path))["jobs"]
+            if j["status"] != "cancelled"]
+    got = {}
+    for j in jobs:
+        outcome = j.get("faults", {}).get("outcome", "failed")
+        got[outcome] = got.get(outcome, 0) + 1
+    records = [[f["plan_seed"], f["outcome"],
+                [[x["kind"], int(x["at_ps"]), x["node"], x["site"]]
+                 for x in f.get("fired", [])]]
+               for f in sorted((j["faults"] for j in jobs if "faults" in j),
+                               key=lambda f: f["plan_seed"])]
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()[:16]
-    print(f"{path}: histogram {got}, fired-record digest {digest}")
+    print(f"{path}: histogram {dict(sorted(got.items()))}, "
+          f"fired-record digest {digest}")
     if got != expect:
         print(f"FAIL: {path}: expected histogram {expect}", file=sys.stderr)
         bad = True
@@ -239,16 +254,17 @@ for path, (expect, expect_digest) in pins.items():
         print(f"FAIL: {path}: expected fired-record digest {expect_digest}",
               file=sys.stderr)
         bad = True
-    hangs = [r for r in rep["runs"] if r["outcome"] == "hang"]
-    if not all("diagnostic dump" in r.get("watchdog_dump", "")
-               for r in hangs):
+    hangs = [j for j in jobs if j.get("faults", {}).get("outcome") == "hang"]
+    if not all("diagnostic dump" in j.get("crash_report", "")
+               for j in hangs):
         print(f"FAIL: {path}: hang outcome without a watchdog dump",
               file=sys.stderr)
         bad = True
-    panics = [r for r in rep["runs"] if r["outcome"] == "detected" and
-              r.get("detail", "").startswith("panic:")]
-    if not all("diagnostic dump" in r.get("watchdog_dump", "")
-               for r in panics):
+    panics = [j for j in jobs
+              if j.get("faults", {}).get("outcome") == "detected" and
+              j.get("error", "").startswith("panic:")]
+    if not all("diagnostic dump" in j.get("crash_report", "")
+               for j in panics):
         print(f"FAIL: {path}: panic-detected run without a diagnostic "
               f"dump", file=sys.stderr)
         bad = True

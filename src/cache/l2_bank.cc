@@ -324,6 +324,14 @@ L2Bank::handleVictim(const IcsMsg &msg)
         v.l1Excl = false;
         v.ownerL1 = v.sharers ? std::countr_zero(v.sharers) : -1;
     }
+    // The L1 surrenders its copy here, at the serialization point; it
+    // records its own VictimDrop only when the displacing fill lands.
+    PIR_TRACE(_ctx.tracer, TraceEvent{.tick = curTick(),
+                                      .kind = TraceKind::VictimTaken,
+                                      .node = _ctx.node,
+                                      .aux = msg.l1Id,
+                                      .addr = msg.victimAddr,
+                                      .mask = v.sharers});
 
     if (v.busy || v.peActive) {
         // A transaction is active on the victim line. Any data the

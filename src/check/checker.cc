@@ -13,6 +13,9 @@ namespace {
 
 constexpr std::size_t npos = CheckViolation::npos;
 
+/** Violations collected before the checker stops. */
+constexpr std::size_t maxViolations = 16;
+
 /** Identity of one coherence agent: an L1 within a node. */
 using AgentKey = std::uint32_t;
 
@@ -76,8 +79,6 @@ struct Holder
 
 struct Checker
 {
-    const std::vector<TraceEvent> &tr;
-    const CheckOptions &opts;
     CheckReport rep;
     bool settled = false;
 
@@ -87,11 +88,7 @@ struct Checker
     // (node, line) -> per-L1 copy state from the dup-tag/L1 events
     std::unordered_map<std::uint64_t, std::map<int, Holder>> lines;
 
-    Checker(const std::vector<TraceEvent> &t, const CheckOptions &o)
-        : tr(t), opts(o)
-    {}
-
-    bool full() const { return rep.violations.size() >= opts.maxViolations; }
+    bool full() const { return rep.violations.size() >= maxViolations; }
 
     void
     flag(std::string axiom, std::string detail, std::size_t ev,
@@ -298,9 +295,12 @@ struct Checker
             break;
           }
 
-          case TraceKind::VictimDrop: {
-            Holder &h =
-                lines[nodeLineKey(e.node, lineNum(e.addr))][e.l1];
+          case TraceKind::VictimDrop:
+          case TraceKind::VictimTaken: {
+            // A victim is surrendered where the L2 takes it, though the
+            // L1 drops the line only when its displacing fill lands.
+            int l1 = e.kind == TraceKind::VictimDrop ? e.l1 : e.aux;
+            Holder &h = lines[nodeLineKey(e.node, lineNum(e.addr))][l1];
             h.st = 0;
             h.lastIdx = i;
             break;
@@ -361,9 +361,9 @@ struct Checker
 
 CheckReport
 checkCoherence(const std::vector<TraceEvent> &trace,
-               std::uint64_t dropped, const CheckOptions &opts)
+               std::uint64_t dropped)
 {
-    Checker c(trace, opts);
+    Checker c;
     if (dropped > 0) {
         c.rep.truncated = true;
         return c.rep; // an incomplete prefix cannot be checked soundly

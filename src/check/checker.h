@@ -22,7 +22,8 @@
  *    (E/M) only while no peer L1 holds a live copy, and a shared fill
  *    may not coexist with a peer's exclusive copy. Copies whose
  *    invalidation has been sent but not yet delivered are "dying" and
- *    excluded;
+ *    excluded, and a victim is gone once the L2 takes it
+ *    (VictimTaken), before its L1 records the VictimDrop;
  *  - no lost work: at end of trace, every InvalSent was delivered and
  *    (in a settled trace) every issued store committed.
  *
@@ -41,11 +42,6 @@
 #include "check/trace.h"
 
 namespace piranha {
-
-struct CheckOptions
-{
-    std::size_t maxViolations = 16; //!< stop collecting after this many
-};
 
 /** One axiom violation, anchored to trace event indices. */
 struct CheckViolation
@@ -79,13 +75,13 @@ struct CheckReport
 };
 
 /**
- * Replay @p trace and check the axioms above. @p dropped is the
- * tracer's dropped-event count: a truncated trace cannot be checked
- * soundly, so the report only flags the truncation.
+ * Replay @p trace and check the axioms above, stopping after 16
+ * violations. @p dropped is the tracer's dropped-event count: a
+ * truncated trace cannot be checked soundly, so the report only flags
+ * the truncation.
  */
 CheckReport checkCoherence(const std::vector<TraceEvent> &trace,
-                           std::uint64_t dropped = 0,
-                           const CheckOptions &opts = {});
+                           std::uint64_t dropped = 0);
 
 } // namespace piranha
 

@@ -18,6 +18,7 @@ traceKindName(TraceKind k)
       case TraceKind::InvalRecv: return "InvalRecv";
       case TraceKind::FwdService: return "FwdService";
       case TraceKind::VictimDrop: return "VictimDrop";
+      case TraceKind::VictimTaken: return "VictimTaken";
       case TraceKind::InvalSent: return "InvalSent";
       case TraceKind::OwnerChange: return "OwnerChange";
       case TraceKind::WbInstall: return "WbInstall";

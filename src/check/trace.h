@@ -38,6 +38,7 @@ enum class TraceKind : std::uint8_t
     InvalRecv,   //!< L1 processed an invalidation
     FwdService,  //!< owner L1 serviced a forward; state = its new state
     VictimDrop,  //!< L1 victim left the cache (replacement)
+    VictimTaken, //!< L2 took an L1's victim (aux = surrendering L1)
     InvalSent,   //!< L2 targeted an L1 for invalidation (aux = L1 id)
     OwnerChange, //!< L2 dup-tag ownership transfer (aux = new owner L1)
     WbInstall,   //!< L2 installed L1 write-back / victim data

@@ -24,10 +24,11 @@
  *
  * Campaigns layer on SweepRunner: each injection is a custom sweep
  * job that runs the harness's job body (runSimulation) on its seeded
- * plan, so they inherit its thread pool, panic isolation, timeout,
- * process tier and SIGINT-drain machinery. A campaign with
- * injections that never fire (count = 0) produces runs bit-identical
- * to a plain system — tested by tests/fault_test.cc.
+ * plan and returns that result with its outcome added, so a campaign
+ * inherits the thread pool, panic isolation, timeout, process tier,
+ * journal and SIGINT drain, and its report is a SweepReport. A
+ * campaign with injections that never fire (count = 0) produces runs
+ * bit-identical to a plain system — tested by tests/fault_test.cc.
  */
 
 #ifndef PIRANHA_FAULT_CAMPAIGN_H
@@ -35,27 +36,10 @@
 
 #include <map>
 #include <string>
-#include <vector>
 
 #include "harness/sweep_runner.h"
 
 namespace piranha {
-
-/** Classification of one fault-injected run (see file comment). */
-enum class FaultOutcome
-{
-    NotFired,
-    Masked,
-    Corrected,
-    Recovered,
-    Detected,
-    Silent,
-    Hang,
-    Failed,
-    kNumOutcomes,
-};
-
-const char *faultOutcomeName(FaultOutcome o);
 
 /** A declared campaign: one workload, K seeded injections. */
 struct CampaignSpec
@@ -87,51 +71,12 @@ struct CampaignSpec
     bool checkTrace = false;
 };
 
-/** Outcome of one injected run. */
-struct InjectionRecord
-{
-    std::uint64_t seed = 0;
-    FaultOutcome outcome = FaultOutcome::Failed;
-    FaultCounters counters;
-    std::vector<FiredFault> faults;     //!< what fired, where, when
-    std::string detail;                 //!< machine-check / watchdog /
-                                        //!< checker / error text
-    std::string watchdogDump;           //!< diagnostic dump of a
-                                        //!< hang or a panic
-    std::map<std::string, double> stats; //!< flattened RunResult
-};
-
-/** Parse faultOutcomeName output; throws std::runtime_error on
- *  unknown names. */
-FaultOutcome faultOutcomeFromName(const std::string &name);
-
 /**
- * Serialize / parse one injection record as the per-run JSON object
- * of the campaign report schema. The record rides through the sweep
- * job's payload (CustomResult::payload), which is what lets campaign
- * results survive the process-tier worker pipe and the job journal —
- * there is no shared-memory side channel between an injection body
- * and the campaign aggregator.
+ * Outcome name -> injections over a campaign's report: a cancelled
+ * job (SIGINT drain) never ran and is left out, and a job without an
+ * outcome (its body threw, or its worker died) counts as failed.
  */
-JsonValue injectionRecordToJson(const InjectionRecord &r,
-                                bool include_dumps = true);
-InjectionRecord injectionRecordFromJson(const JsonValue &v);
-
-/** Executed campaign: per-injection records + outcome histogram. */
-struct CampaignReport
-{
-    std::string name;
-    bool interrupted = false; //!< SIGINT drain: records are partial
-    double hostSeconds = 0;
-    std::vector<InjectionRecord> runs;
-
-    /** Outcome -> count over all runs. */
-    std::map<std::string, unsigned> histogram() const;
-
-    JsonValue toJson(bool include_dumps = true) const;
-    bool writeJsonFile(const std::string &path,
-                       bool include_dumps = true) const;
-};
+std::map<std::string, unsigned> outcomeHistogram(const SweepReport &report);
 
 /**
  * Classify a finished run. Precedence: detection beats recovery beats
@@ -141,18 +86,20 @@ struct CampaignReport
 FaultOutcome classifyRun(const RunResult &r, bool checker_ok,
                          bool checker_ran);
 
-/** Executes a CampaignSpec on a SweepRunner. */
+/**
+ * Executes a CampaignSpec on a SweepRunner: one job per injection,
+ * labelled `<name>/seed<S>`, whose result carries the injection's
+ * `faults` record (plan seed, outcome, counters, fired faults). The
+ * report is the sweep's own.
+ */
 class CampaignRunner
 {
   public:
-    explicit CampaignRunner(SweepOptions opts = {})
-        : _opts(opts), _runner(opts)
-    {}
+    explicit CampaignRunner(SweepOptions opts = {}) : _runner(opts) {}
 
-    CampaignReport run(const CampaignSpec &spec) const;
+    SweepReport run(const CampaignSpec &spec) const;
 
   private:
-    SweepOptions _opts;
     SweepRunner _runner;
 };
 

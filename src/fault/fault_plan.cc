@@ -40,4 +40,33 @@ faultKindFromName(const char *name)
     return FaultKind::kNumKinds;
 }
 
+const char *
+faultOutcomeName(FaultOutcome o)
+{
+    switch (o) {
+    case FaultOutcome::NotFired: return "not_fired";
+    case FaultOutcome::Masked: return "masked";
+    case FaultOutcome::Corrected: return "corrected";
+    case FaultOutcome::Recovered: return "recovered";
+    case FaultOutcome::Detected: return "detected";
+    case FaultOutcome::Silent: return "silent";
+    case FaultOutcome::Hang: return "hang";
+    case FaultOutcome::Failed: return "failed";
+    case FaultOutcome::kNumOutcomes: break;
+    }
+    return "unknown";
+}
+
+FaultOutcome
+faultOutcomeFromName(const std::string &name)
+{
+    for (unsigned i = 0;
+         i < static_cast<unsigned>(FaultOutcome::kNumOutcomes); ++i) {
+        auto o = static_cast<FaultOutcome>(i);
+        if (name == faultOutcomeName(o))
+            return o;
+    }
+    return FaultOutcome::kNumOutcomes;
+}
+
 } // namespace piranha

@@ -155,6 +155,30 @@ struct FaultCounters
     }
 };
 
+/**
+ * Classification of one fault-injected run (DESIGN.md §9), assigned
+ * by the campaign's classifyRun. Declared here so a sweep job's
+ * result can carry it.
+ */
+enum class FaultOutcome : std::uint8_t
+{
+    NotFired,  ///< the planned fault found no eligible site
+    Masked,    ///< fired, but nothing read the damage
+    Corrected, ///< SECDED corrected it in-line
+    Recovered, ///< a detect-and-recover path ran
+    Detected,  ///< a machine check or a panic caught it
+    Silent,    ///< completed, but the coherence checker objected
+    Hang,      ///< the watchdog tripped or simulated time ran out
+    Failed,    ///< the host stopped the run or lost it
+    kNumOutcomes,
+};
+
+/** Stable lower-case name for reports. */
+const char *faultOutcomeName(FaultOutcome o);
+
+/** Parse faultOutcomeName output; returns kNumOutcomes when unknown. */
+FaultOutcome faultOutcomeFromName(const std::string &name);
+
 } // namespace piranha
 
 #endif // PIRANHA_FAULT_FAULT_PLAN_H

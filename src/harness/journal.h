@@ -41,8 +41,10 @@ std::uint64_t fnv1a64(const void *data, std::size_t len);
 class JobJournal
 {
   public:
-    /** Current journal format version (H record "version"). */
-    static constexpr unsigned kVersion = 2;
+    /** Current journal format version (H record "version"). Version
+     *  3 carries an injection's record as the job's `faults` object;
+     *  version 2 carried it as an opaque `payload`. */
+    static constexpr unsigned kVersion = 3;
 
     /** What load() recovered from an existing journal. */
     struct Recovery

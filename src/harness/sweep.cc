@@ -125,6 +125,98 @@ SweepReport::count(JobStatus s) const
     return n;
 }
 
+namespace {
+
+struct CounterField
+{
+    const char *key;
+    std::uint64_t FaultCounters::*member;
+};
+
+// Order matters: it is the report's serialized field order.
+const CounterField kCounterFields[] = {
+    {"fired", &FaultCounters::fired},
+    {"no_site", &FaultCounters::noSite},
+    {"ecc_corrected_data", &FaultCounters::eccCorrectedData},
+    {"ecc_corrected_check", &FaultCounters::eccCorrectedCheck},
+    {"ecc_uncorrectable", &FaultCounters::eccUncorrectable},
+    {"scrub_writes", &FaultCounters::scrubWrites},
+    {"ecc_masked_by_write", &FaultCounters::eccMaskedByWrite},
+    {"dir_flips", &FaultCounters::dirFlips},
+    {"l1_parity_refetch", &FaultCounters::l1ParityRefetch},
+    {"l2_parity_refetch", &FaultCounters::l2ParityRefetch},
+    {"parity_masked_by_overwrite",
+     &FaultCounters::parityMaskedByOverwrite},
+    {"ics_dropped", &FaultCounters::icsDropped},
+    {"ics_duplicated", &FaultCounters::icsDuplicated},
+    {"ics_delayed", &FaultCounters::icsDelayed},
+    {"net_dropped", &FaultCounters::netDropped},
+    {"net_retransmits", &FaultCounters::netRetransmits},
+    {"net_duplicated", &FaultCounters::netDuplicated},
+    {"net_dup_filtered", &FaultCounters::netDupFiltered},
+    {"net_delayed", &FaultCounters::netDelayed},
+    {"mem_stalls", &FaultCounters::memStalls},
+    {"machine_checks", &FaultCounters::machineChecks},
+};
+
+/** An injection's `faults` object: plan seed, outcome, the non-zero
+ *  counters and what fired, with its site and time. */
+JsonValue
+faultsToJson(const JobResult &j)
+{
+    JsonValue fo = JsonValue::object();
+    fo.set("plan_seed", static_cast<double>(j.planSeed));
+    fo.set("outcome", faultOutcomeName(*j.outcome));
+    JsonValue co = JsonValue::object();
+    for (const CounterField &cf : kCounterFields)
+        if (std::uint64_t v = j.run.faults.*cf.member)
+            co.set(cf.key, static_cast<double>(v));
+    fo.set("counters", std::move(co));
+    if (!j.run.firedFaults.empty()) {
+        JsonValue fa = JsonValue::array();
+        for (const FiredFault &f : j.run.firedFaults) {
+            JsonValue ff = JsonValue::object();
+            ff.set("kind", faultKindName(f.kind));
+            ff.set("at_ps", static_cast<double>(f.at));
+            ff.set("node", static_cast<double>(f.node));
+            ff.set("site", f.site);
+            fa.append(std::move(ff));
+        }
+        fo.set("fired", std::move(fa));
+    }
+    return fo;
+}
+
+void
+faultsFromJson(const JsonValue &fo, JobResult &j)
+{
+    FaultOutcome o = faultOutcomeFromName(fo.at("outcome").asString());
+    if (o == FaultOutcome::kNumOutcomes)
+        throw std::runtime_error("job result: unknown fault outcome \"" +
+                                 fo.at("outcome").asString() + "\"");
+    j.outcome = o;
+    j.planSeed =
+        static_cast<std::uint64_t>(fo.at("plan_seed").asNumber());
+    if (const JsonValue *co = fo.find("counters"))
+        for (const CounterField &cf : kCounterFields)
+            if (const JsonValue *cv = co->find(cf.key))
+                j.run.faults.*cf.member =
+                    static_cast<std::uint64_t>(cv->asNumber());
+    if (const JsonValue *fa = fo.find("fired")) {
+        for (std::size_t i = 0; i < fa->size(); ++i) {
+            const JsonValue &ff = fa->at(i);
+            FiredFault f;
+            f.kind = faultKindFromName(ff.at("kind").asString().c_str());
+            f.at = static_cast<Tick>(ff.at("at_ps").asNumber());
+            f.node = static_cast<unsigned>(ff.at("node").asNumber());
+            f.site = ff.at("site").asString();
+            j.run.firedFaults.push_back(std::move(f));
+        }
+    }
+}
+
+} // namespace
+
 JsonValue
 jobResultToJson(const JobResult &j, bool include_stat_tree)
 {
@@ -149,11 +241,13 @@ jobResultToJson(const JobResult &j, bool include_stat_tree)
         jo.set("engine_fallback", true);
     if (!j.crashReport.empty())
         jo.set("crash_report", j.crashReport);
-    if (j.status == JobStatus::Ok) {
+    if (j.status == JobStatus::Ok || !j.stats.empty()) {
         JsonValue stats = JsonValue::object();
         for (const auto &[k, v] : j.stats)
             stats.set(k, v);
         jo.set("stats", std::move(stats));
+    }
+    if (j.status == JobStatus::Ok) {
         // Host-side instrumentation lives outside "stats" so that
         // bit-identity comparisons over the stats map ignore it.
         if (j.run.fastEventedHits || j.run.fastInlineHits ||
@@ -176,8 +270,8 @@ jobResultToJson(const JobResult &j, bool include_stat_tree)
         if (include_stat_tree && !j.statTree.isNull())
             jo.set("stat_tree", j.statTree);
     }
-    if (!j.payload.isNull())
-        jo.set("payload", j.payload);
+    if (j.outcome)
+        jo.set("faults", faultsToJson(j));
     return jo;
 }
 
@@ -256,8 +350,8 @@ jobResultFromJson(const JsonValue &v)
     }
     if (const JsonValue *st = v.find("stat_tree"))
         j.statTree = *st;
-    if (const JsonValue *pl = v.find("payload"))
-        j.payload = *pl;
+    if (const JsonValue *fo = v.find("faults"))
+        faultsFromJson(*fo, j);
     return j;
 }
 

@@ -20,6 +20,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,21 +46,66 @@ struct WorkloadDecl
  *  empty when the sweep sets no timeout. */
 using AbortCheck = std::function<bool()>;
 
-/** Outcome of a custom (non-simulation) job body. */
-struct CustomResult
+/** Outcome of one executed job. */
+enum class JobStatus { Ok, Failed, TimedOut, Cancelled };
+
+const char *jobStatusName(JobStatus s);
+
+/** Parse jobStatusName output; throws std::runtime_error on unknown
+ *  names (journal / worker-pipe deserialization). */
+JobStatus jobStatusFromName(const std::string &name);
+
+/** Result of one executed sweep job. */
+struct JobResult
 {
-    bool ok = true;
-    std::string error;                   //!< failure description
-    std::map<std::string, double> stats; //!< named stats for the report
+    std::string label;
+    JobStatus status = JobStatus::Ok;
+    /** Why the job did not end ok: the exception or panic text, how
+     *  the run stopped short, or how its worker died. On an injection
+     *  the checker flagged (outcome silent), the checker's finding. */
+    std::string error;
+
+    /** Executions the job took (> 1 only after a crash-class worker
+     *  exit on the process tier). */
+    unsigned attempts = 1;
+
+    /** The run's result. A run that stopped short (failed or
+     *  timed_out) holds the state it stopped in; after a panic only
+     *  the fault counters and fired faults are set. */
+    RunResult run;
+    /** Flat named stats from run: a simulation job's when it ended
+     *  ok, an injection's whenever its run came back, and whatever a
+     *  custom body reports. */
+    std::map<std::string, double> stats;
+    JsonValue statTree;                   //!< full StatGroup snapshot
+    double hostSeconds = 0;               //!< wall-clock cost of the job
+    /** Kernel events per host second — a host-timing figure, kept
+     *  out of `stats` so bit-identity comparisons ignore it. */
+    double eventsPerHostSec = 0;
 
     /**
-     * Opaque structured result carried alongside the flat stats. The
-     * campaign runner uses this to ship the full InjectionRecord
-     * through the job result, so it survives the process-tier worker
-     * pipe and the job journal (DESIGN.md §14) instead of relying on
-     * shared-memory side channels.
+     * Process-tier exit classification of the job's final attempt:
+     * "ok", "exit", "signal", "timeout", "oom" or "protocol"
+     * (DESIGN.md §14). Empty on the thread tier.
      */
-    JsonValue payload;
+    std::string exitClass;
+
+    /** Result was recovered from a job journal by --resume rather
+     *  than executed in this run. */
+    bool fromJournal = false;
+
+    /** Diagnostic dump of a run that did not finish: the watchdog's
+     *  or max_time's dump, the state a panic left, or what a crashing
+     *  worker's signal handler wrote (the same dump format). A
+     *  machine check leaves none. */
+    std::string crashReport;
+
+    /** A fault campaign's injection (DESIGN.md §9) sets these: how
+     *  the run was classified and its plan's seed. What fired is in
+     *  run.faults and run.firedFaults. Unset on every other job, and
+     *  on an injection whose body threw or whose worker died. */
+    std::optional<FaultOutcome> outcome;
+    std::uint64_t planSeed = 0;
 };
 
 /** One runnable job: a configuration under a workload. */
@@ -72,11 +118,12 @@ struct SweepPoint
 
     /** When set, the job runs this body instead of the job body
      *  (litmus sweep, the cmi study, fault campaign); it must be
-     *  self-contained and deterministic like any other point. A body
-     *  that runs a workload passes the abort check on to
-     *  runSimulation, as the campaign does; one that fails after the
-     *  check fires is recorded as timed out. */
-    std::function<CustomResult(const AbortCheck &)> custom;
+     *  self-contained and deterministic like any other point. Its
+     *  result is the job's (the runner fills in the label and the
+     *  host timing). A body that runs a workload passes the abort
+     *  check on to runSimulation, as the campaign does, whose result
+     *  says whether the host stopped it. */
+    std::function<JobResult(const AbortCheck &)> custom;
 };
 
 /**
@@ -105,72 +152,17 @@ struct SweepSpec
     Tick maxTime = 100 * 1000 * ticksPerUs;
 };
 
-/** Outcome of one executed job. */
-enum class JobStatus { Ok, Failed, TimedOut, Cancelled };
-
-const char *jobStatusName(JobStatus s);
-
-/** Parse jobStatusName output; throws std::runtime_error on unknown
- *  names (journal / worker-pipe deserialization). */
-JobStatus jobStatusFromName(const std::string &name);
-
-/** Result of one executed sweep job. */
-struct JobResult
-{
-    std::string label;
-    JobStatus status = JobStatus::Ok;
-    /** Why the job did not end ok: the exception or panic text, how
-     *  the run stopped short, or how its worker died. */
-    std::string error;
-
-    /** Executions the job took (> 1 only after a crash-class worker
-     *  exit on the process tier). */
-    unsigned attempts = 1;
-
-    /** The run's result. A run that stopped short (failed or
-     *  timed_out) holds the state it stopped in; after a panic only
-     *  the fault counters and fired faults are set. */
-    RunResult run;
-    std::map<std::string, double> stats;  //!< flat named stats from run
-    JsonValue statTree;                   //!< full StatGroup snapshot
-    double hostSeconds = 0;               //!< wall-clock cost of the job
-    /** Kernel events per host second — a host-timing figure, kept
-     *  out of `stats` so bit-identity comparisons ignore it. */
-    double eventsPerHostSec = 0;
-
-    /**
-     * Process-tier exit classification of the job's final attempt:
-     * "ok", "exit", "signal", "timeout", "oom" or "protocol"
-     * (DESIGN.md §14). Empty on the thread tier.
-     */
-    std::string exitClass;
-
-    /** Result was recovered from a job journal by --resume rather
-     *  than executed in this run. */
-    bool fromJournal = false;
-
-    /** Diagnostic dump of a run that did not finish: the watchdog's
-     *  or max_time's dump, the state a panic left, or what a crashing
-     *  worker's signal handler wrote (the same dump format). A
-     *  machine check leaves none. */
-    std::string crashReport;
-
-    /** Opaque structured result from a custom job body (see
-     *  CustomResult::payload). */
-    JsonValue payload;
-};
-
 /**
  * Serialize / parse one job result as the per-job JSON object of the
  * sweep report schema. The round trip preserves every field the
  * aggregate report and the bit-identity comparisons consume (flat
  * stats, stat tree, status, error, fastpath/profile instrumentation,
- * payload), which is what makes a --resume'd report provably
- * identical to an uninterrupted run: journal-recovered jobs re-enter
- * the report through exactly this path. jobResultFromJson throws
- * std::runtime_error on a value off the schema: a label or status
- * that is not a string, an unknown status, or `attempts` that is not
- * an integer in [1, 2^32).
+ * an injection's `faults` record), which is what makes a --resume'd
+ * report provably identical to an uninterrupted run: journal-recovered
+ * jobs re-enter the report through exactly this path.
+ * jobResultFromJson throws std::runtime_error on a value off the
+ * schema: a label or status that is not a string, an unknown status
+ * or fault outcome, or `attempts` that is not an integer in [1, 2^32).
  */
 JsonValue jobResultToJson(const JobResult &j,
                           bool include_stat_tree = true);

@@ -133,17 +133,7 @@ SweepRunner::runJob(const SweepPoint &pt) const
     PanicThrowsGuard panic_guard;
     try {
         if (pt.custom) {
-            CustomResult cr = pt.custom(abort_check);
-            if (!cr.ok && abort_check && abort_check()) {
-                jr.status = JobStatus::TimedOut;
-                jr.error = "host wall-clock timeout";
-            } else if (!cr.ok) {
-                jr.status = JobStatus::Failed;
-                jr.error = cr.error.empty() ? "custom job failed"
-                                            : cr.error;
-            }
-            jr.stats = std::move(cr.stats);
-            jr.payload = std::move(cr.payload);
+            jr = pt.custom(abort_check);
         } else {
             SweepPoint sim = pt;
             if (_opts.engine == EngineKind::Parallel) {

@@ -7,8 +7,8 @@
 
 namespace piranha {
 
-Network::Network(EventQueue &eq, std::string name, const NetworkParams &p)
-    : SimObject(eq, std::move(name)), _p(p),
+Network::Network(EventQueue &eq, std::string name)
+    : SimObject(eq, std::move(name)),
       _fabric([this](NetPacket &&pkt, NodeId at, Tick injected) {
           hop(std::move(pkt), at, injected);
       })
@@ -32,7 +32,7 @@ Network::regStats(StatGroup &parent)
 Tick
 Network::icCycles(unsigned n) const
 {
-    return static_cast<Tick>(n * 1e6 / _p.icClockMhz);
+    return static_cast<Tick>(n * 1e6 / icClockMhz);
 }
 
 void
@@ -54,7 +54,7 @@ Network::minCrossLatency() const
     // A handoff computed at tick t arrives no earlier than
     // t + occupancy(short) + link flight; occupancy can only grow with
     // backlog or packet length.
-    return icCycles(2) + nsToTicks(_p.linkNs);
+    return icCycles(2) + nsToTicks(linkNs);
 }
 
 void
@@ -154,7 +154,7 @@ Network::inject(NetPacket pkt)
     // Output-queue fall-through (single cycle when the router is
     // ready; transit traffic has priority, modeled in channel
     // backlog).
-    schedulePacket(src, injected + nsToTicks(_p.oqNs), false, injected,
+    schedulePacket(src, injected + nsToTicks(oqNs), false, injected,
                    std::move(pkt));
 }
 
@@ -174,7 +174,7 @@ Network::hop(NetPacket pkt, NodeId at, Tick injected)
         // disposition vector and hand to the target module.
         node.stats.latency.sample(static_cast<double>(now - injected) /
                                   static_cast<double>(ticksPerNs));
-        schedulePacket(at, now + nsToTicks(_p.iqNs), true, injected,
+        schedulePacket(at, now + nsToTicks(iqNs), true, injected,
                        std::move(pkt));
         return;
     }
@@ -192,8 +192,8 @@ Network::hop(NetPacket pkt, NodeId at, Tick injected)
               at);
 
     Tick backlog = chan->busyUntil > now ? chan->busyUntil - now : 0;
-    if (backlog > icCycles(_p.misrouteThresholdIc) &&
-        pkt.age < _p.maxAge && node.channels.size() > 1) {
+    if (backlog > icCycles(misrouteThresholdIc) &&
+        pkt.age < maxAge && node.channels.size() > 1) {
         // Hot potato: deflect to a random alternate channel with a
         // shorter backlog; the age field escalates priority so the
         // packet eventually takes the optimal path.
@@ -209,7 +209,7 @@ Network::hop(NetPacket pkt, NodeId at, Tick injected)
     Tick start = std::max(now, chan->busyUntil);
     Tick occupancy = icCycles(pkt.icCycles());
     chan->busyUntil = start + occupancy;
-    Tick arrive = start + occupancy + nsToTicks(_p.linkNs);
+    Tick arrive = start + occupancy + nsToTicks(linkNs);
     ++node.stats.hops;
     // Canonical cross-node handoff: staged by arrival tick, merged in
     // (send tick, source, sequence) order at the destination.

@@ -37,17 +37,6 @@
 
 namespace piranha {
 
-/** Interconnect configuration. */
-struct NetworkParams
-{
-    double linkNs = 10.0;        //!< per-hop wire + synchronization
-    double icClockMhz = 2000.0;  //!< interconnect clock (4x system)
-    double oqNs = 2.0;           //!< output-queue fall-through
-    double iqNs = 4.0;           //!< input-queue + packet switch
-    unsigned misrouteThresholdIc = 8; //!< backlog (IC cycles) to misroute
-    unsigned maxAge = 3;         //!< misroutes before forcing optimal
-};
-
 /** Delivery callback a node registers for terminal packets. */
 using NetDeliverFn = std::function<void(const NetPacket &)>;
 
@@ -61,8 +50,7 @@ using NetDeliverFn = std::function<void(const NetPacket &)>;
 class Network : public SimObject
 {
   public:
-    Network(EventQueue &eq, std::string name,
-            const NetworkParams &p = NetworkParams{});
+    Network(EventQueue &eq, std::string name);
 
     /**
      * Register @p node with its terminal delivery callback. Ids are
@@ -174,7 +162,16 @@ class Network : public SimObject
     void hop(NetPacket pkt, NodeId at, Tick injected);
     Tick icCycles(unsigned n) const;
 
-    NetworkParams _p;
+    // Interconnect timing and routing (paper §2.6).
+    static constexpr double linkNs = 10.0;       //!< per-hop wire + sync
+    static constexpr double icClockMhz = 2000.0; //!< 4x system clock
+    static constexpr double oqNs = 2.0;          //!< OQ fall-through
+    static constexpr double iqNs = 4.0;          //!< IQ + packet switch
+    /** Channel backlog, in IC cycles, past which a packet misroutes. */
+    static constexpr unsigned misrouteThresholdIc = 8;
+    /** Misroutes after which a packet takes the optimal path. */
+    static constexpr unsigned maxAge = 3;
+
     FaultInjector *_faults = nullptr;
     std::vector<Node> _nodes;
     NetFabric _fabric;

@@ -136,15 +136,16 @@ TEST(FastPathIdentity, OltpOooBaseline)
         30, "OOO/OLTP");
 }
 
-/** @p r's fault counters and fired-fault records, serialized as a
- *  campaign report serializes them. */
+/** @p r's fault counters, fired-fault records and outcome, as a
+ *  campaign job's `faults` object serializes them. */
 std::string
 faultRecord(const RunResult &r)
 {
-    InjectionRecord rec;
-    rec.counters = r.faults;
-    rec.faults = r.firedFaults;
-    return injectionRecordToJson(rec, false).dump(0);
+    JobResult jr;
+    jr.run.faults = r.faults;
+    jr.run.firedFaults = r.firedFaults;
+    jr.outcome = classifyRun(r, true, false);
+    return jobResultToJson(jr, false).at("faults").dump(0);
 }
 
 TEST(FastPathIdentity, L1ParityFaultPlans)

@@ -44,6 +44,13 @@ smallCampaign(FaultKind kind, unsigned count, std::uint64_t work,
     return spec;
 }
 
+/** @p j's outcome name, for failure messages. */
+const char *
+outcomeOf(const JobResult &j)
+{
+    return j.outcome ? faultOutcomeName(*j.outcome) : "(no outcome)";
+}
+
 SweepOptions
 serialOpts()
 {
@@ -132,10 +139,10 @@ TEST(FaultIdentity, ZeroFaultCampaignMatchesPlainRun)
                                  24 * sys.totalCpus()};
     spec.injections = 1;
     spec.planTemplate.count = 0;
-    CampaignReport rep = CampaignRunner(serialOpts()).run(spec);
-    ASSERT_EQ(rep.runs.size(), 1u);
-    EXPECT_EQ(rep.runs[0].outcome, FaultOutcome::NotFired);
-    EXPECT_EQ(rep.runs[0].stats, flattenRunResult(plain));
+    SweepReport rep = CampaignRunner(serialOpts()).run(spec);
+    ASSERT_EQ(rep.jobs.size(), 1u);
+    EXPECT_EQ(rep.jobs[0].outcome, FaultOutcome::NotFired);
+    EXPECT_EQ(rep.jobs[0].stats, flattenRunResult(plain));
 }
 
 // ---------------------------------------------------------------------
@@ -164,14 +171,14 @@ TEST(FaultOutcomes, EccCorrectableCorrectsAndScrubs)
 {
     CampaignSpec spec = smallCampaign(FaultKind::MemDataFlip, 1, 2048);
     spec.baseSeed = 4;
-    CampaignReport rep = CampaignRunner(serialOpts()).run(spec);
-    ASSERT_EQ(rep.runs.size(), 1u);
-    const InjectionRecord &r = rep.runs[0];
+    SweepReport rep = CampaignRunner(serialOpts()).run(spec);
+    ASSERT_EQ(rep.jobs.size(), 1u);
+    const JobResult &r = rep.jobs[0];
     EXPECT_EQ(r.outcome, FaultOutcome::Corrected)
-        << faultOutcomeName(r.outcome) << ": " << r.detail;
-    EXPECT_GE(r.counters.eccCorrectedData, 1u);
-    EXPECT_GE(r.counters.scrubWrites, 1u);
-    EXPECT_EQ(r.counters.machineChecks, 0u);
+        << outcomeOf(r) << ": " << r.error;
+    EXPECT_GE(r.run.faults.eccCorrectedData, 1u);
+    EXPECT_GE(r.run.faults.scrubWrites, 1u);
+    EXPECT_EQ(r.run.faults.machineChecks, 0u);
 }
 
 TEST(FaultOutcomes, EccUncorrectableRaisesMachineCheck)
@@ -179,71 +186,71 @@ TEST(FaultOutcomes, EccUncorrectableRaisesMachineCheck)
     CampaignSpec spec =
         smallCampaign(FaultKind::MemDataDoubleFlip, 8, 2048);
     spec.baseSeed = 1;
-    CampaignReport rep = CampaignRunner(serialOpts()).run(spec);
-    ASSERT_EQ(rep.runs.size(), 1u);
-    const InjectionRecord &r = rep.runs[0];
+    SweepReport rep = CampaignRunner(serialOpts()).run(spec);
+    ASSERT_EQ(rep.jobs.size(), 1u);
+    const JobResult &r = rep.jobs[0];
     EXPECT_EQ(r.outcome, FaultOutcome::Detected)
-        << faultOutcomeName(r.outcome) << ": " << r.detail;
-    EXPECT_GE(r.counters.eccUncorrectable, 1u);
-    EXPECT_GE(r.counters.machineChecks, 1u);
-    EXPECT_NE(r.detail.find("uncorrectable ECC"), std::string::npos);
+        << outcomeOf(r) << ": " << r.error;
+    EXPECT_GE(r.run.faults.eccUncorrectable, 1u);
+    EXPECT_GE(r.run.faults.machineChecks, 1u);
+    EXPECT_NE(r.error.find("uncorrectable ECC"), std::string::npos);
 }
 
 TEST(FaultOutcomes, LostInterChipPacketRecoversByRetransmit)
 {
     CampaignSpec spec = smallCampaign(FaultKind::NetDrop, 4, 512, 2);
     spec.baseSeed = 1;
-    CampaignReport rep = CampaignRunner(serialOpts()).run(spec);
-    ASSERT_EQ(rep.runs.size(), 1u);
-    const InjectionRecord &r = rep.runs[0];
+    SweepReport rep = CampaignRunner(serialOpts()).run(spec);
+    ASSERT_EQ(rep.jobs.size(), 1u);
+    const JobResult &r = rep.jobs[0];
     EXPECT_EQ(r.outcome, FaultOutcome::Recovered)
-        << faultOutcomeName(r.outcome) << ": " << r.detail;
-    EXPECT_GE(r.counters.netDropped, 1u);
-    EXPECT_GE(r.counters.netRetransmits, 1u);
-    EXPECT_EQ(r.counters.netDropped, r.counters.netRetransmits);
+        << outcomeOf(r) << ": " << r.error;
+    EXPECT_GE(r.run.faults.netDropped, 1u);
+    EXPECT_GE(r.run.faults.netRetransmits, 1u);
+    EXPECT_EQ(r.run.faults.netDropped, r.run.faults.netRetransmits);
 }
 
 TEST(FaultOutcomes, L1ParityRecoversByRefetch)
 {
     CampaignSpec spec = smallCampaign(FaultKind::L1DataFlip, 24, 1024);
     spec.baseSeed = 1;
-    CampaignReport rep = CampaignRunner(serialOpts()).run(spec);
-    ASSERT_EQ(rep.runs.size(), 1u);
-    const InjectionRecord &r = rep.runs[0];
+    SweepReport rep = CampaignRunner(serialOpts()).run(spec);
+    ASSERT_EQ(rep.jobs.size(), 1u);
+    const JobResult &r = rep.jobs[0];
     EXPECT_EQ(r.outcome, FaultOutcome::Recovered)
-        << faultOutcomeName(r.outcome) << ": " << r.detail;
-    EXPECT_GE(r.counters.l1ParityRefetch, 1u);
+        << outcomeOf(r) << ": " << r.error;
+    EXPECT_GE(r.run.faults.l1ParityRefetch, 1u);
 }
 
 TEST(FaultOutcomes, L2ParityRecoversByRefetch)
 {
     CampaignSpec spec = smallCampaign(FaultKind::L2DataFlip, 24, 1024);
     spec.baseSeed = 1;
-    CampaignReport rep = CampaignRunner(serialOpts()).run(spec);
-    ASSERT_EQ(rep.runs.size(), 1u);
-    const InjectionRecord &r = rep.runs[0];
+    SweepReport rep = CampaignRunner(serialOpts()).run(spec);
+    ASSERT_EQ(rep.jobs.size(), 1u);
+    const JobResult &r = rep.jobs[0];
     EXPECT_EQ(r.outcome, FaultOutcome::Recovered)
-        << faultOutcomeName(r.outcome) << ": " << r.detail;
-    EXPECT_GE(r.counters.l2ParityRefetch, 1u);
+        << outcomeOf(r) << ": " << r.error;
+    EXPECT_GE(r.run.faults.l2ParityRefetch, 1u);
 }
 
 TEST(FaultOutcomes, DroppedIcsMessageHangsAndWatchdogDumps)
 {
     CampaignSpec spec = smallCampaign(FaultKind::IcsDrop, 1, 256);
     spec.baseSeed = 3;
-    CampaignReport rep = CampaignRunner(serialOpts()).run(spec);
-    ASSERT_EQ(rep.runs.size(), 1u);
-    const InjectionRecord &r = rep.runs[0];
+    SweepReport rep = CampaignRunner(serialOpts()).run(spec);
+    ASSERT_EQ(rep.jobs.size(), 1u);
+    const JobResult &r = rep.jobs[0];
     EXPECT_EQ(r.outcome, FaultOutcome::Hang)
-        << faultOutcomeName(r.outcome) << ": " << r.detail;
+        << outcomeOf(r) << ": " << r.error;
     // The wedge was caught by the watchdog's dump, not a timeout: the
     // dump names the cause and shows the per-core completion state
     // and the fault that did it.
-    EXPECT_NE(r.watchdogDump.find("diagnostic dump"),
+    EXPECT_NE(r.crashReport.find("diagnostic dump"),
               std::string::npos);
-    EXPECT_NE(r.watchdogDump.find("cores:"), std::string::npos);
-    EXPECT_NE(r.watchdogDump.find("ics_drop"), std::string::npos);
-    EXPECT_GE(r.counters.icsDropped, 1u);
+    EXPECT_NE(r.crashReport.find("cores:"), std::string::npos);
+    EXPECT_NE(r.crashReport.find("ics_drop"), std::string::npos);
+    EXPECT_GE(r.run.faults.icsDropped, 1u);
 }
 
 // Seed 10 of the pinned scripts/ci.sh faults campaign: a dropped ICS
@@ -259,22 +266,45 @@ TEST(FaultOutcomes, PanicDetectedRunKeepsFiredFaults)
         FaultKind::L2DataFlip,   FaultKind::IcsDrop,
         FaultKind::IcsDelay,     FaultKind::MemStall};
     spec.baseSeed = 10;
-    CampaignReport rep = CampaignRunner(serialOpts()).run(spec);
-    ASSERT_EQ(rep.runs.size(), 1u);
-    const InjectionRecord &r = rep.runs[0];
+    SweepReport rep = CampaignRunner(serialOpts()).run(spec);
+    ASSERT_EQ(rep.jobs.size(), 1u);
+    const JobResult &r = rep.jobs[0];
     EXPECT_EQ(r.outcome, FaultOutcome::Detected)
-        << faultOutcomeName(r.outcome) << ": " << r.detail;
-    EXPECT_EQ(r.detail.rfind("panic: ", 0), 0u) << r.detail;
-    ASSERT_EQ(r.faults.size(), 2u);
-    EXPECT_EQ(r.faults[0].kind, FaultKind::IcsDrop);
-    EXPECT_EQ(r.faults[0].at, Tick{31'208'082});
-    EXPECT_EQ(r.faults[1].kind, FaultKind::MemDataDoubleFlip);
-    EXPECT_EQ(r.faults[1].at, Tick{47'663'288});
-    EXPECT_EQ(r.counters.fired, 2u);
-    EXPECT_EQ(r.counters.icsDropped, 1u);
+        << outcomeOf(r) << ": " << r.error;
+    EXPECT_EQ(r.error.rfind("panic: ", 0), 0u) << r.error;
+    ASSERT_EQ(r.run.firedFaults.size(), 2u);
+    EXPECT_EQ(r.run.firedFaults[0].kind, FaultKind::IcsDrop);
+    EXPECT_EQ(r.run.firedFaults[0].at, Tick{31'208'082});
+    EXPECT_EQ(r.run.firedFaults[1].kind, FaultKind::MemDataDoubleFlip);
+    EXPECT_EQ(r.run.firedFaults[1].at, Tick{47'663'288});
+    EXPECT_EQ(r.run.faults.fired, 2u);
+    EXPECT_EQ(r.run.faults.icsDropped, 1u);
     // The record shows the state the panic left, as a hang's does.
-    EXPECT_EQ(r.watchdogDump.rfind("=== diagnostic dump", 0), 0u);
-    EXPECT_NE(r.watchdogDump.find("busy L2 lines"), std::string::npos);
+    EXPECT_EQ(r.crashReport.rfind("=== diagnostic dump", 0), 0u);
+    EXPECT_NE(r.crashReport.find("busy L2 lines"), std::string::npos);
+}
+
+// Seed 8 of the pinned one-chip scripts/ci.sh campaign under
+// --check-trace: the checker runs on every run that comes back, but a
+// hang is the watchdog's end, so the job's error names the watchdog,
+// not what the checker made of the wedged run's trace.
+TEST(FaultOutcomes, CheckedHangNamesTheWatchdog)
+{
+    CampaignSpec spec = smallCampaign(FaultKind::IcsDrop, 2, 1024);
+    spec.planTemplate.kinds = {
+        FaultKind::MemDataFlip, FaultKind::MemDataDoubleFlip,
+        FaultKind::MemCheckFlip, FaultKind::L1DataFlip,
+        FaultKind::L2DataFlip,   FaultKind::IcsDrop,
+        FaultKind::IcsDelay,     FaultKind::MemStall};
+    spec.baseSeed = 8;
+    spec.checkTrace = true;
+    SweepReport rep = CampaignRunner(serialOpts()).run(spec);
+    ASSERT_EQ(rep.jobs.size(), 1u);
+    const JobResult &r = rep.jobs[0];
+    EXPECT_EQ(r.outcome, FaultOutcome::Hang)
+        << outcomeOf(r) << ": " << r.error;
+    EXPECT_EQ(r.error.rfind("watchdog tripped: ", 0), 0u) << r.error;
+    EXPECT_NE(r.crashReport.find("diagnostic dump"), std::string::npos);
 }
 
 // Seed 11 of the pinned two-chip scripts/ci.sh campaign: a directory
@@ -286,19 +316,22 @@ TEST(FaultOutcomes, OutOfRangeDirectoryPointerMachineChecks)
     CampaignSpec spec = smallCampaign(FaultKind::MemDirFlip, 2, 1024, 2);
     spec.planTemplate.kinds.clear(); // drawn from every kind
     spec.baseSeed = 11;
-    CampaignReport rep = CampaignRunner(serialOpts()).run(spec);
-    ASSERT_EQ(rep.runs.size(), 1u);
-    const InjectionRecord &r = rep.runs[0];
+    SweepReport rep = CampaignRunner(serialOpts()).run(spec);
+    ASSERT_EQ(rep.jobs.size(), 1u);
+    const JobResult &r = rep.jobs[0];
     EXPECT_EQ(r.outcome, FaultOutcome::Detected)
-        << faultOutcomeName(r.outcome) << ": " << r.detail;
-    EXPECT_EQ(r.detail.rfind("directory pointer 512 out of range", 0), 0u)
-        << r.detail;
-    EXPECT_GE(r.counters.machineChecks, 1u);
+        << outcomeOf(r) << ": " << r.error;
+    EXPECT_EQ(r.error.rfind("machine check: directory pointer 512 out "
+                            "of range",
+                            0),
+              0u)
+        << r.error;
+    EXPECT_GE(r.run.faults.machineChecks, 1u);
 }
 
 // campaign_main --timeout stops an injection on either tier: the run
-// polls the runner's abort check, and the record is a failed
-// injection with the timeout in its detail, never a modelled hang.
+// polls the runner's abort check, and the job is a timed-out, failed
+// injection with the timeout as its error, never a modelled hang.
 TEST(Campaign, HostTimeoutFailsTheInjectionOnBothTiers)
 {
     CampaignSpec spec = smallCampaign(FaultKind::MemStall, 1, 8000);
@@ -309,15 +342,16 @@ TEST(Campaign, HostTimeoutFailsTheInjectionOnBothTiers)
         opts.exec = tier;
         opts.jobTimeoutSec = 0.05;
         auto t0 = std::chrono::steady_clock::now();
-        CampaignReport rep = CampaignRunner(opts).run(spec);
+        SweepReport rep = CampaignRunner(opts).run(spec);
         double secs = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-        ASSERT_EQ(rep.runs.size(), 1u);
-        const InjectionRecord &r = rep.runs[0];
+        ASSERT_EQ(rep.jobs.size(), 1u);
+        const JobResult &r = rep.jobs[0];
         EXPECT_EQ(r.outcome, FaultOutcome::Failed)
-            << faultOutcomeName(r.outcome) << ": " << r.detail;
-        EXPECT_EQ(r.detail, "host wall-clock timeout");
+            << outcomeOf(r) << ": " << r.error;
+        EXPECT_EQ(r.status, JobStatus::TimedOut);
+        EXPECT_EQ(r.error, "host wall-clock timeout");
         // The whole run takes seconds; the abort comes within a few
         // thousand events of the deadline.
         EXPECT_LT(secs, 1.0);
@@ -354,19 +388,19 @@ TEST(Campaign, HistogramReproducesAcrossRuns)
     spec.workload = WorkloadDecl{"OLTP", oltpFactory(), 256};
     spec.injections = 6;
     spec.planTemplate.count = 1; // kinds empty: drawn from all
-    CampaignReport a = CampaignRunner(serialOpts()).run(spec);
+    SweepReport a = CampaignRunner(serialOpts()).run(spec);
     SweepOptions par = serialOpts();
     par.threads = 3; // determinism must survive the thread pool
-    CampaignReport b = CampaignRunner(par).run(spec);
+    SweepReport b = CampaignRunner(par).run(spec);
 
-    ASSERT_EQ(a.runs.size(), 6u);
-    ASSERT_EQ(b.runs.size(), 6u);
-    EXPECT_EQ(a.histogram(), b.histogram());
+    ASSERT_EQ(a.jobs.size(), 6u);
+    ASSERT_EQ(b.jobs.size(), 6u);
+    EXPECT_EQ(outcomeHistogram(a), outcomeHistogram(b));
     for (unsigned i = 0; i < 6; ++i) {
-        EXPECT_EQ(a.runs[i].outcome, b.runs[i].outcome) << "run " << i;
-        EXPECT_EQ(a.runs[i].counters.fired, b.runs[i].counters.fired);
-        EXPECT_EQ(a.runs[i].stats, b.runs[i].stats) << "run " << i;
-        EXPECT_EQ(a.runs[i].detail, b.runs[i].detail) << "run " << i;
+        EXPECT_EQ(a.jobs[i].outcome, b.jobs[i].outcome) << "run " << i;
+        EXPECT_EQ(a.jobs[i].run.faults.fired, b.jobs[i].run.faults.fired);
+        EXPECT_EQ(a.jobs[i].stats, b.jobs[i].stats) << "run " << i;
+        EXPECT_EQ(a.jobs[i].error, b.jobs[i].error) << "run " << i;
     }
 }
 
@@ -374,22 +408,30 @@ TEST(Campaign, JsonReportIsCompleteAndWritable)
 {
     CampaignSpec spec = smallCampaign(FaultKind::MemCheckFlip, 4, 512);
     spec.injections = 2;
-    CampaignReport rep = CampaignRunner(serialOpts()).run(spec);
+    SweepReport rep = CampaignRunner(serialOpts()).run(spec);
 
-    JsonValue j = rep.toJson();
-    std::string s = j.dump(2);
-    EXPECT_NE(s.find("\"campaign\""), std::string::npos);
-    EXPECT_NE(s.find("\"histogram\""), std::string::npos);
-    EXPECT_NE(s.find("\"outcome\""), std::string::npos);
-    EXPECT_NE(s.find("\"seed\""), std::string::npos);
-
+    // The campaign's report is the sweep's, and each job carries its
+    // injection's record in a `faults` object.
     std::string path = "fault_campaign_report_test.json";
     ASSERT_TRUE(rep.writeJsonFile(path));
     std::ifstream in(path);
     std::stringstream buf;
     buf << in.rdbuf();
-    EXPECT_NE(buf.str().find("\"runs\""), std::string::npos);
     std::remove(path.c_str());
+    JsonValue j = parseJson(buf.str());
+    EXPECT_EQ(j.at("sweep").asString(), "test");
+    const JsonValue &jobs = j.at("jobs");
+    ASSERT_EQ(jobs.size(), 2u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const JsonValue &faults = jobs.at(i).at("faults");
+        EXPECT_EQ(faults.at("plan_seed").asNumber(), double(1 + i));
+        EXPECT_EQ(faults.at("outcome").asString(),
+                  outcomeOf(rep.jobs[i]));
+        EXPECT_NE(faults.find("counters"), nullptr);
+        JobResult back = jobResultFromJson(jobs.at(i));
+        EXPECT_EQ(back.outcome, rep.jobs[i].outcome);
+        EXPECT_EQ(back.planSeed, rep.jobs[i].planSeed);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -400,7 +442,7 @@ TEST(SweepRetry, DeterministicFailuresAreNeverRetried)
     auto calls = std::make_shared<std::atomic<int>>(0);
     SweepPoint pt;
     pt.label = "deterministic";
-    pt.custom = [calls](const AbortCheck &) -> CustomResult {
+    pt.custom = [calls](const AbortCheck &) -> JobResult {
         calls->fetch_add(1);
         throw std::runtime_error("same universe, same bug");
     };
@@ -438,14 +480,14 @@ TEST(SweepCancel, GracefulDrainMarksQueuedJobsCancelled)
     // worker thread the remaining queued jobs must drain as
     // Cancelled without executing.
     auto ran = std::make_shared<std::atomic<int>>(0);
-    pts[0].custom = [cancel, ran](const AbortCheck &) -> CustomResult {
+    pts[0].custom = [cancel, ran](const AbortCheck &) {
         ran->fetch_add(1);
         cancel->store(true);
-        return CustomResult{};
+        return JobResult{};
     };
-    pts[1].custom = pts[2].custom = [ran](const AbortCheck &) -> CustomResult {
+    pts[1].custom = pts[2].custom = [ran](const AbortCheck &) {
         ran->fetch_add(1);
-        return CustomResult{};
+        return JobResult{};
     };
     SweepOptions opts = serialOpts();
     opts.cancel = cancel.get();

@@ -135,16 +135,37 @@ TEST(JobResultJson, FailureMetadataRoundTrips)
     a.attempts = 3;
     a.exitClass = "signal";
     a.crashReport = "worker crash: signal 11\nstate dump...";
-    a.payload = JsonValue::object();
-    a.payload.set("seed", 7.0);
+    // An injection's record: plan seed, outcome, counters and what
+    // fired.
+    a.outcome = FaultOutcome::Hang;
+    a.planSeed = 7;
+    a.run.faults.fired = 2;
+    a.run.faults.icsDropped = 1;
+    a.run.firedFaults = {
+        FiredFault{FaultKind::IcsDrop, 31'208'082, 0, "node0 ics lane 2"},
+        FiredFault{FaultKind::MemStall, 47'663'288, 1, "node1 channel 3"}};
 
-    JobResult b = jobResultFromJson(jobResultToJson(a));
+    JsonValue j = jobResultToJson(a);
+    JobResult b = jobResultFromJson(j);
     EXPECT_EQ(b.status, JobStatus::Failed);
     EXPECT_EQ(b.error, a.error);
     EXPECT_EQ(b.attempts, 3u);
     EXPECT_EQ(b.exitClass, "signal");
     EXPECT_EQ(b.crashReport, a.crashReport);
-    EXPECT_EQ(b.payload.dump(), a.payload.dump());
+    EXPECT_EQ(b.outcome, a.outcome);
+    EXPECT_EQ(b.planSeed, 7u);
+    EXPECT_EQ(b.run.faults.fired, 2u);
+    EXPECT_EQ(b.run.faults.icsDropped, 1u);
+    ASSERT_EQ(b.run.firedFaults.size(), 2u);
+    EXPECT_EQ(b.run.firedFaults[1].kind, FaultKind::MemStall);
+    EXPECT_EQ(b.run.firedFaults[1].at, Tick{47'663'288});
+    EXPECT_EQ(b.run.firedFaults[1].node, 1u);
+    EXPECT_EQ(b.run.firedFaults[1].site, "node1 channel 3");
+    EXPECT_EQ(jobResultToJson(b).dump(), j.dump());
+
+    // A job without an outcome writes no `faults` object.
+    a.outcome.reset();
+    EXPECT_EQ(jobResultToJson(a).find("faults"), nullptr);
 }
 
 TEST(JobResultJson, UnknownStatusNameThrows)
@@ -440,7 +461,7 @@ TEST(JournalResume, CampaignResumeMatchesUninterruptedHistogram)
     spec.planTemplate.count = 1;
 
     SweepOptions clean_opts{.threads = 1};
-    CampaignReport clean = CampaignRunner(clean_opts).run(spec);
+    SweepReport clean = CampaignRunner(clean_opts).run(spec);
 
     TempDir tmp;
     {
@@ -453,19 +474,21 @@ TEST(JournalResume, CampaignResumeMatchesUninterruptedHistogram)
     SweepOptions opts{.threads = 1};
     opts.journalDir = tmp.dir();
     opts.resume = true;
-    CampaignReport resumed = CampaignRunner(opts).run(spec);
+    SweepReport resumed = CampaignRunner(opts).run(spec);
 
-    // The injection records ride the job payload through the journal,
-    // so the resumed campaign is indistinguishable from a clean one.
-    ASSERT_EQ(resumed.runs.size(), clean.runs.size());
-    EXPECT_EQ(resumed.histogram(), clean.histogram());
-    for (std::size_t i = 0; i < clean.runs.size(); ++i) {
-        EXPECT_EQ(resumed.runs[i].seed, clean.runs[i].seed);
-        EXPECT_EQ(resumed.runs[i].outcome, clean.runs[i].outcome);
-        EXPECT_EQ(resumed.runs[i].stats, clean.runs[i].stats);
+    // An injection's record is its job's result, which the journal
+    // keeps whole, so the resumed campaign is indistinguishable from a
+    // clean one.
+    ASSERT_EQ(resumed.jobs.size(), clean.jobs.size());
+    EXPECT_EQ(resumed.jobs[0].fromJournal, true);
+    EXPECT_EQ(outcomeHistogram(resumed), outcomeHistogram(clean));
+    for (std::size_t i = 0; i < clean.jobs.size(); ++i) {
+        EXPECT_EQ(resumed.jobs[i].planSeed, clean.jobs[i].planSeed);
+        EXPECT_EQ(resumed.jobs[i].outcome, clean.jobs[i].outcome);
+        EXPECT_EQ(resumed.jobs[i].stats, clean.jobs[i].stats);
     }
-    EXPECT_EQ(injectionRecordToJson(resumed.runs[0]).dump(),
-              injectionRecordToJson(clean.runs[0]).dump());
+    EXPECT_EQ(jobResultToJson(resumed.jobs[0]).at("faults").dump(),
+              jobResultToJson(clean.jobs[0]).at("faults").dump());
 }
 
 } // namespace

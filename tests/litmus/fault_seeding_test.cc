@@ -18,6 +18,7 @@
 
 #include "check/checker.h"
 #include "check/trace.h"
+#include "core/piranha.h"
 #include "test_system.h"
 
 namespace piranha {
@@ -279,6 +280,25 @@ runProbe(ProtocolFault f)
         break;
     }
     return {};
+}
+
+// The probes mean something only if a run without a seeded fault
+// checks clean. Fault-free OLTP on one chip and on two once tripped
+// the occupancy axiom: an L1's victim is surrendered where the L2
+// takes it, before the L1 records its own VictimDrop.
+TEST(FaultSeeding, FaultFreeOltpChecksClean)
+{
+    for (SystemConfig cfg : {configP8(), configPn(4, 2)}) {
+        CoherenceTracer tracer;
+        cfg.chip.tracer = &tracer;
+        PiranhaSystem sys(cfg);
+        OltpWorkload wl;
+        RunResult r = sys.run(wl, 128);
+        ASSERT_FALSE(r.aborted) << cfg.name;
+        std::vector<TraceEvent> trace = tracer.events();
+        CheckReport rep = checkCoherence(trace, tracer.dropped());
+        EXPECT_TRUE(rep.ok()) << cfg.name << ":\n" << rep.summary(trace);
+    }
 }
 
 class FaultSeedingTest

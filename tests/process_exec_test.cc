@@ -209,7 +209,7 @@ TEST(ProcessChaos, DeterministicFailureIsNotRetried)
 {
     SweepPoint pt;
     pt.label = "always_fails";
-    pt.custom = [](const AbortCheck &) -> CustomResult {
+    pt.custom = [](const AbortCheck &) -> JobResult {
         throw std::runtime_error("deterministic bug");
     };
 
@@ -258,7 +258,7 @@ TEST(ProcessChaos, PanickingCustomBodyFailsInItsResultFrame)
 {
     SweepPoint pt;
     pt.label = "custom_panic";
-    pt.custom = [](const AbortCheck &) -> CustomResult {
+    pt.custom = [](const AbortCheck &) -> JobResult {
         panic("custom body lost line %#x", 0x1040u);
     };
 

@@ -240,13 +240,13 @@ TEST(SweepRunner, PanicInCustomBodyFailsOnlyThatJob)
     SweepPoint custom_ok;
     custom_ok.label = "custom_ok";
     custom_ok.custom = [](const AbortCheck &) {
-        CustomResult cr;
-        cr.stats["answer"] = 42;
-        return cr;
+        JobResult jr;
+        jr.stats["answer"] = 42;
+        return jr;
     };
     SweepPoint custom_panic;
     custom_panic.label = "custom_panic";
-    custom_panic.custom = [](const AbortCheck &) -> CustomResult {
+    custom_panic.custom = [](const AbortCheck &) -> JobResult {
         panic("custom body lost line %#x", 0x1040u);
     };
     std::vector<SweepPoint> pts = {smallPoint("sim0", 1, 16), custom_panic,
